@@ -1,7 +1,10 @@
 """Reference execution of task streams over dense in-memory stores.
 
-Two modes matter for verification. Sequential mode runs tasks in program
-order, point tasks in lexicographic order, and is the semantic oracle. The
+``execute_task`` runs a launch as one kernel call over the union of its point
+images when that provably equals running its points in order, and point by
+point otherwise. Two modes matter for verification and always go point by
+point. Sequential mode runs tasks in program order, point tasks in
+lexicographic order, and is the semantic oracle. The
 isolated mode executes every point task of one (possibly fused) index task
 against private copies of exactly its own sub-stores, turning the point-wise
 dependence property into an executable check: any cross-point data flow shows
@@ -10,19 +13,20 @@ up as an arena violation or a heap mismatch.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .ir import (
     IndexTask,
+    NonePart,
     Point,
     Rect,
     Store,
     StoreTable,
     sub_store_bounds,
 )
-from .kernels import Kernel, KernelRegistry, interpret
+from .kernels import Kernel, KernelRegistry, all_zero_offsets, interpret
 
 
 class ExecutionError(RuntimeError):
@@ -130,23 +134,26 @@ def _scalar_env(kernel: Kernel, task: IndexTask) -> dict[str, float]:
     return {sp.name: value for sp, (_, value) in zip(kernel.scalar_params, task.scalars)}
 
 
-def _point_bindings(
+def _bindings(
     task: IndexTask,
-    p: Point,
+    rects: Sequence[Rect],
     heap: Heap,
-    stores: StoreTable,
     name_of: Callable[[int], str],
     temp_positions: frozenset[int],
 ) -> tuple[dict[str, np.ndarray], dict[str, tuple[int, ...]]]:
+    """Heap views of each argument's rectangle; temp positions get local shapes."""
     bufs: dict[str, np.ndarray] = {}
     local_shapes: dict[str, tuple[int, ...]] = {}
-    for j, a in enumerate(task.args):
-        sub = sub_store_bounds(stores[a.store], a.partition, p)
+    for j, (a, rect) in enumerate(zip(task.args, rects)):
         if j in temp_positions:
-            local_shapes[f"l{j}"] = sub.bounds.extents
+            local_shapes[f"l{j}"] = rect.extents
         else:
-            bufs[name_of(j)] = _region(heap.get(a.store), sub.bounds)
+            bufs[name_of(j)] = _region(heap.get(a.store), rect)
     return bufs, local_shapes
+
+
+def _point_rects(task: IndexTask, p: Point, stores: StoreTable) -> list[Rect]:
+    return [sub_store_bounds(stores[a.store], a.partition, p).bounds for a in task.args]
 
 
 def _fused_name(j: int) -> str:
@@ -155,6 +162,63 @@ def _fused_name(j: int) -> str:
 
 def _plain_name(j: int) -> str:
     return f"a{j}"
+
+
+def _select_kernel(
+    task: IndexTask, registry: KernelRegistry, kernel: Kernel | None
+) -> tuple[Kernel | None, Callable[[int], str]]:
+    """The kernel a task runs and the naming of its buffer params.
+
+    An explicit (fused) kernel names params b{j}; a generated one a{j}. None
+    means the kind has no generator and only a builtin can run it.
+    """
+    if kernel is not None:
+        return kernel, _fused_name
+    if registry.has(task.kind):
+        return registry.generate(task), _plain_name
+    return None, _plain_name
+
+
+def _launch_images(task: IndexTask, stores: StoreTable, kernel: Kernel) -> list[Rect] | None:
+    """Each argument's union of point images, if one kernel call over them
+    computes exactly what the point-by-point loop computes; otherwise None.
+
+    Holds when the kernel is elementwise and has no reduction (per-point
+    partials must be summed in point order), every argument is a read-only
+    rank-0 replication or an identity tiling of launch rank with one common
+    tile whose images tile ``[offset, offset + tile * extent)`` inside the
+    store, and no written store is also reached through another partition.
+    Decided from the partition descriptors alone, whatever the launch volume.
+    """
+    if any(a.privilege.is_reduce for a in task.args) or not all_zero_offsets(kernel):
+        return None
+    launch = task.domain
+    tile: tuple[int, ...] | None = None
+    rects: list[Rect] = []
+    for a in task.args:
+        part, store = a.partition, stores[a.store]
+        if isinstance(part, NonePart):
+            if store.rank or a.privilege.is_write:
+                return None
+            rects.append(Rect.full(store.shape))
+            continue
+        if (
+            not part.proj.is_identity
+            or part.proj.in_rank != launch.rank
+            or store.rank != launch.rank
+            or (tile is not None and part.tile != tile)
+            or any(t <= 0 for t in part.tile)
+        ):
+            return None
+        tile = part.tile
+        hi = tuple(o + t * n for o, t, n in zip(part.offset, tile, launch.extents))
+        if any(o < 0 for o in part.offset) or any(h > s for h, s in zip(hi, store.shape.extents)):
+            return None
+        rects.append(Rect(part.offset, hi))
+    for w in {a.store for a in task.args if a.privilege.is_write}:
+        if len({a.partition for a in task.args if a.store == w}) > 1:
+            return None
+    return rects
 
 
 # --- execution ---------------------------------------------------------------
@@ -169,30 +233,14 @@ def execute_task(
     kernel: Kernel | None = None,
     temp_positions: frozenset[int] = frozenset(),
 ) -> None:
-    """Run one index task point-by-point in lexicographic order.
+    """Run one index task: as one kernel call over the whole launch when
+    ``_launch_images`` allows it, else point by point in lexicographic order.
 
     With an explicit ``kernel`` the task is treated as fused: buffer params are
     named b{j} by fused-arg position and positions in ``temp_positions`` bind
     as task-local buffers l{j} instead of heap regions.
     """
-    if kernel is not None:
-        name_of = _fused_name
-    elif registry.has(task.kind):
-        kernel = registry.generate(task)
-        name_of = _plain_name
-    elif task.kind in builtins:
-        fn = builtins[task.kind]
-        for p in task.domain.points():
-            bufs, _ = _point_bindings(task, p, heap, stores, _plain_name, frozenset())
-            fn(task, bufs)
-        return
-    else:
-        raise UnknownTaskKindError(f"no generator or builtin for task kind {task.kind!r}")
-
-    scalars = _scalar_env(kernel, task)
-    for p in task.domain.points():
-        bufs, local_shapes = _point_bindings(task, p, heap, stores, name_of, temp_positions)
-        interpret(kernel, bufs, scalars, local_shapes)
+    _run(task, heap, stores, registry, builtins, kernel, temp_positions, whole_launch=True)
 
 
 def execute_sequential(
@@ -202,8 +250,40 @@ def execute_sequential(
     registry: KernelRegistry,
     builtins: Mapping[str, Builtin],
 ) -> None:
+    """The semantic reference: tasks in program order, each point by point."""
     for t in tasks:
-        execute_task(t, heap, stores, registry, builtins)
+        _run(t, heap, stores, registry, builtins, None, frozenset(), whole_launch=False)
+
+
+def _run(
+    task: IndexTask,
+    heap: Heap,
+    stores: StoreTable,
+    registry: KernelRegistry,
+    builtins: Mapping[str, Builtin],
+    kernel: Kernel | None,
+    temp_positions: frozenset[int],
+    whole_launch: bool,
+) -> None:
+    kernel, name_of = _select_kernel(task, registry, kernel)
+    if kernel is None:
+        fn = builtins.get(task.kind)
+        if fn is None:
+            raise UnknownTaskKindError(f"no generator or builtin for task kind {task.kind!r}")
+        for p in task.domain.points():
+            bufs, _ = _bindings(task, _point_rects(task, p, stores), heap, name_of, frozenset())
+            fn(task, bufs)
+        return
+
+    scalars = _scalar_env(kernel, task)
+    whole = _launch_images(task, stores, kernel) if whole_launch else None
+    if whole is not None:
+        launches: Iterable[list[Rect]] = (whole,)
+    else:
+        launches = (_point_rects(task, p, stores) for p in task.domain.points())
+    for rects in launches:
+        bufs, local_shapes = _bindings(task, rects, heap, name_of, temp_positions)
+        interpret(kernel, bufs, scalars, local_shapes)
 
 
 def execute_isolated(
@@ -223,12 +303,8 @@ def execute_isolated(
     from a snapshot, so cross-point write visibility is impossible, and writes
     back W/RW regions and sum-combines Rd contributions in point order.
     """
-    if kernel is not None:
-        name_of = _fused_name
-    elif registry.has(task.kind):
-        kernel = registry.generate(task)
-        name_of = _plain_name
-    else:
+    kernel, name_of = _select_kernel(task, registry, kernel)
+    if kernel is None:
         raise ExecutionError(f"isolated execution needs a kernel for kind {task.kind!r}")
 
     points = list(task.domain.points())

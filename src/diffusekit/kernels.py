@@ -153,18 +153,23 @@ class Kernel:
 # --- expression / statement walking ----------------------------------------
 
 
-def _expr_loads(e: Expr) -> Iterable[Load]:
-    if isinstance(e, Load):
-        yield e
-    elif isinstance(e, Bin):
-        yield from _expr_loads(e.lhs)
-        yield from _expr_loads(e.rhs)
+def _leaves(e: Expr) -> Iterable[Expr]:
+    """Leaf expressions in evaluation order."""
+    if isinstance(e, Bin):
+        yield from _leaves(e.lhs)
+        yield from _leaves(e.rhs)
     elif isinstance(e, Un):
-        yield from _expr_loads(e.x)
+        yield from _leaves(e.x)
     elif isinstance(e, Select):
-        yield from _expr_loads(e.cond)
-        yield from _expr_loads(e.if_true)
-        yield from _expr_loads(e.if_false)
+        yield from _leaves(e.cond)
+        yield from _leaves(e.if_true)
+        yield from _leaves(e.if_false)
+    else:
+        yield e
+
+
+def _expr_loads(e: Expr) -> Iterable[Load]:
+    return (leaf for leaf in _leaves(e) if isinstance(leaf, Load))
 
 
 def _stmt_loads(s: Stmt) -> Iterable[Load]:
@@ -656,27 +661,177 @@ _BIN_OPS = {
 }
 
 
-def _eval_vec(e: Expr, bufs: Mapping[str, np.ndarray], scalars: Mapping[str, float], temps: dict):
-    if isinstance(e, Load):
-        return bufs[e.buf][()] if bufs[e.buf].ndim == 0 else bufs[e.buf]
-    if isinstance(e, ScalarRef):
-        return scalars[e.name]
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, TempRef):
-        return temps[e.name]
-    if isinstance(e, Bin):
-        out = _BIN_OPS[e.op](_eval_vec(e.lhs, bufs, scalars, temps), _eval_vec(e.rhs, bufs, scalars, temps))
-        return out.astype(np.float64) if isinstance(out, np.ndarray) and out.dtype == bool else out
-    if isinstance(e, Un):
-        return np.negative(_eval_vec(e.x, bufs, scalars, temps))
-    if isinstance(e, Select):
-        return np.where(
-            _eval_vec(e.cond, bufs, scalars, temps) != 0,
-            _eval_vec(e.if_true, bufs, scalars, temps),
-            _eval_vec(e.if_false, bufs, scalars, temps),
-        )
-    raise KernelError(f"unknown expression {e!r}")
+def _plan_nest(body: Sequence[Stmt]) -> tuple[list[int], dict[int, str]]:
+    """Per statement, the reads of the value it sets; and the SetTemps that may
+    compute directly in a store's slab, mapped to that store.
+
+    A chain of single-read temps ending in ``StoreStmt D`` may live in D's
+    slab when D is written once in the nest and read by no statement up to and
+    including that store: until then D's contents are dead. Each link is the
+    first single-read temp its successor reads.
+    """
+    reads = [0] * len(body)
+    sources: list[list[int]] = []
+    defined: dict[str, int] = {}
+    for i, s in enumerate(body):
+        srcs = [
+            defined[leaf.name]
+            for leaf in _leaves(s.expr)
+            if isinstance(leaf, TempRef) and leaf.name in defined
+        ]
+        for j in srcs:
+            reads[j] += 1
+        sources.append(srcs)
+        if isinstance(s, SetTemp):
+            defined[s.name] = i
+    writes: dict[str, int] = {}
+    for s in body:
+        if not isinstance(s, SetTemp):
+            writes[s.buf] = writes.get(s.buf, 0) + 1
+    chain: dict[int, str] = {}
+    loaded: set[str] = set()
+    for k, s in enumerate(body):
+        loaded.update(ld.buf for ld in _stmt_loads(s))
+        if not isinstance(s, StoreStmt) or writes[s.buf] != 1 or s.buf in loaded:
+            continue
+        j: int | None = k
+        while (j := next((src for src in sources[j] if reads[src] == 1), None)) is not None:
+            chain[j] = s.buf
+    return reads, chain
+
+
+def _spare(a, a_free: bool, b) -> np.ndarray | None:
+    """``a`` if it may receive the result of an elementwise op on (a, b)."""
+    if a_free and isinstance(a, np.ndarray) and (not isinstance(b, np.ndarray) or b.shape == a.shape):
+        return a
+    return None
+
+
+class _InPlace:
+    """Vectorized evaluation of one zero-offset nest that reuses dead arrays.
+
+    Values are ``(value, free)`` pairs; a free value is an array this
+    evaluation made and nothing will read again, so the op consuming it may
+    write its result there. A temp's array turns free at its last read and the
+    temp is released then; ``refs`` counts the reads still due through every
+    temp that names an array.
+    """
+
+    def __init__(self, env: Mapping[str, np.ndarray], scalars: Mapping[str, float]) -> None:
+        self.env = env
+        self.scalars = scalars
+        self.temps: dict[str, object] = {}
+        self.left: dict[str, int] = {}
+        self.refs: dict[int, int] = {}
+
+    def value(self, e: Expr, out: np.ndarray | None = None) -> tuple[object, bool]:
+        """Evaluate ``e``; a root op writes into ``out`` when one is given."""
+        if isinstance(e, Bin):
+            lhs, lf = self.value(e.lhs)
+            rhs, rf = self.value(e.rhs)
+            lf, rf = self.take(e.lhs, lhs, lf), self.take(e.rhs, rhs, rf)
+            if out is None:
+                out = _spare(lhs, lf, rhs)
+                if out is None:
+                    out = _spare(rhs, rf, lhs)
+            res = _BIN_OPS[e.op](lhs, rhs, out=out)
+            return (res.astype(np.float64) if res.dtype == bool else res), True
+        if isinstance(e, Un):
+            x, xf = self.value(e.x)
+            xf = self.take(e.x, x, xf)
+            return np.negative(x, out=out if out is not None else _spare(x, xf, None)), True
+        if isinstance(e, Load):
+            arr = self.env[e.buf]
+            return (arr[()] if arr.ndim == 0 else arr), False
+        if isinstance(e, ScalarRef):
+            return self.scalars[e.name], False
+        if isinstance(e, Const):
+            return e.value, False
+        if isinstance(e, TempRef):
+            return self.temps[e.name], False
+        if isinstance(e, Select):
+            parts = [e.cond, e.if_true, e.if_false]
+            vals = [self.value(p)[0] for p in parts]
+            for p, v in zip(parts, vals):
+                self.take(p, v, False)
+            return np.where(vals[0] != 0, vals[1], vals[2]), True
+        raise KernelError(f"unknown expression {e!r}")
+
+    def take(self, e: Expr, value: object, free: bool) -> bool:
+        """Consume one read of ``e``'s value; returns whether it is now free."""
+        if not isinstance(e, TempRef):
+            return free
+        left = self.left[e.name] - 1
+        if left:
+            self.left[e.name] = left
+        else:
+            del self.left[e.name], self.temps[e.name]
+        key = id(value)
+        n = self.refs.get(key)
+        if n is None:
+            return False
+        if n > 1:
+            self.refs[key] = n - 1
+            return False
+        del self.refs[key]
+        return True
+
+    def set_temp(self, name: str, value: object, free: bool, reads: int) -> None:
+        if not reads:
+            return
+        self.temps[name] = value
+        self.left[name] = reads
+        key = id(value)
+        if isinstance(value, np.ndarray) and (free or key in self.refs):
+            self.refs[key] = self.refs.get(key, 0) + reads
+
+
+def _run_nest(
+    nest: LoopNest,
+    env: Mapping[str, np.ndarray],
+    scalars: Mapping[str, float],
+    priv: Mapping[str, Privilege],
+) -> None:
+    """Run a zero-offset nest statement by statement over whole buffers."""
+    reads, chain = _plan_nest(nest.body)
+    bounds = env[nest.domain].shape
+    # a chain target is scratch only if it is writable and nothing else bound
+    # to the kernel can see its memory
+    scratch = {
+        buf: env[buf]
+        for buf in set(chain.values())
+        if priv.get(buf, Privilege.READ_WRITE).is_write
+        and not any(o != buf and np.may_share_memory(env[buf], arr) for o, arr in env.items())
+    }
+    run = _InPlace(env, scalars)
+    for i, s in enumerate(nest.body):
+        if isinstance(s, SetTemp):
+            val, free = run.value(s.expr, scratch.get(chain.get(i, "")))
+            free = run.take(s.expr, val, free)
+            if isinstance(s.expr, Load) and isinstance(val, np.ndarray) and any(
+                not isinstance(t, SetTemp) and np.may_share_memory(val, env[t.buf])
+                for t in nest.body[i + 1 :]
+            ):
+                # a view of a buffer written later: keep the values it has now
+                val, free = val.copy(), True
+            run.set_temp(s.name, val, free, reads[i])
+        elif isinstance(s, StoreStmt):
+            if not priv.get(s.buf, Privilege.READ_WRITE).is_write and s.buf in priv:
+                raise PrivilegeViolationError(f"store to read-only param {s.buf}")
+            target = env[s.buf]
+            if isinstance(s.expr, (Bin, Un)):
+                run.value(s.expr, target)
+            else:
+                val, free = run.value(s.expr)
+                run.take(s.expr, val, free)
+                if val is not target:
+                    target[...] = val
+        else:
+            if s.buf in priv and not priv[s.buf].is_reduce and not priv[s.buf].is_write:
+                raise PrivilegeViolationError(f"reduce into read-only param {s.buf}")
+            val, free = run.value(s.expr)
+            run.take(s.expr, val, free)
+            env[s.buf][()] += np.sum(val) if np.ndim(val) else val * np.prod(bounds)
 
 
 def _eval_at(e: Expr, idx: tuple[int, ...], bufs, scalars, temps):
@@ -714,6 +869,11 @@ def _nest_all_zero_offsets(nest: LoopNest) -> bool:
     return True
 
 
+def all_zero_offsets(kernel: Kernel) -> bool:
+    """Every access of every nest is at the loop index: the kernel is elementwise."""
+    return all(_nest_all_zero_offsets(nest) for nest in kernel.nests)
+
+
 def interpret(
     kernel: Kernel,
     bufs: Mapping[str, np.ndarray],
@@ -747,24 +907,10 @@ def interpret(
 
     with np.errstate(all="ignore"):
         for nest in kernel.nests:
-            bounds = env[nest.domain].shape
             if _nest_all_zero_offsets(nest):
-                temps: dict[str, np.ndarray] = {}
-                for s in nest.body:
-                    if isinstance(s, SetTemp):
-                        temps[s.name] = _eval_vec(s.expr, env, scalars, temps)
-                    elif isinstance(s, StoreStmt):
-                        if not priv.get(s.buf, Privilege.READ_WRITE).is_write and s.buf in priv:
-                            raise PrivilegeViolationError(f"store to read-only param {s.buf}")
-                        val = _eval_vec(s.expr, env, scalars, temps)
-                        env[s.buf][...] = np.broadcast_to(val, bounds) if np.ndim(val) == 0 else val
-                    else:
-                        if s.buf in priv and not priv[s.buf].is_reduce and not priv[s.buf].is_write:
-                            raise PrivilegeViolationError(f"reduce into read-only param {s.buf}")
-                        val = _eval_vec(s.expr, env, scalars, temps)
-                        env[s.buf][()] += np.sum(val) if np.ndim(val) else val * np.prod(bounds)
+                _run_nest(nest, env, scalars, priv)
             else:
-                for idx in np.ndindex(*bounds):
+                for idx in np.ndindex(*env[nest.domain].shape):
                     temps_s: dict[str, np.float64] = {}
                     for s in nest.body:
                         if isinstance(s, SetTemp):

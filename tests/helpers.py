@@ -13,6 +13,8 @@ from diffusekit.ir import (
     StoreArg,
     Tiling,
 )
+from diffusekit import trace as tracefmt
+from diffusekit.pipeline import Session, SessionConfig, task_from_event
 
 R = Privilege.READ
 W = Privilege.WRITE
@@ -67,3 +69,17 @@ def stencil_window(size: int = 6, nodes: int = 2):
     ]
     names = {0: "grid", 1: "work", 2: "t1", 3: "t2", 4: "t3", 5: "avg"}
     return tasks, stores, names
+
+
+def tasks_of(events):
+    """Tasks and stores of a trace, translated as a session would."""
+    session = Session(SessionConfig(execute=False))
+    tasks = []
+    for ev in events:
+        if isinstance(ev, tracefmt.CreateStore):
+            session.create_store(ev.id, ev.shape)
+        elif isinstance(ev, tracefmt.CreatePartition):
+            session.create_partition(ev.id, tracefmt.partition_from_event(ev))
+        elif isinstance(ev, tracefmt.TaskEvent):
+            tasks.append(task_from_event(session, ev))
+    return tasks, session.stores

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from diffusekit import executor
+from diffusekit import trace as tracefmt
 from diffusekit.executor import (
     ArenaViolationError,
     Heap,
@@ -16,9 +18,11 @@ from diffusekit.executor import (
     heap_diff,
 )
 from diffusekit.fusion import build_fused_task
-from diffusekit.kernels import compose, default_registry, optimize
-from diffusekit.ir import NonePart
-from helpers import R, RD, RW, W, stencil_window, store_table, task, tiling
+from diffusekit.kernels import compose, default_registry, interpret, optimize
+from diffusekit.ir import Domain, NonePart, ProjectionFn, Store
+from diffusekit.pipeline import Session, SessionConfig, run_events
+import stream_fuzz
+from helpers import R, RD, RW, W, stencil_window, store_table, task, tasks_of, tiling
 
 REG = default_registry()
 BUILTINS = default_builtins()
@@ -193,3 +197,156 @@ class TestIsolatedExecution:
         execute_isolated(t, h_iso, stores, REG, BUILTINS)
         execute_task(t, h_seq, stores, REG, BUILTINS)
         assert heap_diff(h_iso, h_seq, [1]) == []
+
+
+# --- whole-launch execution ----------------------------------------------------
+
+
+@pytest.fixture
+def interpret_calls(monkeypatch):
+    """Counts the executor's kernel calls: one per launch run whole, one per point otherwise."""
+    calls = []
+
+    def counted(kernel, bufs, *args):
+        calls.append(kernel)
+        return interpret(kernel, bufs, *args)
+
+    monkeypatch.setattr(executor, "interpret", counted)
+    return calls
+
+
+def _whole_vs_sequential(tasks, stores):
+    whole, ref = Heap(stores, 0), Heap(stores, 0)
+    for t in tasks:
+        execute_task(t, whole, stores, REG, BUILTINS)
+    execute_sequential(tasks, ref, stores, REG, BUILTINS)
+    return heap_diff(whole, ref, sorted(stores))
+
+
+SMALL_BENCHMARKS = {
+    "stencil": dict(size=10, nodes=2, iters=2),
+    "blackscholes_chain": dict(size=16, nodes=4, iters=2),
+    "jacobi": dict(size=8, nodes=4, iters=2),
+    "cg_like": dict(size=8, nodes=4, iters=2),
+}
+
+
+class TestWholeLaunch:
+    def test_fuzz_corpus_matches_point_by_point(self):
+        for stream in stream_fuzz.corpus(1000):
+            stores = {s: Store(s, Domain(shape)) for s, shape in stream.stores.items()}
+            assert _whole_vs_sequential(stream.tasks, stores) == [], stream.seed
+
+    @pytest.mark.parametrize("name", sorted(SMALL_BENCHMARKS))
+    def test_benchmarks_match_point_by_point(self, name):
+        events = tracefmt.gen_benchmark(name, **SMALL_BENCHMARKS[name])
+        tasks, stores = tasks_of(events)
+        assert _whole_vs_sequential(tasks, stores) == []
+        # fused kernels run whole too, and still match the per-point reference
+        session = Session(SessionConfig())
+        run_events(session, events)
+        ref = Heap(stores, 0)
+        execute_sequential(tasks, ref, stores, REG, BUILTINS)
+        assert heap_diff(session.heap, ref, session.live_store_ids()) == []
+
+    def test_stencil_copy_runs_as_one_call(self, interpret_calls):
+        tasks, stores, _ = stencil_window(size=10, nodes=2)
+        copy = tasks[-1]
+        assert copy.kind == "COPY" and copy.domain.volume == 4
+        execute_task(copy, Heap(stores, 0), stores, REG, BUILTINS)
+        assert len(interpret_calls) == 1
+
+    def test_fused_stencil_runs_as_one_call(self, interpret_calls):
+        tasks, stores, _ = stencil_window(size=10, nodes=2)
+        fused, kernel = _compile_fused(tasks, 5, stores)
+        execute_task(fused, Heap(stores, 0), stores, REG, BUILTINS, kernel)
+        assert len(interpret_calls) == 1
+
+    def test_sequential_reference_stays_point_by_point(self, interpret_calls):
+        tasks, stores, _ = stencil_window(size=10, nodes=2)
+        execute_sequential(tasks, Heap(stores, 0), stores, REG, BUILTINS)
+        assert len(interpret_calls) == 6 * 4
+
+
+def _per_point_case(t, stores, interpret_calls):
+    """Runs ``t`` through execute_task; it must go point by point and match the reference."""
+    got, ref = Heap(stores, 0), Heap(stores, 0)
+    execute_task(t, got, stores, REG, BUILTINS)
+    assert len(interpret_calls) == t.domain.volume
+    execute_sequential([t], ref, stores, REG, BUILTINS)
+    assert heap_diff(got, ref, sorted(stores)) == []
+    return got
+
+
+class TestWholeLaunchFallback:
+    def test_shifted_write_of_a_read_store(self, interpret_calls):
+        # point p reads [2p, 2p+2) and writes [2p+1, 2p+3): each point reads a
+        # cell its predecessor wrote, so only point order gives the answer
+        stores = store_table((9,))
+        t = task("COPY", (4,), [(0, tiling((2,)), R), (0, tiling((2,), (1,)), W)])
+        want = Heap(stores, 0).get(0).copy()
+        at_once = want.copy()
+        at_once[1:] = want[:-1]
+        for p in range(4):
+            want[2 * p + 1 : 2 * p + 3] = want[2 * p : 2 * p + 2].copy()
+        assert (want != at_once).any()
+        got = _per_point_case(t, stores, interpret_calls).get(0)
+        assert (got == want).all()
+
+    def test_clamped_edge_tile(self, interpret_calls):
+        stores = store_table((7,), (7,))
+        p = tiling((2,))
+        _per_point_case(task("NEG", (4,), [(0, p, R), (1, p, W)]), stores, interpret_calls)
+
+    def test_different_tiles(self, interpret_calls):
+        stores = store_table((4,), (8,))
+        t = task("COPY", (4,), [(0, tiling((1,)), R), (1, tiling((2,)), W)])
+        got = _per_point_case(t, stores, interpret_calls)
+        assert (got.get(1) == np.repeat(got.get(0), 2)).all()
+
+    def test_written_replication(self, interpret_calls):
+        stores = store_table((4,), (4,))
+        n = NonePart()
+        t = task("AXPY", (3,), [(0, n, R), (1, n, RW)], [("w", 2.0)])
+        x, y = Heap(stores, 0).get(0), Heap(stores, 0).get(1)
+        got = _per_point_case(t, stores, interpret_calls)
+        assert (got.get(1) == y + 2.0 * x + 2.0 * x + 2.0 * x).all()
+
+    def test_dimension_dropping_projection(self, interpret_calls):
+        stores = store_table((4,), (4, 4))
+        drop = tiling((2,), proj=ProjectionFn(((1, 0),), (0,)))
+        t = task("COPY", (2, 2), [(0, drop, R), (1, tiling((2, 2)), W)])
+        _per_point_case(t, stores, interpret_calls)
+
+    def test_permuted_projection(self, interpret_calls):
+        stores = store_table((4, 4), (4, 4))
+        transpose = tiling((2, 2), proj=ProjectionFn(((0, 1), (1, 0)), (0, 0)))
+        t = task("COPY", (2, 2), [(0, transpose, R), (1, tiling((2, 2)), W)])
+        _per_point_case(t, stores, interpret_calls)
+
+    def test_reduction_keeps_point_order(self, interpret_calls):
+        stores = store_table((8,), ())
+        t = task("DOT", (4,), [(0, tiling((2,)), R), (0, tiling((2,)), R), (1, NonePart(), RD)])
+        _per_point_case(t, stores, interpret_calls)
+
+
+def test_fused_temp_keeps_values_of_a_buffer_overwritten_later():
+    # tmp = x; x = y; z = tmp. Fused with tmp demoted, the kernel reads x into
+    # a temp and then overwrites x in the same nest; z must get the old x.
+    p = tiling((4,))
+    tasks = [
+        task("COPY", (2,), [(0, p, R), (1, p, W)]),
+        task("COPY", (2,), [(2, p, R), (0, p, W)]),
+        task("COPY", (2,), [(1, p, R), (3, p, W)]),
+    ]
+    session = Session(SessionConfig())
+    for s in range(4):
+        session.create_store(s, (8,))
+    for t in tasks:
+        session.submit(t)
+    session.drop_ref(1)
+    report = session.finish()
+    assert report.fused_prefixes == [3] and report.temporaries_eliminated == [1]
+    ref = Heap(session.stores, 0)
+    execute_sequential(tasks, ref, session.stores, REG, BUILTINS)
+    assert heap_diff(session.heap, ref, [0, 2, 3]) == []

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from diffusekit.fusion import build_fused_task
 from diffusekit.ir import Domain, NonePart, Privilege
 from diffusekit.kernels import (
     Bin,
     BufParam,
+    Const,
     Kernel,
     KernelError,
     Load,
@@ -19,7 +22,12 @@ from diffusekit.kernels import (
     OutOfBoundsError,
     PrivilegeViolationError,
     ReduceStmt,
+    ScalarParam,
+    ScalarRef,
+    SetTemp,
     StoreStmt,
+    TempRef,
+    Un,
     compose,
     count_memory_traffic,
     default_registry,
@@ -29,7 +37,8 @@ from diffusekit.kernels import (
     optimize,
     scalarize_locals,
 )
-from helpers import R, RD, RW, W, task, tiling
+from diffusekit.trace import gen_blackscholes_chain
+from helpers import R, RD, RW, W, task, tasks_of, tiling
 
 REG = default_registry()
 
@@ -255,3 +264,185 @@ class TestInterpretSafety:
         t = task("COPY", (2,), [(0, _p(), R), (1, _p(), W)])
         with pytest.raises(KernelError):
             interpret(REG.generate(t), {"a0": np.ones(4)})
+
+
+def _one_nest(params, body):
+    """A kernel with one rank-1 nest over a0 and params (name, privilege)."""
+    return Kernel(
+        tuple(BufParam(n, 1, pr) for n, pr in params),
+        (ScalarParam("s"),),
+        (),
+        (LoopNest("a0", 1, tuple(body)),),
+    )
+
+
+def _vec(seed, n=6):
+    return np.random.default_rng(seed).integers(1, 9, n).astype(np.float64)
+
+
+class TestInPlaceEvaluation:
+    @pytest.mark.parametrize("t_first", [True, False])
+    def test_temp_read_twice_in_one_expression(self, t_first):
+        t, t1 = TempRef("t"), Bin("+", TempRef("t"), Const(1.0))
+        k = _one_nest(
+            [("a0", R), ("a1", R), ("a2", W)],
+            [
+                SetTemp("t", Bin("+", Load("a0", (0,)), Load("a1", (0,)))),
+                StoreStmt("a2", (0,), Bin("*", t, t1) if t_first else Bin("*", t1, t)),
+            ],
+        )
+        a0, a1, out = _vec(0), _vec(1), np.zeros(6)
+        interpret(k, {"a0": a0, "a1": a1, "a2": out}, {"s": 0.0})
+        s = a0 + a1
+        assert (out == (s * (s + 1.0) if t_first else (s + 1.0) * s)).all()
+
+    def test_alias_keeps_the_temp_it_names(self):
+        # u's last read frees nothing: t still names the same array
+        k = _one_nest(
+            [("a0", R), ("a1", W), ("a2", W)],
+            [
+                SetTemp("t", Bin("*", ScalarRef("s"), Load("a0", (0,)))),
+                SetTemp("u", TempRef("t")),
+                SetTemp("v", Un("neg", TempRef("u"))),
+                StoreStmt("a1", (0,), Bin("+", TempRef("v"), TempRef("v"))),
+                StoreStmt("a2", (0,), Bin("+", TempRef("t"), Const(1.0))),
+            ],
+        )
+        a0, a1, a2 = _vec(0), np.zeros(6), np.zeros(6)
+        interpret(k, {"a0": a0, "a1": a1, "a2": a2}, {"s": 2.0})
+        assert (a1 == -(2.0 * a0) + -(2.0 * a0)).all() and (a2 == 2.0 * a0 + 1.0).all()
+
+    def test_store_target_read_in_its_own_statement(self):
+        # jacobi's fused body: b3 = b3 + s * (b0 - b1)
+        k = _one_nest(
+            [("a0", R), ("a1", R), ("a3", RW)],
+            [
+                SetTemp("t", Bin("-", Load("a0", (0,)), Load("a1", (0,)))),
+                StoreStmt(
+                    "a3",
+                    (0,),
+                    Bin("+", Load("a3", (0,)), Bin("*", ScalarRef("s"), TempRef("t"))),
+                ),
+            ],
+        )
+        a0, a1, a3 = _vec(0), _vec(1), _vec(2)
+        want = a3 + 0.5 * (a0 - a1)
+        interpret(k, {"a0": a0, "a1": a1, "a3": a3}, {"s": 0.5})
+        assert (a3 == want).all()
+
+    def test_target_sharing_memory_is_not_scratch(self):
+        # a1 overlaps a0 shifted by one: computing t in a1's slab would
+        # overwrite a0 before the store reads it
+        base = _vec(0, 7)
+        a0, a1 = base[1:], base[:-1]
+        want = 2.0 * a0 + a0
+        k = _one_nest(
+            [("a0", R), ("a1", W)],
+            [
+                SetTemp("t", Bin("*", ScalarRef("s"), Load("a0", (0,)))),
+                StoreStmt("a1", (0,), Bin("+", TempRef("t"), Load("a0", (0,)))),
+            ],
+        )
+        interpret(k, {"a0": a0, "a1": a1}, {"s": 2.0})
+        assert (a1 == want).all()
+
+    def test_temp_viewing_a_buffer_stored_later_keeps_old_values(self):
+        k = _one_nest(
+            [("a0", RW), ("a1", R), ("a2", W)],
+            [
+                SetTemp("t", Load("a0", (0,))),
+                StoreStmt("a0", (0,), Load("a1", (0,))),
+                StoreStmt("a2", (0,), TempRef("t")),
+            ],
+        )
+        a0, a1, a2 = _vec(0), _vec(1), np.zeros(6)
+        old = a0.copy()
+        interpret(k, {"a0": a0, "a1": a1, "a2": a2}, {"s": 0.0})
+        assert (a2 == old).all() and (a0 == a1).all()
+
+    @staticmethod
+    def _peak(k, bufs, scalars):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            interpret(k, bufs, scalars)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_dead_temps_receive_the_next_result(self):
+        # a0 is read before its store, so its slab is no scratch; t1's array
+        # must carry t2 and t3 instead of three arrays being live at once
+        n = 1 << 14
+        k = _one_nest(
+            [("a0", RW), ("a1", R)],
+            [
+                SetTemp("t1", Bin("+", Load("a0", (0,)), Load("a1", (0,)))),
+                SetTemp("t2", Un("neg", TempRef("t1"))),
+                SetTemp("t3", Bin("*", ScalarRef("s"), TempRef("t2"))),
+                StoreStmt("a0", (0,), Bin("+", TempRef("t3"), Load("a0", (0,)))),
+            ],
+        )
+        a0, a1 = _vec(0, n), _vec(1, n)
+        want = 0.5 * -(a0 + a1) + a0
+        peak = self._peak(k, {"a0": a0, "a1": a1}, {"s": 0.5})
+        assert (a0 == want).all()
+        assert peak < 1.5 * a0.nbytes
+
+    def test_single_read_chain_computes_in_the_store_slab(self):
+        n = 1 << 14
+        k = _one_nest(
+            [("a0", R), ("a1", R), ("a2", W)],
+            [
+                SetTemp("t", Bin("+", Load("a0", (0,)), Load("a1", (0,)))),
+                SetTemp("u", Un("neg", TempRef("t"))),
+                SetTemp("v", TempRef("u")),
+                StoreStmt("a2", (0,), Bin("*", ScalarRef("s"), TempRef("v"))),
+            ],
+        )
+        a0, a1, a2 = _vec(0, n), _vec(1, n), np.zeros(n)
+        peak = self._peak(k, {"a0": a0, "a1": a1, "a2": a2}, {"s": 0.5})
+        assert (a2 == 0.5 * -(a0 + a1)).all()
+        assert peak < a2.nbytes // 2
+
+    def test_rejected_store_leaves_a_read_only_target_untouched(self):
+        k = _one_nest(
+            [("a0", R), ("a1", R)],
+            [
+                SetTemp("t", Un("neg", Load("a1", (0,)))),
+                StoreStmt("a0", (0,), Bin("*", ScalarRef("s"), TempRef("t"))),
+            ],
+        )
+        a0, a1 = _vec(0), _vec(1)
+        before = a0.copy()
+        with pytest.raises(PrivilegeViolationError):
+            interpret(k, {"a0": a0, "a1": a1}, {"s": 2.0})
+        assert (a0 == before).all()
+
+    def test_fused_chain_allocates_at_most_two_slabs(self):
+        n = 1 << 16
+        tasks, stores = tasks_of(gen_blackscholes_chain(size=n, nodes=1, iters=1))
+        assert len(tasks) == 67
+        plan = build_fused_task(tasks, 67, REG)
+        fused = plan.fused_task
+        x, y, out = 0, 1, 2  # the chain's first three stores
+        temps = frozenset(j for j, a in enumerate(fused.args) if a.store not in (x, y, out))
+        kernel = optimize(
+            compose(
+                [REG.generate(t) for t in tasks],
+                plan.arg_map,
+                temps,
+                {j: 0 for j in range(len(fused.args))},
+                len(fused.args),
+            )
+        )
+        assert len(kernel.nests) == 1 and len(kernel.nests[0].body) == 67
+        rng = np.random.default_rng(0)
+        bound = {x: rng.integers(1, 9, n).astype(np.float64), y: rng.integers(1, 9, n).astype(np.float64)}
+        bound[out] = np.zeros(n)
+        bufs = {f"b{j}": bound[a.store] for j, a in enumerate(fused.args) if j not in temps}
+        scalars = {sp.name: v for sp, (_, v) in zip(kernel.scalar_params, fused.scalars)}
+        slab = bound[x].nbytes
+        peak = self._peak(kernel, bufs, scalars)
+        assert (bound[out] == bound[x] + bound[y]).all()
+        assert peak <= 2 * slab, f"{peak / slab:.1f} slabs"
