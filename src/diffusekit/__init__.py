@@ -19,7 +19,6 @@ from .ir import (
     Store,
     StoreArg,
     SubStore,
-    TaskWindow,
     Tiling,
     covers,
     partition_eq,
@@ -64,7 +63,6 @@ __all__ = [
     "Store",
     "StoreArg",
     "SubStore",
-    "TaskWindow",
     "Tiling",
     "build_fused_task",
     "canonicalize",

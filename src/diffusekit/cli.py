@@ -10,20 +10,16 @@ import sys
 from typing import Sequence
 
 from .executor import heap_diff
-from .ir import Domain, IndexTask, Privilege, StoreArg
+from .ir import IndexTask
 from .memo import canonicalize, canon_text
-from .pipeline import Report, Session, SessionConfig, run_events
+from .pipeline import Report, Session, SessionConfig, apply_event, run_events, task_from_event
 from .trace import (
     BENCHMARKS,
-    CreatePartition,
-    CreateStore,
-    DropRef,
     Flush,
     TaskEvent,
     TraceError,
     gen_benchmark,
     parse_trace,
-    partition_from_event,
     print_trace,
 )
 
@@ -108,35 +104,25 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 def _cmd_canon(ns: argparse.Namespace) -> int:
     events = _load_events(ns.trace)
-    stores: dict = {}
-    partitions: dict = {}
-    live: set[int] = set()
+    # The session only tracks stores, partitions and references; the tasks of
+    # each flush-delimited window are collected here instead of submitted.
+    session = Session(SessionConfig(execute=False, fusion=False))
     window: list[IndexTask] = []
 
     def emit() -> None:
         if not window:
             return
-        stream, _, _ = canonicalize(window, stores, live)
+        stream, _, _ = canonicalize(window, session.stores, set(session.live_store_ids()))
         print(canon_text(stream))
         print()
         window.clear()
 
-    from .ir import Store
-
     for ev in events:
-        if isinstance(ev, CreateStore):
-            stores[ev.id] = Store(ev.id, Domain(ev.shape))
-            live.add(ev.id)
-        elif isinstance(ev, CreatePartition):
-            partitions[ev.id] = partition_from_event(ev)
-        elif isinstance(ev, TaskEvent):
-            args = tuple(
-                StoreArg(s, partitions[p], Privilege(pr)) for s, p, pr in ev.args
-            )
-            window.append(IndexTask(ev.kind, Domain(ev.domain), args, ev.scalars))
-        elif isinstance(ev, DropRef):
-            live.discard(ev.store)
-        elif isinstance(ev, Flush):
+        if isinstance(ev, TaskEvent):
+            window.append(task_from_event(session, ev))
+            continue
+        apply_event(session, ev)
+        if isinstance(ev, Flush):
             emit()
     emit()
     return 0

@@ -22,11 +22,10 @@ from .ir import (
     NonePart,
     Point,
     Rect,
-    Store,
     StoreTable,
     sub_store_bounds,
 )
-from .kernels import Kernel, KernelRegistry, all_zero_offsets, interpret
+from .kernels import Kernel, KernelRegistry, interpret
 
 
 class ExecutionError(RuntimeError):
@@ -73,14 +72,6 @@ class Heap:
     def digest(self, ids: Sequence[int]) -> dict[int, bytes]:
         """Byte-exact snapshots; materializes any listed store deterministically."""
         return {s: self.get(s).tobytes() for s in ids}
-
-    def dump_text(self, ids: Sequence[int]) -> str:
-        lines = []
-        for s in sorted(ids):
-            arr = self.get(s)
-            lines.append(f"store {s} shape {arr.shape}:")
-            lines.append(np.array2string(arr, precision=6))
-        return "\n".join(lines)
 
 
 def heap_diff(a: Heap, b: Heap, ids: Sequence[int]) -> list[int]:
@@ -179,18 +170,19 @@ def _select_kernel(
     return None, _plain_name
 
 
-def _launch_images(task: IndexTask, stores: StoreTable, kernel: Kernel) -> list[Rect] | None:
+def _launch_images(task: IndexTask, stores: StoreTable) -> list[Rect] | None:
     """Each argument's union of point images, if one kernel call over them
     computes exactly what the point-by-point loop computes; otherwise None.
 
-    Holds when the kernel is elementwise and has no reduction (per-point
-    partials must be summed in point order), every argument is a read-only
-    rank-0 replication or an identity tiling of launch rank with one common
-    tile whose images tile ``[offset, offset + tile * extent)`` inside the
-    store, and no written store is also reached through another partition.
-    Decided from the partition descriptors alone, whatever the launch volume.
+    Every kernel access is at the loop index, so this holds when no argument
+    is a reduction (per-point partials must be summed in point order), every
+    argument is a read-only rank-0 replication or an identity tiling of
+    launch rank with one common tile whose images tile
+    ``[offset, offset + tile * extent)`` inside the store, and no written
+    store is also reached through another partition. Decided from the
+    partition descriptors alone, whatever the launch volume.
     """
-    if any(a.privilege.is_reduce for a in task.args) or not all_zero_offsets(kernel):
+    if any(a.privilege.is_reduce for a in task.args):
         return None
     launch = task.domain
     tile: tuple[int, ...] | None = None
@@ -276,7 +268,7 @@ def _run(
         return
 
     scalars = _scalar_env(kernel, task)
-    whole = _launch_images(task, stores, kernel) if whole_launch else None
+    whole = _launch_images(task, stores) if whole_launch else None
     if whole is not None:
         launches: Iterable[list[Rect]] = (whole,)
     else:

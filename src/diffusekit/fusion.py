@@ -10,7 +10,7 @@ touches individual launch-domain points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -120,55 +120,6 @@ class PrefixTracker:
                 self.readwrite_by.setdefault(s, set()).add(index)
             if arg.privilege.is_reduce:
                 self.reduced_by.setdefault(s, set()).add(index)
-
-
-def check_launch_domain(tasks: Sequence[IndexTask]) -> bool:
-    return all(t.domain == tasks[0].domain for t in tasks)
-
-
-def check_true_dependence(tasks: Sequence[IndexTask]) -> bool:
-    """No write of (S, P) followed by a read or write of S via P' != P."""
-    written: dict[int, list[Partition]] = {}
-    for t in tasks:
-        for arg in t.args:
-            if arg.privilege.is_read or arg.privilege.is_write:
-                if any(not partition_eq(p, arg.partition) for p in written.get(arg.store, ())):
-                    return False
-        for arg in t.args:
-            if arg.privilege.is_write:
-                written.setdefault(arg.store, []).append(arg.partition)
-    return True
-
-
-def check_anti_dependence(tasks: Sequence[IndexTask]) -> bool:
-    """No read of (S, P) followed by a write of S via P' != P."""
-    read: dict[int, list[Partition]] = {}
-    for t in tasks:
-        for arg in t.args:
-            if arg.privilege.is_write:
-                if any(not partition_eq(p, arg.partition) for p in read.get(arg.store, ())):
-                    return False
-        for arg in t.args:
-            if arg.privilege.is_read:
-                read.setdefault(arg.store, []).append(arg.partition)
-    return True
-
-
-def check_reduction(tasks: Sequence[IndexTask]) -> bool:
-    """No store both reduced by one task and read/written by a different task."""
-    reduced_by: dict[int, set[int]] = {}
-    readwrite_by: dict[int, set[int]] = {}
-    for i, t in enumerate(tasks):
-        for arg in t.args:
-            if arg.privilege.is_reduce:
-                reduced_by.setdefault(arg.store, set()).add(i)
-            if arg.privilege.is_read or arg.privilege.is_write:
-                readwrite_by.setdefault(arg.store, set()).add(i)
-    for s, reducers in reduced_by.items():
-        rw = readwrite_by.get(s, set())
-        if rw and not (len(reducers) == 1 and rw <= reducers):
-            return False
-    return True
 
 
 def longest_fusible_prefix(

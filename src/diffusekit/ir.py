@@ -8,9 +8,9 @@ so every query here runs in time independent of the launch-domain volume.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 Point = tuple[int, ...]
 
@@ -96,9 +96,11 @@ class ProjectionFn:
 
     @property
     def is_identity(self) -> bool:
-        if self.in_rank != self.out_rank:
-            return False
-        return self == ProjectionFn.identity(self.out_rank)
+        return (
+            self.in_rank == self.out_rank
+            and not any(self.offset)
+            and all(a == (i == j) for i, row in enumerate(self.matrix) for j, a in enumerate(row))
+        )
 
     def apply(self, p: Point) -> Point:
         if len(p) != self.in_rank:
@@ -283,34 +285,3 @@ def covers(store: Store, part: Partition, launch: Domain) -> bool:
         o <= 0 and t * n + o >= s
         for t, o, n, s in zip(part.tile, part.offset, launch.extents, store.shape.extents)
     )
-
-
-def reads(task: IndexTask, store: int, part: Partition) -> bool:
-    """R(T, (S, P)): T has an argument on exactly (S, P) with a reading privilege."""
-    return any(
-        a.store == store and partition_eq(a.partition, part) and a.privilege.is_read
-        for a in task.args
-    )
-
-
-def writes(task: IndexTask, store: int, part: Partition) -> bool:
-    return any(
-        a.store == store and partition_eq(a.partition, part) and a.privilege.is_write
-        for a in task.args
-    )
-
-
-def reduces(task: IndexTask, store: int, part: Partition) -> bool:
-    return any(
-        a.store == store and partition_eq(a.partition, part) and a.privilege.is_reduce
-        for a in task.args
-    )
-
-
-@dataclass(frozen=True)
-class TaskWindow:
-    """Buffered task sequence plus the application-reference state it was cut at."""
-
-    tasks: tuple[IndexTask, ...]
-    live_app_refs: frozenset[int] = frozenset()
-    pending_after: tuple[IndexTask, ...] = ()

@@ -3,10 +3,15 @@
 Each task kind has a generator producing a small loop-nest program over its
 point-local sub-store buffers. Fused task bodies are program-order
 compositions of generated kernels; temporaries become local buffers, adjacent
-compatible nests are merged, and same-index locals collapse to scalars.
+nests over the same extents are merged, and locals used in one nest collapse
+to per-iteration values.
 
-Buffer extents stay symbolic: a nest iterates over the extents of a named
-buffer, and concrete shapes are bound only at interpretation time.
+Every access is at the loop index: a load reads its buffer at the nest's
+indices, or whole when the buffer is a replicated rank-0 operand, and a store
+writes at the nest's indices. A shifted access is a partition of the store
+(an offset tiling), never a kernel offset, so each nest evaluates as a whole
+with numpy. Buffer extents stay symbolic: a nest iterates over the extents of
+a named buffer, and concrete shapes are bound only at interpretation time.
 """
 
 from __future__ import annotations
@@ -28,10 +33,6 @@ class NoGeneratorError(KernelError):
 
 
 class PrivilegeViolationError(KernelError):
-    pass
-
-
-class OutOfBoundsError(KernelError):
     pass
 
 
@@ -59,17 +60,12 @@ class LocalBuf:
 @dataclass(frozen=True)
 class Load:
     buf: str
-    offsets: tuple[int, ...]  # added to the loop indices; () for rank-0
+    rank: int  # the nest's rank, or 0 for a whole rank-0 buffer
 
 
 @dataclass(frozen=True)
 class ScalarRef:
     name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class TempRef:
 
 @dataclass(frozen=True)
 class Bin:
-    op: str  # + - * / ** min max lt le eq
+    op: str  # + - * / ** min max
     lhs: "Expr"
     rhs: "Expr"
 
@@ -90,14 +86,7 @@ class Un:
     x: "Expr"
 
 
-@dataclass(frozen=True)
-class Select:
-    cond: "Expr"
-    if_true: "Expr"
-    if_false: "Expr"
-
-
-Expr = Load | ScalarRef | Const | TempRef | Bin | Un | Select
+Expr = Load | ScalarRef | TempRef | Bin | Un
 
 
 @dataclass(frozen=True)
@@ -108,8 +97,9 @@ class SetTemp:
 
 @dataclass(frozen=True)
 class StoreStmt:
+    """Write the expression at the nest's loop indices."""
+
     buf: str
-    offsets: tuple[int, ...]
     expr: Expr
 
 
@@ -140,15 +130,6 @@ class Kernel:
     # buffer name -> hashable iteration-domain class; nests merge only within a class
     shape_class: Mapping[str, object] = field(default_factory=dict)
 
-    def param(self, name: str) -> BufParam | None:
-        for p in self.buf_params:
-            if p.name == name:
-                return p
-        return None
-
-    def buffer_names(self) -> set[str]:
-        return {p.name for p in self.buf_params} | {l.name for l in self.locals}
-
 
 # --- expression / statement walking ----------------------------------------
 
@@ -160,10 +141,6 @@ def _leaves(e: Expr) -> Iterable[Expr]:
         yield from _leaves(e.rhs)
     elif isinstance(e, Un):
         yield from _leaves(e.x)
-    elif isinstance(e, Select):
-        yield from _leaves(e.cond)
-        yield from _leaves(e.if_true)
-        yield from _leaves(e.if_false)
     else:
         yield e
 
@@ -172,43 +149,15 @@ def _expr_loads(e: Expr) -> Iterable[Load]:
     return (leaf for leaf in _leaves(e) if isinstance(leaf, Load))
 
 
-def _stmt_loads(s: Stmt) -> Iterable[Load]:
-    yield from _expr_loads(s.expr)
-
-
-def _nest_reads(nest: LoopNest) -> dict[str, list[tuple[int, ...]]]:
-    out: dict[str, list[tuple[int, ...]]] = {}
-    for s in nest.body:
-        for ld in _stmt_loads(s):
-            out.setdefault(ld.buf, []).append(ld.offsets)
-    return out
-
-
-def _nest_writes(nest: LoopNest) -> dict[str, list[tuple[int, ...]]]:
-    out: dict[str, list[tuple[int, ...]]] = {}
-    for s in nest.body:
-        if isinstance(s, StoreStmt):
-            out.setdefault(s.buf, []).append(s.offsets)
-        elif isinstance(s, ReduceStmt):
-            out.setdefault(s.buf, []).append(())
-    return out
-
-
 def _rename_expr(e: Expr, bufs: Mapping[str, str], scalars: Mapping[str, str]) -> Expr:
     if isinstance(e, Load):
-        return Load(bufs.get(e.buf, e.buf), e.offsets)
+        return Load(bufs.get(e.buf, e.buf), e.rank)
     if isinstance(e, ScalarRef):
         return ScalarRef(scalars.get(e.name, e.name))
     if isinstance(e, Bin):
         return Bin(e.op, _rename_expr(e.lhs, bufs, scalars), _rename_expr(e.rhs, bufs, scalars))
     if isinstance(e, Un):
         return Un(e.op, _rename_expr(e.x, bufs, scalars))
-    if isinstance(e, Select):
-        return Select(
-            _rename_expr(e.cond, bufs, scalars),
-            _rename_expr(e.if_true, bufs, scalars),
-            _rename_expr(e.if_false, bufs, scalars),
-        )
     return e
 
 
@@ -216,7 +165,7 @@ def _rename_stmt(s: Stmt, bufs: Mapping[str, str], scalars: Mapping[str, str]) -
     if isinstance(s, SetTemp):
         return SetTemp(s.name, _rename_expr(s.expr, bufs, scalars))
     if isinstance(s, StoreStmt):
-        return StoreStmt(bufs.get(s.buf, s.buf), s.offsets, _rename_expr(s.expr, bufs, scalars))
+        return StoreStmt(bufs.get(s.buf, s.buf), _rename_expr(s.expr, bufs, scalars))
     return ReduceStmt(bufs.get(s.buf, s.buf), _rename_expr(s.expr, bufs, scalars))
 
 
@@ -276,7 +225,7 @@ def _arg_rank(task: IndexTask, i: int) -> int:
 
 def _elementwise(task: IndexTask, out: int, expr: Expr) -> Kernel:
     rank = _arg_rank(task, out)
-    nest = LoopNest(f"a{out}", rank, (StoreStmt(f"a{out}", (0,) * rank, expr),))
+    nest = LoopNest(f"a{out}", rank, (StoreStmt(f"a{out}", expr),))
     return Kernel(
         _params(task),
         tuple(ScalarParam(f"s{k}") for k in range(len(task.scalars))),
@@ -286,7 +235,7 @@ def _elementwise(task: IndexTask, out: int, expr: Expr) -> Kernel:
 
 
 def _ld(i: int, rank: int) -> Load:
-    return Load(f"a{i}", (0,) * rank)
+    return Load(f"a{i}", rank)
 
 
 def _binary_gen(op: str) -> Generator:
@@ -370,7 +319,7 @@ def _ratio_update(sign: str) -> Generator:
     def gen(task: IndexTask) -> Kernel:
         _arity(task, 4)
         r = _arg_rank(task, 1)
-        ratio = Bin("/", Load("a2", ()), Load("a3", ()))
+        ratio = Bin("/", Load("a2", 0), Load("a3", 0))
         return _elementwise(task, 1, Bin(sign, _ld(1, r), Bin("*", ratio, _ld(0, r))))
 
     return gen
@@ -380,7 +329,7 @@ def _gen_xpby_ratio(task: IndexTask) -> Kernel:
     # p = r + (num / den) * p with args (r: R, p: RW, num: R, den: R)
     _arity(task, 4)
     r = _arg_rank(task, 1)
-    ratio = Bin("/", Load("a2", ()), Load("a3", ()))
+    ratio = Bin("/", Load("a2", 0), Load("a3", 0))
     return _elementwise(task, 1, Bin("+", _ld(0, r), Bin("*", ratio, _ld(1, r))))
 
 
@@ -454,20 +403,13 @@ def compose(
     )
 
 
-def _mergeable(a: LoopNest, b: LoopNest) -> bool:
-    """Cross-nest dependences must all be at the same iteration point."""
-    ra, wa = _nest_reads(a), _nest_writes(a)
-    rb, wb = _nest_reads(b), _nest_writes(b)
-    shared = (set(wa) & (set(rb) | set(wb))) | (set(ra) & set(wb))
-    for buf in shared:
-        for offs in ra.get(buf, []) + wa.get(buf, []) + rb.get(buf, []) + wb.get(buf, []):
-            if any(o != 0 for o in offs):
-                return False
-    return True
-
-
 def fuse_loops(kernel: Kernel) -> Kernel:
-    """Merge adjacent nests with identical iteration domains and same-index deps."""
+    """Merge adjacent nests of the same rank and iteration-domain class.
+
+    Every access is at the loop index, so any dependence between two such
+    nests stays within one iteration and running the bodies in one nest, in
+    order, keeps it.
+    """
     if not kernel.nests:
         return kernel
     cls = dict(kernel.shape_class)
@@ -478,11 +420,7 @@ def fuse_loops(kernel: Kernel) -> Kernel:
     merged = [kernel.nests[0]]
     for nest in kernel.nests[1:]:
         prev = merged[-1]
-        if (
-            nest.rank == prev.rank
-            and domain_key(nest) == domain_key(prev)
-            and _mergeable(prev, nest)
-        ):
+        if nest.rank == prev.rank and domain_key(nest) == domain_key(prev):
             merged[-1] = LoopNest(prev.domain, prev.rank, prev.body + nest.body)
         else:
             merged.append(nest)
@@ -494,26 +432,14 @@ def _domain_replacement(
 ) -> str | None:
     """A surviving buffer whose extents can stand in for the nest's domain.
 
-    Prefers a buffer in the same shape class; falls back to any same-rank
-    zero-offset access, which iterates identically for elementwise bodies.
+    Prefers a buffer in the same shape class; falls back to any store or
+    nest-rank load, which iterates identically for elementwise bodies.
     """
-    cands: list[str] = []
+    cands = [s.buf for s in nest.body if isinstance(s, StoreStmt) and s.buf not in gone]
     for s in nest.body:
-        if (
-            isinstance(s, StoreStmt)
-            and s.buf not in gone
-            and len(s.offsets) == nest.rank
-            and all(o == 0 for o in s.offsets)
-        ):
-            cands.append(s.buf)
-    for s in nest.body:
-        for ld in _stmt_loads(s):
-            if (
-                ld.buf not in gone
-                and len(ld.offsets) == nest.rank
-                and all(o == 0 for o in ld.offsets)
-            ):
-                cands.append(ld.buf)
+        cands.extend(
+            ld.buf for ld in _expr_loads(s.expr) if ld.buf not in gone and ld.rank == nest.rank
+        )
     cls = shape_class.get(nest.domain)
     for c in cands:
         if cls is not None and shape_class.get(c) == cls:
@@ -522,20 +448,18 @@ def _domain_replacement(
 
 
 def scalarize_locals(kernel: Kernel) -> Kernel:
-    """Replace same-index single-nest locals with per-iteration scalars.
+    """Replace locals used in a single nest with per-iteration scalars.
 
     Locals written but never read are dead and dropped along with their stores.
     """
-    usage: dict[str, list[tuple[int, bool, tuple[int, ...]]]] = {}
+    usage: dict[str, list[tuple[int, bool]]] = {}
     reduced_into: set[str] = set()
     for ni, nest in enumerate(kernel.nests):
-        for buf, offs in _nest_reads(nest).items():
-            for o in offs:
-                usage.setdefault(buf, []).append((ni, False, o))
         for s in nest.body:
+            for ld in _expr_loads(s.expr):
+                usage.setdefault(ld.buf, []).append((ni, False))
             if isinstance(s, (StoreStmt, ReduceStmt)):
-                offs = s.offsets if isinstance(s, StoreStmt) else ()
-                usage.setdefault(s.buf, []).append((ni, True, offs))
+                usage.setdefault(s.buf, []).append((ni, True))
                 if isinstance(s, ReduceStmt):
                     reduced_into.add(s.buf)
 
@@ -544,14 +468,12 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
     scalarized: set[str] = set()
     for name in local_names:
         uses = usage.get(name, [])
-        if not any(not is_w for _, is_w, _ in uses):
+        if all(is_w for _, is_w in uses):
             dead.add(name)
             continue
         if name in reduced_into:
             continue  # accumulation targets stay buffers
-        nests_used = {ni for ni, _, _ in uses}
-        same_index = all(all(o == 0 for o in offs) for _, _, offs in uses)
-        if len(nests_used) == 1 and same_index:
+        if len({ni for ni, _ in uses}) == 1:
             scalarized.add(name)
 
     # A removed local may be some nest's iteration domain; each such nest needs
@@ -585,8 +507,6 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
             return Bin(e.op, rewrite_expr(e.lhs), rewrite_expr(e.rhs))
         if isinstance(e, Un):
             return Un(e.op, rewrite_expr(e.x))
-        if isinstance(e, Select):
-            return Select(rewrite_expr(e.cond), rewrite_expr(e.if_true), rewrite_expr(e.if_false))
         return e
 
     gone = dead | scalarized
@@ -603,7 +523,7 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
             elif isinstance(s, SetTemp):
                 body.append(SetTemp(s.name, rewrite_expr(s.expr)))
             elif isinstance(s, StoreStmt):
-                body.append(StoreStmt(s.buf, s.offsets, rewrite_expr(s.expr)))
+                body.append(StoreStmt(s.buf, rewrite_expr(s.expr)))
             else:
                 body.append(ReduceStmt(s.buf, rewrite_expr(s.expr)))
         if not any(isinstance(s, (StoreStmt, ReduceStmt)) for s in body):
@@ -639,7 +559,7 @@ def count_memory_traffic(kernel: Kernel, shapes: Mapping[str, tuple[int, ...]]) 
         for e in shapes[nest.domain]:
             vol *= e
         for s in nest.body:
-            loads += sum(1 for _ in _stmt_loads(s)) * vol
+            loads += sum(1 for _ in _expr_loads(s.expr)) * vol
             if isinstance(s, (StoreStmt, ReduceStmt)):
                 stores += vol
     return loads, stores
@@ -655,9 +575,6 @@ _BIN_OPS = {
     "**": np.power,
     "min": np.minimum,
     "max": np.maximum,
-    "lt": np.less,
-    "le": np.less_equal,
-    "eq": np.equal,
 }
 
 
@@ -691,7 +608,7 @@ def _plan_nest(body: Sequence[Stmt]) -> tuple[list[int], dict[int, str]]:
     chain: dict[int, str] = {}
     loaded: set[str] = set()
     for k, s in enumerate(body):
-        loaded.update(ld.buf for ld in _stmt_loads(s))
+        loaded.update(ld.buf for ld in _expr_loads(s.expr))
         if not isinstance(s, StoreStmt) or writes[s.buf] != 1 or s.buf in loaded:
             continue
         j: int | None = k
@@ -708,7 +625,7 @@ def _spare(a, a_free: bool, b) -> np.ndarray | None:
 
 
 class _InPlace:
-    """Vectorized evaluation of one zero-offset nest that reuses dead arrays.
+    """Vectorized evaluation of one nest that reuses dead arrays.
 
     Values are ``(value, free)`` pairs; a free value is an array this
     evaluation made and nothing will read again, so the op consuming it may
@@ -734,8 +651,7 @@ class _InPlace:
                 out = _spare(lhs, lf, rhs)
                 if out is None:
                     out = _spare(rhs, rf, lhs)
-            res = _BIN_OPS[e.op](lhs, rhs, out=out)
-            return (res.astype(np.float64) if res.dtype == bool else res), True
+            return _BIN_OPS[e.op](lhs, rhs, out=out), True
         if isinstance(e, Un):
             x, xf = self.value(e.x)
             xf = self.take(e.x, x, xf)
@@ -745,16 +661,8 @@ class _InPlace:
             return (arr[()] if arr.ndim == 0 else arr), False
         if isinstance(e, ScalarRef):
             return self.scalars[e.name], False
-        if isinstance(e, Const):
-            return e.value, False
         if isinstance(e, TempRef):
             return self.temps[e.name], False
-        if isinstance(e, Select):
-            parts = [e.cond, e.if_true, e.if_false]
-            vals = [self.value(p)[0] for p in parts]
-            for p, v in zip(parts, vals):
-                self.take(p, v, False)
-            return np.where(vals[0] != 0, vals[1], vals[2]), True
         raise KernelError(f"unknown expression {e!r}")
 
     def take(self, e: Expr, value: object, free: bool) -> bool:
@@ -792,7 +700,7 @@ def _run_nest(
     scalars: Mapping[str, float],
     priv: Mapping[str, Privilege],
 ) -> None:
-    """Run a zero-offset nest statement by statement over whole buffers."""
+    """Run a nest statement by statement over whole buffers."""
     reads, chain = _plan_nest(nest.body)
     bounds = env[nest.domain].shape
     # a chain target is scratch only if it is writable and nothing else bound
@@ -834,46 +742,6 @@ def _run_nest(
             env[s.buf][()] += np.sum(val) if np.ndim(val) else val * np.prod(bounds)
 
 
-def _eval_at(e: Expr, idx: tuple[int, ...], bufs, scalars, temps):
-    if isinstance(e, Load):
-        arr = bufs[e.buf]
-        if arr.ndim == 0:
-            return arr[()]
-        at = tuple(i + o for i, o in zip(idx, e.offsets))
-        if any(a < 0 or a >= s for a, s in zip(at, arr.shape)):
-            raise OutOfBoundsError(f"access {at} outside buffer {e.buf} of shape {arr.shape}")
-        return arr[at]
-    if isinstance(e, ScalarRef):
-        return np.float64(scalars[e.name])
-    if isinstance(e, Const):
-        return np.float64(e.value)
-    if isinstance(e, TempRef):
-        return temps[e.name]
-    if isinstance(e, Bin):
-        return _BIN_OPS[e.op](_eval_at(e.lhs, idx, bufs, scalars, temps), _eval_at(e.rhs, idx, bufs, scalars, temps))
-    if isinstance(e, Un):
-        return np.negative(_eval_at(e.x, idx, bufs, scalars, temps))
-    if isinstance(e, Select):
-        c = _eval_at(e.cond, idx, bufs, scalars, temps)
-        return _eval_at(e.if_true if c != 0 else e.if_false, idx, bufs, scalars, temps)
-    raise KernelError(f"unknown expression {e!r}")
-
-
-def _nest_all_zero_offsets(nest: LoopNest) -> bool:
-    for s in nest.body:
-        if isinstance(s, StoreStmt) and any(o != 0 for o in s.offsets):
-            return False
-        for ld in _stmt_loads(s):
-            if ld.offsets and any(o != 0 for o in ld.offsets):
-                return False
-    return True
-
-
-def all_zero_offsets(kernel: Kernel) -> bool:
-    """Every access of every nest is at the loop index: the kernel is elementwise."""
-    return all(_nest_all_zero_offsets(nest) for nest in kernel.nests)
-
-
 def interpret(
     kernel: Kernel,
     bufs: Mapping[str, np.ndarray],
@@ -907,40 +775,22 @@ def interpret(
 
     with np.errstate(all="ignore"):
         for nest in kernel.nests:
-            if _nest_all_zero_offsets(nest):
-                _run_nest(nest, env, scalars, priv)
-            else:
-                for idx in np.ndindex(*env[nest.domain].shape):
-                    temps_s: dict[str, np.float64] = {}
-                    for s in nest.body:
-                        if isinstance(s, SetTemp):
-                            temps_s[s.name] = _eval_at(s.expr, idx, env, scalars, temps_s)
-                        elif isinstance(s, StoreStmt):
-                            if s.buf in priv and not priv[s.buf].is_write:
-                                raise PrivilegeViolationError(f"store to read-only param {s.buf}")
-                            at = tuple(i + o for i, o in zip(idx, s.offsets))
-                            arr = env[s.buf]
-                            if any(a < 0 or a >= sh for a, sh in zip(at, arr.shape)):
-                                raise OutOfBoundsError(f"store at {at} outside {s.buf} {arr.shape}")
-                            arr[at] = _eval_at(s.expr, idx, env, scalars, temps_s)
-                        else:
-                            if s.buf in priv and not priv[s.buf].is_reduce and not priv[s.buf].is_write:
-                                raise PrivilegeViolationError(f"reduce into read-only param {s.buf}")
-                            env[s.buf][()] += _eval_at(s.expr, idx, env, scalars, temps_s)
+            _run_nest(nest, env, scalars, priv)
     return {l.name: env[l.name] for l in kernel.locals}
 
 
 # --- pretty printing --------------------------------------------------------
 
 
+def _index_text(rank: int) -> str:
+    return ", ".join(f"i{a}" for a in range(rank))
+
+
 def _expr_text(e: Expr) -> str:
     if isinstance(e, Load):
-        idx = ", ".join(f"i{a}{o:+d}" if o else f"i{a}" for a, o in enumerate(e.offsets))
-        return f"{e.buf}[{idx}]"
+        return f"{e.buf}[{_index_text(e.rank)}]"
     if isinstance(e, ScalarRef):
         return e.name
-    if isinstance(e, Const):
-        return repr(e.value)
     if isinstance(e, TempRef):
         return e.name
     if isinstance(e, Bin):
@@ -949,8 +799,6 @@ def _expr_text(e: Expr) -> str:
         return f"({_expr_text(e.lhs)} {e.op} {_expr_text(e.rhs)})"
     if isinstance(e, Un):
         return f"(-{_expr_text(e.x)})"
-    if isinstance(e, Select):
-        return f"select({_expr_text(e.cond)}, {_expr_text(e.if_true)}, {_expr_text(e.if_false)})"
     return repr(e)
 
 
@@ -968,8 +816,7 @@ def kernel_text(kernel: Kernel) -> str:
             if isinstance(s, SetTemp):
                 lines.append(f"    {s.name} = {_expr_text(s.expr)}")
             elif isinstance(s, StoreStmt):
-                idx = ", ".join(f"i{a}{o:+d}" if o else f"i{a}" for a, o in enumerate(s.offsets))
-                lines.append(f"    {s.buf}[{idx}] = {_expr_text(s.expr)}")
+                lines.append(f"    {s.buf}[{_index_text(nest.rank)}] = {_expr_text(s.expr)}")
             else:
                 lines.append(f"    {s.buf} += sum {_expr_text(s.expr)}")
     return "\n".join(lines)

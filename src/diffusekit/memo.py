@@ -9,7 +9,6 @@ indices, in the spirit of De Bruijn numbering for bound variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from threading import Lock
 from typing import Sequence
 
 from .ir import Domain, IndexTask, NonePart, Partition, Store, StoreTable, covers
@@ -127,11 +126,10 @@ class MemoEntry:
 
 
 class MemoCache:
-    """Concurrent-read, serialized-write map from canonical streams to entries."""
+    """Map from canonical streams to entries, counting lookup hits and misses."""
 
     def __init__(self) -> None:
         self._entries: dict[CanonicalStream, MemoEntry] = {}
-        self._lock = Lock()
         self.hits = 0
         self.misses = 0
 
@@ -147,5 +145,4 @@ class MemoCache:
         return entry
 
     def insert(self, key: CanonicalStream, entry: MemoEntry) -> None:
-        with self._lock:
-            self._entries.setdefault(key, entry)
+        self._entries.setdefault(key, entry)

@@ -94,8 +94,11 @@ class Report:
             "fused_prefixes": list(self.fused_prefixes),
             "temporaries_eliminated": list(self.temporaries_eliminated),
             "memo_hits": self.memo_hits,
+            "memo_misses": self.memo_misses,
+            "constraint_steps": self.constraint_steps,
             "loads": self.loads,
             "stores": self.stores,
+            "final_window": self.final_window,
         }
 
     def summary(self) -> str:
@@ -258,7 +261,7 @@ class Session:
         task = rem[0]
         if f > 1:
             if self.config.temp_elim:
-                temps = frozenset(find_temporaries(rem, f, (), self.refs, self.stores))
+                temps = frozenset(find_temporaries(rem, f, self.refs, self.stores))
             plan0 = build_fused_task(rem, f, self.registry)
             task = plan0.fused_task
             positions = frozenset(
@@ -380,19 +383,24 @@ def task_from_event(session: Session, ev: tracefmt.TaskEvent) -> IndexTask:
     return IndexTask(ev.kind, Domain(ev.domain), args, ev.scalars)
 
 
+def apply_event(session: Session, ev: tracefmt.Event) -> None:
+    """Apply one parsed trace event to a session."""
+    if isinstance(ev, tracefmt.CreateStore):
+        session.create_store(ev.id, ev.shape)
+    elif isinstance(ev, tracefmt.CreatePartition):
+        session.create_partition(ev.id, tracefmt.partition_from_event(ev))
+    elif isinstance(ev, tracefmt.TaskEvent):
+        session.submit(task_from_event(session, ev))
+    elif isinstance(ev, tracefmt.DropRef):
+        session.drop_ref(ev.store)
+    elif isinstance(ev, tracefmt.Flush):
+        session.flush()
+    else:
+        raise TypeError(f"unknown event {ev!r}")
+
+
 def run_events(session: Session, events: Iterable[tracefmt.Event]) -> Report:
     """Drive a session from parsed trace events and return its final report."""
     for ev in events:
-        if isinstance(ev, tracefmt.CreateStore):
-            session.create_store(ev.id, ev.shape)
-        elif isinstance(ev, tracefmt.CreatePartition):
-            session.create_partition(ev.id, tracefmt.partition_from_event(ev))
-        elif isinstance(ev, tracefmt.TaskEvent):
-            session.submit(task_from_event(session, ev))
-        elif isinstance(ev, tracefmt.DropRef):
-            session.drop_ref(ev.store)
-        elif isinstance(ev, tracefmt.Flush):
-            session.flush()
-        else:
-            raise TypeError(f"unknown event {ev!r}")
+        apply_event(session, ev)
     return session.finish()

@@ -1,16 +1,15 @@
 """Detection of stores made temporary by fusion.
 
 A store is temporary in a fused prefix when every read of it inside the
-prefix is preceded by a covering same-partition write, no buffered or pending
-task after the prefix reads or reduces it, and the application holds no live
-reference. Such stores are demoted to task-local buffers and never
+prefix is preceded by a covering same-partition write, no buffered task after
+the prefix reads or reduces it, and the application holds no live reference. Such stores are demoted to task-local buffers and never
 materialize as distributed data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .ir import IndexTask, StoreTable, covers, partition_eq
 
@@ -54,22 +53,17 @@ class RefState:
 
 
 def find_temporaries(
-    tasks: Sequence[IndexTask],
-    f: int,
-    pending_after: Iterable[IndexTask],
-    refs: RefState,
-    stores: StoreTable,
+    tasks: Sequence[IndexTask], f: int, refs: RefState, stores: StoreTable
 ) -> set[int]:
     """Stores demotable to task-local buffers in the fusion of tasks[:f].
 
-    ``pending_after`` is whatever the runtime knows will follow the prefix:
-    the rest of the buffered window plus any declared future tasks. A store
+    ``tasks[f:]`` is what the runtime knows will follow the prefix. A store
     that is only written after the prefix is still demotable; the later write
     re-creates its distributed state.
     """
     prefix = tasks[:f]
     launch = prefix[0].domain
-    later = list(tasks[f:]) + list(pending_after)
+    later = tasks[f:]
 
     candidates = {a.store for t in prefix for a in t.args}
     result: set[int] = set()

@@ -14,7 +14,7 @@ from diffusekit.ir import (
     Tiling,
 )
 from diffusekit import trace as tracefmt
-from diffusekit.pipeline import Session, SessionConfig, task_from_event
+from diffusekit.pipeline import Session, SessionConfig, apply_event, task_from_event
 
 R = Privilege.READ
 W = Privilege.WRITE
@@ -76,10 +76,8 @@ def tasks_of(events):
     session = Session(SessionConfig(execute=False))
     tasks = []
     for ev in events:
-        if isinstance(ev, tracefmt.CreateStore):
-            session.create_store(ev.id, ev.shape)
-        elif isinstance(ev, tracefmt.CreatePartition):
-            session.create_partition(ev.id, tracefmt.partition_from_event(ev))
-        elif isinstance(ev, tracefmt.TaskEvent):
+        if isinstance(ev, tracefmt.TaskEvent):
             tasks.append(task_from_event(session, ev))
+        else:
+            apply_event(session, ev)
     return tasks, session.stores

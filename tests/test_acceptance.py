@@ -121,7 +121,7 @@ def test_6_temporary_elimination():
     for s in (x, y, z, w):
         refs.drop_app_ref(s)
     f, _ = longest_fusible_prefix(tasks, default_registry())
-    temps = find_temporaries(tasks, f, (), refs, stores)
+    temps = find_temporaries(tasks, f, refs, stores)
     _verdict("6 temporary elimination (exactly {z})", f == 3 and temps == {z})
 
 

@@ -7,11 +7,8 @@ import pytest
 from diffusekit.fusion import (
     AnalysisStats,
     FusionConstraint,
+    PrefixTracker,
     build_fused_task,
-    check_anti_dependence,
-    check_launch_domain,
-    check_reduction,
-    check_true_dependence,
     fused_kind_name,
     longest_fusible_prefix,
 )
@@ -21,24 +18,35 @@ from diffusekit.oracle import oracle_fusible
 from helpers import R, RD, RW, W, stencil_window, store_table, task, tiling
 
 
+def first_violation(tasks) -> FusionConstraint | None:
+    """The constraint ``PrefixTracker`` reports first while admitting the
+    tasks in order, or None when it admits them all. Kind "K" has no
+    generator, so these tasks bypass ``longest_fusible_prefix``."""
+    tracker, stats = PrefixTracker(), AnalysisStats()
+    for i, t in enumerate(tasks):
+        verdict = tracker.admit(t, i, stats)
+        if verdict is not None:
+            return verdict.constraint
+    return None
+
+
 class TestLaunchDomain:
     def test_equal_domains(self):
-        p = tiling((2,))
         ts = [task("K", (2, 2), [(0, tiling((1, 1)), W)]) for _ in range(2)]
-        assert check_launch_domain(ts)
+        assert first_violation(ts) is None
 
     def test_different_ranks(self):
         t1 = task("K", (4,), [(0, tiling((1,)), W)])
         t2 = task("K", (2, 2), [(1, tiling((1, 1)), W)])
-        assert not check_launch_domain([t1, t2])
+        assert first_violation([t1, t2]) is FusionConstraint.LAUNCH_DOMAIN
 
     def test_matvec_then_elementwise_same_domain(self):
-        # Same launch domain passes this constraint; the real conflict is a
-        # dependence one, caught elsewhere.
+        # Same launch domain passes this constraint; the real conflict is the
+        # tiled read of a store written through a replication.
         n = NonePart()
         t1 = task("MATVEC", (4,), [(0, n, R), (1, n, R), (2, n, W)])
         t2 = task("AXPY", (4,), [(2, tiling((1,)), R), (1, tiling((1,)), RW)])
-        assert check_launch_domain([t1, t2])
+        assert first_violation([t1, t2]) is FusionConstraint.TRUE_DEP
 
 
 class TestTrueDependence:
@@ -46,35 +54,35 @@ class TestTrueDependence:
         p = tiling((2,))
         t1 = task("K", (2,), [(0, p, W)])
         t2 = task("K", (2,), [(0, p, R), (1, p, W)])
-        assert check_true_dependence([t1, t2])
+        assert first_violation([t1, t2]) is None
 
     def test_aliased_view_read_after_write_rejected(self):
         center, north = tiling((2, 2), (1, 1)), tiling((2, 2), (0, 1))
         t1 = task("K", (2, 2), [(0, center, W)])
         t2 = task("K", (2, 2), [(0, north, R), (1, tiling((2, 2)), W)])
-        assert not check_true_dependence([t1, t2])
+        assert first_violation([t1, t2]) is FusionConstraint.TRUE_DEP
 
     def test_distinct_stores_permitted(self):
         t1 = task("K", (2,), [(0, tiling((2,)), W)])
         t2 = task("K", (2,), [(1, tiling((1,)), R), (2, tiling((1,)), W)])
-        assert check_true_dependence([t1, t2])
+        assert first_violation([t1, t2]) is None
 
 
 class TestAntiDependence:
     def test_read_views_then_center_write_rejected(self):
         tasks, _, _ = stencil_window()
-        assert not check_anti_dependence(tasks)
+        assert first_violation(tasks) is FusionConstraint.ANTI_DEP
 
     def test_read_then_write_same_partition_permitted(self):
         p = tiling((2,))
         t1 = task("K", (2,), [(0, p, R), (1, p, W)])
         t2 = task("K", (2,), [(0, p, W)])
-        assert check_anti_dependence([t1, t2])
+        assert first_violation([t1, t2]) is None
 
     def test_read_only_stream_permitted(self):
         p, q = tiling((2,)), NonePart()
         ts = [task("K", (2,), [(0, p, R), (1, q, R), (2, p, RD)]) for _ in range(3)]
-        assert check_anti_dependence(ts)
+        assert first_violation(ts) is None
 
 
 class TestReduction:
@@ -83,20 +91,22 @@ class TestReduction:
         p = tiling((2,))
         t1 = task("DOT", (2,), [(0, p, R), (1, p, R), (2, n, RD)])
         t2 = task("DOT", (2,), [(0, p, R), (0, p, R), (2, n, RD)])
-        assert check_reduction([t1, t2])
+        assert first_violation([t1, t2]) is None
 
     def test_reduce_then_read_rejected(self):
         n = NonePart()
         p = tiling((2,))
         t1 = task("DOT", (2,), [(0, p, R), (0, p, R), (1, n, RD)])
         t2 = task("AXPY_RATIO", (2,), [(0, p, R), (2, p, RW), (1, n, R), (1, n, R)])
-        assert not check_reduction([t1, t2])
+        assert first_violation([t1, t2]) is FusionConstraint.REDUCTION
 
     def test_reduce_alongside_unrelated_read_permitted(self):
+        # Reading the reduction's inputs again does not touch its target.
         n = NonePart()
         p = tiling((2,))
-        t = task("DOT", (2,), [(0, p, R), (0, p, R), (1, n, RD)])
-        assert check_reduction([t])
+        t1 = task("DOT", (2,), [(0, p, R), (0, p, R), (1, n, RD)])
+        t2 = task("COPY", (2,), [(0, p, R), (2, p, W)])
+        assert first_violation([t1, t2]) is None
 
 
 class TestLongestFusiblePrefix:

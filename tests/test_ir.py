@@ -24,10 +24,7 @@ from diffusekit.ir import (
     covers,
     join_privileges,
     partition_eq,
-    reads,
-    reduces,
     sub_store_bounds,
-    writes,
 )
 from helpers import R, RD, RW, W, task, tiling
 
@@ -66,6 +63,24 @@ class TestProjection:
         p = ProjectionFn(((1, 0),), (0,))
         assert not p.is_identity
         assert p.apply((2, 1)) == (2,)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            ProjectionFn((), ()),
+            ProjectionFn(((1,),), (0,)),
+            ProjectionFn(((1, 0), (0, 1)), (0, 0)),
+            ProjectionFn(((0, 1), (1, 0)), (0, 0)),
+            ProjectionFn(((1, 0),), (0,)),
+            ProjectionFn(((1,), (0,)), (0, 0)),
+            ProjectionFn(((1,),), (1,)),
+            ProjectionFn(((1, 0), (0, 1)), (0, -1)),
+            ProjectionFn(((2,),), (0,)),
+            ProjectionFn(((1, 1), (0, 1)), (0, 0)),
+        ],
+    )
+    def test_is_identity_agrees_with_identity_equality(self, p):
+        assert p.is_identity == (p == ProjectionFn.identity(p.out_rank))
 
     def test_affine_offset(self):
         p = ProjectionFn(((1,),), (5,))
@@ -183,18 +198,6 @@ class TestPartitionEq:
 
 
 class TestPrivileges:
-    def test_access_predicates(self):
-        p = tiling((2,))
-        t = task("K", (2,), [(0, p, R), (1, p, RW), (2, NonePart(), RD)])
-        assert reads(t, 0, p) and not writes(t, 0, p)
-        assert reads(t, 1, p) and writes(t, 1, p)
-        assert reduces(t, 2, NonePart())
-        assert not reads(t, 2, NonePart()) and not writes(t, 2, NonePart())
-
-    def test_predicates_require_exact_partition(self):
-        t = task("K", (2,), [(0, tiling((2,)), R)])
-        assert not reads(t, 0, tiling((2,), (1,)))
-
     def test_join(self):
         assert join_privileges(R, W) is RW
         assert join_privileges(R, R) is R

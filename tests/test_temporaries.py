@@ -68,14 +68,9 @@ def _chain_scenario():
 class TestFindTemporaries:
     def test_chain_with_later_reader_and_live_output(self):
         tasks, stores, refs = _chain_scenario()
-        temps = find_temporaries(tasks[:3], 3, tasks[3:], refs, stores)
+        temps = find_temporaries(tasks, 3, refs, stores)
         # Only z: w is read by the trailing reduction, v is still referenced,
         # and x, y are read without ever being written in the prefix.
-        assert temps == {2}
-
-    def test_later_reader_inside_window_disqualifies(self):
-        tasks, stores, refs = _chain_scenario()
-        temps = find_temporaries(tasks, 3, (), refs, stores)
         assert temps == {2}
 
     def test_stencil_prefix_drops_chain_temporaries(self):
@@ -85,7 +80,7 @@ class TestFindTemporaries:
             refs.create(s)
         for s in (2, 3, 4, 5):
             refs.drop_app_ref(s)
-        temps = find_temporaries(tasks, 5, (), refs, stores)
+        temps = find_temporaries(tasks, 5, refs, stores)
         # work (1) is excluded: the unfused COPY still reads it.
         assert temps == {2, 3, 4, 5}
 
@@ -94,7 +89,7 @@ class TestFindTemporaries:
         refs.add_app_ref(2)
         # Without the trailing reduction, w (3) is demotable; z (2) is not,
         # because the application re-acquired a handle to it.
-        assert find_temporaries(tasks[:3], 3, (), refs, stores) == {3}
+        assert find_temporaries(tasks[:3], 3, refs, stores) == {3}
 
     def test_write_only_after_prefix_is_still_demotable(self):
         stores = store_table((8,), (8,))
@@ -108,7 +103,7 @@ class TestFindTemporaries:
             task("COPY", (4,), [(1, p, R), (0, p, W)]),
         ]
         later_writer = task("FILL", (4,), [(1, p, W)], [("s", 4.0)])
-        assert find_temporaries(prefix, 2, [later_writer], refs, stores) == {1}
+        assert find_temporaries([*prefix, later_writer], 2, refs, stores) == {1}
 
     def test_non_covering_write_disqualifies(self):
         # The write reaches only a shifted, clamped portion of the store, so
@@ -123,7 +118,7 @@ class TestFindTemporaries:
             task("FILL", (4,), [(1, part, W)], [("s", 3.0)]),
             task("COPY", (4,), [(1, part, R), (0, tiling((2,)), W)]),
         ]
-        assert find_temporaries(prefix, 2, (), refs, stores) == set()
+        assert find_temporaries(prefix, 2, refs, stores) == set()
 
     def test_read_before_write_disqualifies(self):
         stores = store_table((8,), (8,))
@@ -136,4 +131,4 @@ class TestFindTemporaries:
             task("COPY", (4,), [(0, p, R), (1, p, W)]),
             task("FILL", (4,), [(0, p, W)], [("s", 0.0)]),
         ]
-        assert find_temporaries(prefix, 2, (), refs, stores) == set()
+        assert find_temporaries(prefix, 2, refs, stores) == set()

@@ -133,6 +133,14 @@ class TestCli:
         assert payload["tasks_in"] == 12 and payload["tasks_out"] == 4
         for key in ("fused_prefixes", "temporaries_eliminated", "memo_hits", "loads", "stores"):
             assert key in payload
+        # the first iteration's two windows miss the memo and the second's hit,
+        # so only the first iteration spends constraint steps
+        assert payload["memo_hits"] == 2 and payload["memo_misses"] == 2
+        assert payload["final_window"] == 10
+        assert main(["analyze", stencil_trace, "--no-memo", "--json-report", str(out)]) == 0
+        unmemoized = json.loads(out.read_text())
+        assert unmemoized["memo_hits"] == 0 and unmemoized["memo_misses"] == 0
+        assert unmemoized["constraint_steps"] == 2 * payload["constraint_steps"] > 0
 
     def test_canon_prints_identical_lines_for_isomorphic_windows(self, tmp_path, capsys):
         lines = []
