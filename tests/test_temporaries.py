@@ -73,6 +73,13 @@ class TestFindTemporaries:
         # and x, y are read without ever being written in the prefix.
         assert temps == {2}
 
+    def test_later_reader_inside_window_disqualifies(self):
+        tasks, stores, refs = _chain_scenario()
+        # w (3) is demotable in the three-task prefix on its own; the NORM
+        # task after the prefix, inside the window, reads it and keeps it.
+        assert 3 in find_temporaries(tasks[:3], 3, refs, stores)
+        assert 3 not in find_temporaries(tasks, 3, refs, stores)
+
     def test_stencil_prefix_drops_chain_temporaries(self):
         tasks, stores, _ = stencil_window()
         refs = RefState()
