@@ -128,21 +128,6 @@ def _cmd_canon(ns: argparse.Namespace) -> int:
     return 0
 
 
-def per_iteration_counts(report: Report) -> list[tuple[int, int]]:
-    """(tasks in, tasks out) per explicit-flush-delimited iteration."""
-    out: list[tuple[int, int]] = []
-    tin = tout = 0
-    for fr in report.per_flush:
-        tin += fr.tasks_in
-        tout += fr.tasks_out
-        if fr.explicit:
-            out.append((tin, tout))
-            tin = tout = 0
-    if tin or tout:
-        out.append((tin, tout))
-    return out
-
-
 def bench_report(
     name: str,
     size: int | None = None,
@@ -160,7 +145,7 @@ def bench_report(
     fused_report = run_events(fused, events)
     plain = Session(SessionConfig(window=window, fusion=False, execute=False, seed=seed))
     plain_report = run_events(plain, events)
-    per_iter = per_iteration_counts(fused_report)
+    per_iter = fused_report.iterations()
     tin, tout = per_iter[-1]
     return {
         "name": name,

@@ -25,7 +25,7 @@ from .ir import (
     StoreTable,
     sub_store_bounds,
 )
-from .kernels import Kernel, KernelRegistry, interpret
+from .kernels import Kernel, KernelRegistry, arg_name, interpret
 
 
 class ExecutionError(RuntimeError):
@@ -126,20 +126,16 @@ def _scalar_env(kernel: Kernel, task: IndexTask) -> dict[str, float]:
 
 
 def _bindings(
-    task: IndexTask,
-    rects: Sequence[Rect],
-    heap: Heap,
-    name_of: Callable[[int], str],
-    temp_positions: frozenset[int],
+    task: IndexTask, rects: Sequence[Rect], heap: Heap, temp_positions: frozenset[int]
 ) -> tuple[dict[str, np.ndarray], dict[str, tuple[int, ...]]]:
     """Heap views of each argument's rectangle; temp positions get local shapes."""
     bufs: dict[str, np.ndarray] = {}
     local_shapes: dict[str, tuple[int, ...]] = {}
     for j, (a, rect) in enumerate(zip(task.args, rects)):
         if j in temp_positions:
-            local_shapes[f"l{j}"] = rect.extents
+            local_shapes[arg_name(j, local=True)] = rect.extents
         else:
-            bufs[name_of(j)] = _region(heap.get(a.store), rect)
+            bufs[arg_name(j)] = _region(heap.get(a.store), rect)
     return bufs, local_shapes
 
 
@@ -147,27 +143,14 @@ def _point_rects(task: IndexTask, p: Point, stores: StoreTable) -> list[Rect]:
     return [sub_store_bounds(stores[a.store], a.partition, p).bounds for a in task.args]
 
 
-def _fused_name(j: int) -> str:
-    return f"b{j}"
-
-
-def _plain_name(j: int) -> str:
-    return f"a{j}"
-
-
 def _select_kernel(
     task: IndexTask, registry: KernelRegistry, kernel: Kernel | None
-) -> tuple[Kernel | None, Callable[[int], str]]:
-    """The kernel a task runs and the naming of its buffer params.
-
-    An explicit (fused) kernel names params b{j}; a generated one a{j}. None
-    means the kind has no generator and only a builtin can run it.
-    """
-    if kernel is not None:
-        return kernel, _fused_name
-    if registry.has(task.kind):
-        return registry.generate(task), _plain_name
-    return None, _plain_name
+) -> Kernel | None:
+    """The kernel a task runs: the one given, else a generated one. None means
+    the kind has no generator and only a builtin can run it."""
+    if kernel is None and registry.has(task.kind):
+        return registry.generate(task)
+    return kernel
 
 
 def _launch_images(task: IndexTask, stores: StoreTable) -> list[Rect] | None:
@@ -228,9 +211,10 @@ def execute_task(
     """Run one index task: as one kernel call over the whole launch when
     ``_launch_images`` allows it, else point by point in lexicographic order.
 
-    With an explicit ``kernel`` the task is treated as fused: buffer params are
-    named b{j} by fused-arg position and positions in ``temp_positions`` bind
-    as task-local buffers l{j} instead of heap regions.
+    ``kernel`` is the one the task runs, fused or generated by the caller;
+    without one it is generated here. Argument j binds to buffer param a{j},
+    or, for a position in ``temp_positions``, to a task-local buffer l{j}
+    instead of a heap region.
     """
     _run(task, heap, stores, registry, builtins, kernel, temp_positions, whole_launch=True)
 
@@ -257,13 +241,13 @@ def _run(
     temp_positions: frozenset[int],
     whole_launch: bool,
 ) -> None:
-    kernel, name_of = _select_kernel(task, registry, kernel)
+    kernel = _select_kernel(task, registry, kernel)
     if kernel is None:
         fn = builtins.get(task.kind)
         if fn is None:
             raise UnknownTaskKindError(f"no generator or builtin for task kind {task.kind!r}")
         for p in task.domain.points():
-            bufs, _ = _bindings(task, _point_rects(task, p, stores), heap, name_of, frozenset())
+            bufs, _ = _bindings(task, _point_rects(task, p, stores), heap, frozenset())
             fn(task, bufs)
         return
 
@@ -274,7 +258,7 @@ def _run(
     else:
         launches = (_point_rects(task, p, stores) for p in task.domain.points())
     for rects in launches:
-        bufs, local_shapes = _bindings(task, rects, heap, name_of, temp_positions)
+        bufs, local_shapes = _bindings(task, rects, heap, temp_positions)
         interpret(kernel, bufs, scalars, local_shapes)
 
 
@@ -295,7 +279,7 @@ def execute_isolated(
     from a snapshot, so cross-point write visibility is impossible, and writes
     back W/RW regions and sum-combines Rd contributions in point order.
     """
-    kernel, name_of = _select_kernel(task, registry, kernel)
+    kernel = _select_kernel(task, registry, kernel)
     if kernel is None:
         raise ExecutionError(f"isolated execution needs a kernel for kind {task.kind!r}")
 
@@ -343,13 +327,13 @@ def execute_isolated(
         for j, a in enumerate(task.args):
             sub = subs[p][j]
             if j in temp_positions:
-                local_shapes[f"l{j}"] = sub.bounds.extents
+                local_shapes[arg_name(j, local=True)] = sub.bounds.extents
                 continue
             if a.privilege.is_reduce:
                 arena = np.zeros(sub.bounds.extents, dtype=np.float64)
             else:
                 arena = np.array(_region(base[a.store], sub.bounds))
-            bufs[name_of(j)] = arena
+            bufs[arg_name(j)] = arena
             arenas.append((j, arena, sub.bounds))
         interpret(kernel, bufs, scalars, local_shapes)
         for j, arena, rect in arenas:

@@ -10,9 +10,9 @@ touches individual launch-domain points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .ir import (
     Domain,
@@ -34,7 +34,7 @@ class FusionConstraint(Enum):
     NO_GENERATOR = "NoGenerator"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintVerdict:
     """Why prefix growth stopped at ``blocking_task_index``."""
 
@@ -42,6 +42,14 @@ class ConstraintVerdict:
     blocking_task_index: int
     store: int | None = None
     partitions: tuple[Partition, Partition] | None = None
+
+    def rebind(self, store: Callable[[int], int], partition: Callable) -> "ConstraintVerdict":
+        """The same verdict with its store and partitions mapped, e.g. to or
+        from the canonical indices of a memoized window."""
+        if self.store is None:  # names neither a store nor partitions
+            return self
+        parts = self.partitions and tuple(map(partition, self.partitions))
+        return replace(self, store=store(self.store), partitions=parts)
 
     def describe(self) -> str:
         msg = f"{self.constraint.value} at task {self.blocking_task_index}"
@@ -163,7 +171,6 @@ class FusedTaskPlan:
     prefix_len: int
     fused_task: IndexTask
     arg_map: tuple[tuple[int, ...], ...]  # per original task: arg position -> fused position
-    temporaries: frozenset[int] = frozenset()
 
 
 def fused_kind_name(kinds: Sequence[str]) -> str:

@@ -171,6 +171,13 @@ def _rename_stmt(s: Stmt, bufs: Mapping[str, str], scalars: Mapping[str, str]) -
 
 # --- generators -------------------------------------------------------------
 
+
+def arg_name(j: int, local: bool = False) -> str:
+    """The buffer name of task argument j in every kernel, generated or fused:
+    ``a{j}``, or ``l{j}`` when the argument is demoted to a task-local buffer."""
+    return f"l{j}" if local else f"a{j}"
+
+
 Generator = Callable[[IndexTask], Kernel]
 
 
@@ -210,7 +217,7 @@ def _params(task: IndexTask) -> tuple[BufParam, ...]:
     # ranks are unknown to generators beyond what the store args imply; the
     # executor binds concrete sub-store arrays positionally
     return tuple(
-        BufParam(f"a{i}", _arg_rank(task, i), a.privilege) for i, a in enumerate(task.args)
+        BufParam(arg_name(i), _arg_rank(task, i), a.privilege) for i, a in enumerate(task.args)
     )
 
 
@@ -225,7 +232,7 @@ def _arg_rank(task: IndexTask, i: int) -> int:
 
 def _elementwise(task: IndexTask, out: int, expr: Expr) -> Kernel:
     rank = _arg_rank(task, out)
-    nest = LoopNest(f"a{out}", rank, (StoreStmt(f"a{out}", expr),))
+    nest = LoopNest(arg_name(out), rank, (StoreStmt(arg_name(out), expr),))
     return Kernel(
         _params(task),
         tuple(ScalarParam(f"s{k}") for k in range(len(task.scalars))),
@@ -235,7 +242,7 @@ def _elementwise(task: IndexTask, out: int, expr: Expr) -> Kernel:
 
 
 def _ld(i: int, rank: int) -> Load:
-    return Load(f"a{i}", rank)
+    return Load(arg_name(i), rank)
 
 
 def _binary_gen(op: str) -> Generator:
@@ -294,7 +301,7 @@ def _gen_axpy(task: IndexTask) -> Kernel:
 
 def _reduction(task: IndexTask, acc: int, expr: Expr) -> Kernel:
     rank = _arg_rank(task, 0)
-    nest = LoopNest("a0", rank, (ReduceStmt(f"a{acc}", expr),))
+    nest = LoopNest(arg_name(0), rank, (ReduceStmt(arg_name(acc), expr),))
     return Kernel(
         _params(task),
         tuple(ScalarParam(f"s{k}") for k in range(len(task.scalars))),
@@ -319,7 +326,7 @@ def _ratio_update(sign: str) -> Generator:
     def gen(task: IndexTask) -> Kernel:
         _arity(task, 4)
         r = _arg_rank(task, 1)
-        ratio = Bin("/", Load("a2", 0), Load("a3", 0))
+        ratio = Bin("/", _ld(2, 0), _ld(3, 0))
         return _elementwise(task, 1, Bin(sign, _ld(1, r), Bin("*", ratio, _ld(0, r))))
 
     return gen
@@ -329,7 +336,7 @@ def _gen_xpby_ratio(task: IndexTask) -> Kernel:
     # p = r + (num / den) * p with args (r: R, p: RW, num: R, den: R)
     _arity(task, 4)
     r = _arg_rank(task, 1)
-    ratio = Bin("/", Load("a2", 0), Load("a3", 0))
+    ratio = Bin("/", _ld(2, 0), _ld(3, 0))
     return _elementwise(task, 1, Bin("+", _ld(0, r), Bin("*", ratio, _ld(1, r))))
 
 
@@ -366,12 +373,11 @@ def compose(
 ) -> Kernel:
     """Concatenate kernel bodies with parameters unified per fused argument.
 
-    Fused argument j becomes buffer ``b{j}``, or local ``l{j}`` when j is a
-    demoted temporary. Scalars of kernel i become ``s{i}_{k}``.
+    Fused argument j becomes buffer ``arg_name(j)``, ``a{j}`` as in a
+    generated kernel, or local ``l{j}`` when j is a demoted temporary.
+    Scalars of kernel i become ``s{i}_{k}``.
     """
-    buf_name = {
-        j: (f"l{j}" if j in temp_arg_indices else f"b{j}") for j in range(n_fused_args)
-    }
+    buf_name = {j: arg_name(j, j in temp_arg_indices) for j in range(n_fused_args)}
     nests: list[LoopNest] = []
     params: dict[int, BufParam] = {}
     scalar_params: list[ScalarParam] = []
@@ -747,36 +753,27 @@ def interpret(
     bufs: Mapping[str, np.ndarray],
     scalars: Mapping[str, float] | None = None,
     local_shapes: Mapping[str, tuple[int, ...]] | None = None,
-) -> dict[str, np.ndarray]:
-    """Execute the kernel in place on the given buffers; returns local buffers.
+) -> None:
+    """Execute the kernel in place on the given buffers.
 
-    ``bufs`` must bind every buffer param; locals are allocated from
-    ``local_shapes`` (falling back to a same-shape-class param's shape).
+    ``bufs`` must bind every buffer param and ``local_shapes`` give the shape
+    of every local.
     """
     scalars = scalars or {}
+    local_shapes = local_shapes or {}
     env: dict[str, np.ndarray] = dict(bufs)
     priv = {p.name: p.privilege for p in kernel.buf_params}
     for p in kernel.buf_params:
         if p.name not in env:
             raise KernelError(f"missing buffer binding for param {p.name}")
     for loc in kernel.locals:
-        if local_shapes and loc.name in local_shapes:
-            shape = local_shapes[loc.name]
-        else:
-            cls = kernel.shape_class.get(loc.name)
-            shape = None
-            for p in kernel.buf_params:
-                if cls is not None and kernel.shape_class.get(p.name) == cls:
-                    shape = env[p.name].shape
-                    break
-            if shape is None:
-                raise KernelError(f"cannot determine shape of local buffer {loc.name}")
-        env[loc.name] = np.zeros(shape, dtype=np.float64)
+        if loc.name not in local_shapes:
+            raise KernelError(f"no shape given for local buffer {loc.name}")
+        env[loc.name] = np.zeros(local_shapes[loc.name], dtype=np.float64)
 
     with np.errstate(all="ignore"):
         for nest in kernel.nests:
             _run_nest(nest, env, scalars, priv)
-    return {l.name: env[l.name] for l in kernel.locals}
 
 
 # --- pretty printing --------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .fusion import ConstraintVerdict
 from .ir import Domain, IndexTask, NonePart, Partition, Store, StoreTable, covers
 from .kernels import Kernel
 
@@ -101,12 +102,24 @@ def canonicalize(
 
 
 def canon_text(stream: CanonicalStream) -> str:
-    """Stable one-line-per-task rendering, used by the canon subcommand."""
+    """Stable rendering of the whole key, used by the canon subcommand.
+
+    One line per task: its domain index and rank, then per argument the
+    (store, partition, privilege) indices, whether the partition covers the
+    store, and the argument's extent class. A last line lists the canonical
+    store indices the application still holds.
+    """
     lines = []
+    fingerprint = iter(stream.fingerprint)
     for i, (kind, dom, args, nscalars) in enumerate(stream.tasks):
-        body = ", ".join(f"({s},{p},{pr})" for s, p, pr in args)
+        body = ", ".join(
+            f"({s},{p},{pr}) {'covers' if cov else 'part'} k{cls}"
+            for (s, p, pr), (cov, cls) in zip(args, fingerprint)
+        )
         suffix = f" scalars={nscalars}" if nscalars else ""
-        lines.append(f"T{i} {kind} d{dom} [{body}]{suffix}")
+        lines.append(f"T{i} {kind} d{dom}:r{stream.domain_ranks[dom]} [{body}]{suffix}")
+    live = " ".join(str(i) for i, flag in enumerate(stream.live) if flag)
+    lines.append(f"live: {live or '-'}")
     return "\n".join(lines)
 
 
@@ -114,15 +127,17 @@ def canon_text(stream: CanonicalStream) -> str:
 class MemoEntry:
     """Replayable analysis result keyed by a CanonicalStream.
 
-    ``temp_store_indices`` and ``temp_arg_positions`` are in canonical terms;
-    replay rebinds them through the new window's store binding. The kernel is
-    shape-symbolic and shared as-is.
+    ``temp_arg_positions`` index the fused task's arguments; the demoted
+    stores are those arguments' stores. ``verdicts`` say why the prefix
+    stopped, with stores and partitions as indices into the bindings that
+    ``canonicalize`` returns, so replay rebinds them to the new window. The
+    kernel is shape-symbolic and shared as-is.
     """
 
     prefix_len: int
-    temp_store_indices: frozenset[int] = frozenset()
     temp_arg_positions: frozenset[int] = frozenset()
     kernel: Kernel | None = None
+    verdicts: tuple[ConstraintVerdict, ...] = ()
 
 
 class MemoCache:

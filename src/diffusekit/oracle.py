@@ -116,25 +116,3 @@ def oracle_fusible(
                 return False
     return True
 
-
-def intra_task_interference(task: IndexTask, stores: StoreTable, cap: int = DEFAULT_ORACLE_CAP) -> list[str]:
-    """Diagnostic only: W/W or R/W overlap between point tasks of one index task.
-
-    Client generators are trusted; this never blocks execution.
-    """
-    _check_cap(task, cap)
-    warnings: list[str] = []
-    views = [point_task(task, p, stores) for p in task.domain.points()]
-    for i, v1 in enumerate(views):
-        for v2 in views[i + 1 :]:
-            for s1, pr1 in v1.accesses:
-                for s2, pr2 in v2.accesses:
-                    if s1.parent != s2.parent or not s1.bounds.overlaps(s2.bounds):
-                        continue
-                    if (pr1.is_write and (pr2.is_write or pr2.is_read)) or (
-                        pr2.is_write and pr1.is_read
-                    ):
-                        warnings.append(
-                            f"points {v1.point} and {v2.point} interfere on store {s1.parent}"
-                        )
-    return warnings

@@ -5,12 +5,13 @@ flush repeatedly carves the longest fusible prefix off the buffer, compiles a
 fused kernel for it, demotes temporaries to task-local buffers, and executes.
 Isomorphic windows replay memoized analysis results. The window grows
 adaptively: whenever an entire flushed buffer fuses into one task, the window
-doubles up to a cap, so long chains reach steady state after a few rounds.
+doubles up to MAX_WINDOW, so long chains reach steady state after a few rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import logging
@@ -24,17 +25,18 @@ from .executor import (
 )
 from .fusion import (
     AnalysisStats,
+    ConstraintVerdict,
     build_fused_task,
     FusedTaskPlan,
     longest_fusible_prefix,
 )
-from .ir import Domain, IndexTask, Partition, Store, sub_store_bounds
-from .kernels import Kernel, KernelRegistry, count_memory_traffic, default_registry, optimize, compose
+from .ir import Domain, IndexTask, Partition, Privilege, Store, StoreArg, sub_store_bounds
+from .kernels import Kernel, KernelRegistry, arg_name, compose, count_memory_traffic
+from .kernels import default_registry, optimize
 from .memo import CanonicalStream, MemoCache, MemoEntry, canonicalize, extent_class
 from .oracle import DEFAULT_ORACLE_CAP, oracle_fusible
 from .temporaries import RefState, find_temporaries
 from . import trace as tracefmt
-from .ir import Privilege, StoreArg
 
 log = logging.getLogger("diffusekit.pipeline")
 
@@ -43,11 +45,12 @@ class SoundnessError(AssertionError):
     """The brute-force oracle rejected an engine-accepted prefix."""
 
 
+MAX_WINDOW = 256  # the largest window adaptive growth reaches
+
+
 @dataclass
 class SessionConfig:
     window: int = 10
-    max_window: int = 256
-    adaptive: bool = True
     fusion: bool = True
     memoize: bool = True
     temp_elim: bool = True
@@ -57,11 +60,10 @@ class SessionConfig:
     seed: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class FlushReport:
     explicit: bool
     tasks_in: int = 0
-    tasks_out: int = 0
     fused_prefixes: list[int] = field(default_factory=list)
     temporaries: list[int] = field(default_factory=list)
     memo_hits: int = 0
@@ -69,8 +71,12 @@ class FlushReport:
     constraint_steps: int = 0
     loads: int = 0
     stores: int = 0
-    verdicts: list[str] = field(default_factory=list)
+    verdicts: list[ConstraintVerdict] = field(default_factory=list)
     kernel_stats: list[tuple[int, int, int]] = field(default_factory=list)
+
+    @property
+    def tasks_out(self) -> int:
+        return len(self.fused_prefixes)
 
 
 @dataclass
@@ -87,19 +93,42 @@ class Report:
     final_window: int = 0
     per_flush: list[FlushReport] = field(default_factory=list)
 
+    def add(self, fr: FlushReport) -> None:
+        """Count one flush into the totals."""
+        self.per_flush.append(fr)
+        self.tasks_in += fr.tasks_in
+        self.tasks_out += fr.tasks_out
+        self.fused_prefixes.extend(fr.fused_prefixes)
+        self.temporaries_eliminated.extend(fr.temporaries)
+        self.memo_hits += fr.memo_hits
+        self.memo_misses += fr.memo_misses
+        self.constraint_steps += fr.constraint_steps
+        self.loads += fr.loads
+        self.stores += fr.stores
+
+    def iterations(self) -> list[tuple[int, int]]:
+        """(tasks in, tasks out) per explicit-flush-delimited iteration."""
+        out: list[tuple[int, int]] = []
+        tin = tout = 0
+        for fr in self.per_flush:
+            tin += fr.tasks_in
+            tout += fr.tasks_out
+            if fr.explicit:
+                out.append((tin, tout))
+                tin = tout = 0
+        if tin or tout:
+            out.append((tin, tout))
+        return out
+
     def to_json(self) -> dict:
-        return {
-            "tasks_in": self.tasks_in,
-            "tasks_out": self.tasks_out,
-            "fused_prefixes": list(self.fused_prefixes),
-            "temporaries_eliminated": list(self.temporaries_eliminated),
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "constraint_steps": self.constraint_steps,
-            "loads": self.loads,
-            "stores": self.stores,
-            "final_window": self.final_window,
-        }
+        """Every total, and per flush the verdicts that stopped its prefixes."""
+        out = {f.name: copy(getattr(self, f.name)) for f in fields(self) if f.name != "per_flush"}
+        out["verdicts"] = [
+            [{"constraint": v.constraint.value, "task": v.blocking_task_index, "store": v.store}
+             for v in fr.verdicts]
+            for fr in self.per_flush
+        ]
+        return out
 
     def summary(self) -> str:
         lines = [
@@ -112,20 +141,19 @@ class Report:
         ]
         for i, fr in enumerate(self.per_flush):
             for v in fr.verdicts:
-                lines.append(f"flush {i}: stopped by {v}")
+                lines.append(f"flush {i}: stopped by {v.describe()}")
         return "\n".join(lines)
 
 
 @dataclass
 class SegmentPlan:
-    """One carved prefix: the task to run and how to run it."""
+    """One carved prefix: the task to run, the kernel it runs (None for a
+    builtin) and its argument positions demoted to task-local buffers."""
 
     f: int
     task: IndexTask
     kernel: Kernel | None
     temp_positions: frozenset[int]
-    temp_stores: frozenset[int]
-    from_memo: bool
 
 
 class Session:
@@ -168,7 +196,6 @@ class Session:
         for a in task.args:
             if a.store not in self.stores:
                 raise ValueError(f"task {task.kind} names unknown store {a.store}")
-        self.report.tasks_in += 1
         self._buffer.append(task)
         for s in {a.store for a in task.args}:
             self.refs.acquire_runtime(s)
@@ -202,12 +229,8 @@ class Session:
         fr = FlushReport(explicit=explicit, tasks_in=len(rem))
         steps0 = self.stats.constraint_steps
         hits0, miss0 = self.memo.hits, self.memo.misses
-        whole_buffer = len(rem)
-        first_f: int | None = None
         while rem:
             plan = self._analyze(rem, fr)
-            if first_f is None:
-                first_f = plan.f
             self._execute(plan, fr)
             for t in rem[: plan.f]:
                 for s in {a.store for a in t.args}:
@@ -217,13 +240,8 @@ class Session:
         fr.constraint_steps = self.stats.constraint_steps - steps0
         fr.memo_hits = self.memo.hits - hits0
         fr.memo_misses = self.memo.misses - miss0
-        if (
-            self.config.adaptive
-            and self.config.fusion
-            and whole_buffer > 1
-            and first_f == whole_buffer
-        ):
-            self.window = min(self.window * 2, self.config.max_window)
+        if fr.tasks_in > 1 and fr.tasks_out == 1:
+            self.window = min(self.window * 2, MAX_WINDOW)
         log.debug(
             "flush(%s): %d -> %d tasks, prefixes %s, window now %d",
             "explicit" if explicit else "full",
@@ -232,61 +250,58 @@ class Session:
             fr.fused_prefixes,
             self.window,
         )
-        self.report.per_flush.append(fr)
-        self.report.tasks_out += fr.tasks_out
-        self.report.fused_prefixes.extend(fr.fused_prefixes)
-        self.report.temporaries_eliminated.extend(fr.temporaries)
-        self.report.loads += fr.loads
-        self.report.stores += fr.stores
-        self.report.memo_hits = self.memo.hits
-        self.report.memo_misses = self.memo.misses
-        self.report.constraint_steps = self.stats.constraint_steps
+        self.report.add(fr)
 
     def _analyze(self, rem: list[IndexTask], fr: FlushReport) -> SegmentPlan:
+        """Carve the next prefix off ``rem``: replayed on a memo hit, else
+        analysed, compiled and memoized."""
         if not self.config.fusion:
-            return SegmentPlan(1, rem[0], None, frozenset(), frozenset(), False)
+            return self._plan(rem, 1, None, frozenset())
         key: CanonicalStream | None = None
-        sbind: list[int] = []
         if self.config.memoize:
             live = {s for s, n in self.refs.app_refs.items() if n > 0}
-            key, sbind, _ = canonicalize(rem, self.stores, live)
+            key, sbind, pbind = canonicalize(rem, self.stores, live)
             entry = self.memo.lookup(key)
             if entry is not None:
-                return self._replay(rem, entry, sbind)
+                fr.verdicts.extend(
+                    v.rebind(sbind.__getitem__, pbind.__getitem__) for v in entry.verdicts
+                )
+                return self._plan(rem, entry.prefix_len, entry.kernel, entry.temp_arg_positions)
         f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
-        fr.verdicts.extend(v.describe() for v in verdicts)
-        temps: frozenset[int] = frozenset()
-        positions: frozenset[int] = frozenset()
-        kernel: Kernel | None = None
-        task = rem[0]
+        fr.verdicts.extend(verdicts)
+        kernel, positions, fused = None, frozenset(), None
         if f > 1:
-            if self.config.temp_elim:
-                temps = frozenset(find_temporaries(rem, f, self.refs, self.stores))
-            plan0 = build_fused_task(rem, f, self.registry)
-            task = plan0.fused_task
-            positions = frozenset(
-                j for j, a in enumerate(task.args) if a.store in temps
-            )
-            kernel = self._compile(rem[:f], plan0, positions)
+            temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
+            fused = build_fused_task(rem, f, self.registry)
+            positions = frozenset(j for j, a in enumerate(fused.fused_task.args) if a.store in temps)
+            kernel = self._compile(rem[:f], fused, positions)
             if self.config.oracle_check:
                 self._cross_check(rem[:f])
-        if self.config.memoize and key is not None:
-            idx = {s: i for i, s in enumerate(sbind)}
-            self.memo.insert(
-                key,
-                MemoEntry(f, frozenset(idx[s] for s in temps), positions, kernel),
-            )
-        return SegmentPlan(f, task, kernel, positions, temps, False)
+        if key is not None:
+            sidx = {s: i for i, s in enumerate(sbind)}
+            pidx = {p: i for i, p in enumerate(pbind)}
+            canonical = tuple(v.rebind(sidx.__getitem__, pidx.__getitem__) for v in verdicts)
+            self.memo.insert(key, MemoEntry(f, positions, kernel, canonical))
+        return self._plan(rem, f, kernel, positions, fused)
 
-    def _replay(self, rem: list[IndexTask], entry: MemoEntry, sbind: list[int]) -> SegmentPlan:
-        f = entry.prefix_len
-        if f == 1:
-            return SegmentPlan(1, rem[0], None, frozenset(), frozenset(), True)
-        plan0 = build_fused_task(rem, f, self.registry)
-        temps = frozenset(sbind[i] for i in entry.temp_store_indices)
-        return SegmentPlan(
-            f, plan0.fused_task, entry.kernel, entry.temp_arg_positions, temps, True
-        )
+    def _plan(
+        self,
+        rem: list[IndexTask],
+        f: int,
+        kernel: Kernel | None,
+        positions: frozenset[int],
+        fused: FusedTaskPlan | None = None,
+    ) -> SegmentPlan:
+        """The launch of ``rem[:f]``, whether its analysis was replayed or
+        fresh. A fused prefix runs ``kernel`` (built by the caller when it has
+        ``fused`` at hand); a single task runs its generated kernel, or a
+        builtin when its kind has no generator."""
+        if f > 1:
+            fused = fused or build_fused_task(rem, f, self.registry)
+            return SegmentPlan(f, fused.fused_task, kernel, positions)
+        task = rem[0]
+        kernel = self.registry.generate(task) if self.registry.has(task.kind) else None
+        return SegmentPlan(1, task, kernel, frozenset())
 
     def _compile(
         self, prefix: Sequence[IndexTask], plan0: FusedTaskPlan, temp_positions: frozenset[int]
@@ -298,10 +313,7 @@ class Session:
         for j, a in enumerate(fused.args):
             cls = extent_class(self.stores[a.store], a.partition, fused.domain)
             classes[j] = class_ids.setdefault(cls, len(class_ids))
-        composed = compose(
-            kernels, plan0.arg_map, temp_positions, classes, len(fused.args)
-        )
-        return optimize(composed)
+        return optimize(compose(kernels, plan0.arg_map, temp_positions, classes, len(fused.args)))
 
     def _cross_check(self, prefix: Sequence[IndexTask]) -> None:
         if prefix[0].domain.volume > DEFAULT_ORACLE_CAP:
@@ -313,46 +325,20 @@ class Session:
             )
 
     def _execute(self, plan: SegmentPlan, fr: FlushReport) -> None:
+        task, kernel, positions = plan.task, plan.kernel, plan.temp_positions
         fr.fused_prefixes.append(plan.f)
-        fr.temporaries.extend(sorted(plan.temp_stores))
-        kernel = plan.kernel
-        names_fused = kernel is not None
-        if kernel is None and self.registry.has(plan.task.kind):
-            kernel = self.registry.generate(plan.task)
+        fr.temporaries.extend(sorted({task.args[j].store for j in positions}))
         if kernel is not None:
-            loads, stores = self._traffic(kernel, plan.task, plan.temp_positions, names_fused)
+            loads, stores = self._traffic(kernel, task, positions)
             fr.loads += loads
             fr.stores += stores
             fr.kernel_stats.append((plan.f, len(kernel.nests), len(kernel.locals)))
         if self.config.execute:
-            if plan.f > 1 and self.config.isolated:
-                execute_isolated(
-                    plan.task,
-                    self.heap,
-                    self.stores,
-                    self.registry,
-                    self.builtins,
-                    plan.kernel,
-                    plan.temp_positions,
-                )
-            else:
-                execute_task(
-                    plan.task,
-                    self.heap,
-                    self.stores,
-                    self.registry,
-                    self.builtins,
-                    plan.kernel,
-                    plan.temp_positions,
-                )
-        fr.tasks_out += 1
+            run = execute_isolated if plan.f > 1 and self.config.isolated else execute_task
+            run(task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
 
     def _traffic(
-        self,
-        kernel: Kernel,
-        task: IndexTask,
-        temp_positions: frozenset[int],
-        fused_names: bool,
+        self, kernel: Kernel, task: IndexTask, temp_positions: frozenset[int]
     ) -> tuple[int, int]:
         """Static whole-launch element traffic, using the first point's extents.
 
@@ -363,10 +349,7 @@ class Session:
         shapes: dict[str, tuple[int, ...]] = {}
         for j, a in enumerate(task.args):
             sub = sub_store_bounds(self.stores[a.store], a.partition, p0)
-            if j in temp_positions:
-                shapes[f"l{j}"] = sub.bounds.extents
-            else:
-                shapes[("b" if fused_names else "a") + str(j)] = sub.bounds.extents
+            shapes[arg_name(j, j in temp_positions)] = sub.bounds.extents
         loads, stores = count_memory_traffic(kernel, shapes)
         vol = task.domain.volume
         return loads * vol, stores * vol

@@ -105,6 +105,7 @@ class TestComposeAndOptimize:
     def test_two_adds_with_local_temporary(self):
         kernels, amap = _chain_kernels(2)
         composed = compose(kernels, amap, frozenset({2}), {j: 0 for j in range(5)}, 5)
+        assert [p.name for p in composed.buf_params] == ["a0", "a1", "a3", "a4"]
         assert [l.name for l in composed.locals] == ["l2"]
         assert len(composed.nests) == 2
         optimized = optimize(composed)
@@ -117,7 +118,7 @@ class TestComposeAndOptimize:
         rng = np.random.default_rng(0)
         a, b, d = (rng.integers(1, 9, 6).astype(np.float64) for _ in range(3))
         out = np.zeros(6)
-        interpret(optimized, {"b0": a, "b1": b, "b3": d, "b4": out}, {}, {"l2": (6,)})
+        interpret(optimized, {"a0": a, "a1": b, "a3": d, "a4": out}, {}, {"l2": (6,)})
         assert (out == a + b + d).all()
 
     def test_different_shape_classes_block_loop_fusion(self):
@@ -152,7 +153,7 @@ class TestComposeAndOptimize:
         assert [l.name for l in optimized.locals] == ["l1"]
         a = np.arange(1.0, 7.0)
         out = np.zeros(())
-        interpret(optimized, {"b0": a, "b2": out}, {}, {"l1": ()})
+        interpret(optimized, {"a0": a, "a2": out}, {}, {"l1": ()})
         assert out[()] == float(a @ a)
 
     def test_unread_reduction_temporary_is_dropped(self):
@@ -190,7 +191,7 @@ class TestComposeAndOptimize:
             scalars = {
                 sp.name: 2.0 for sp in composed.scalar_params
             }
-            data1 = {f"b{j}": nprng.integers(1, 9, 4).astype(np.float64) for j in range(n + 1)}
+            data1 = {f"a{j}": nprng.integers(1, 9, 4).astype(np.float64) for j in range(n + 1)}
             data2 = {k: v.copy() for k, v in data1.items()}
             interpret(composed, data1, scalars)
             interpret(optimized, data2, scalars)
@@ -203,7 +204,7 @@ class TestTraffic:
         kernels, amap = _chain_kernels(2)
         composed = compose(kernels, amap, frozenset({2}), {j: 0 for j in range(5)}, 5)
         optimized = optimize(composed)
-        shapes = {name: (8,) for name in ("b0", "b1", "b3", "b4", "l2")}
+        shapes = {name: (8,) for name in ("a0", "a1", "a3", "a4", "l2")}
         loads, stores = count_memory_traffic(optimized, shapes)
         assert (loads, stores) == (24, 8)
 
@@ -239,6 +240,13 @@ class TestInterpretSafety:
         t = task("COPY", (2,), [(0, _p(), R), (1, _p(), W)])
         with pytest.raises(KernelError):
             interpret(REG.generate(t), {"a0": np.ones(4)})
+
+    def test_missing_local_shape_names_the_local(self):
+        kernels, amap = _chain_kernels(2)
+        composed = compose(kernels, amap, frozenset({2}), {j: 0 for j in range(5)}, 5)
+        bufs = {name: np.ones(6) for name in ("a0", "a1", "a3", "a4")}
+        with pytest.raises(KernelError, match="l2"):
+            interpret(composed, bufs)
 
 
 def _one_nest(params, body):
@@ -288,7 +296,7 @@ class TestInPlaceEvaluation:
         assert (a1 == -(2.0 * a0) + -(2.0 * a0)).all() and (a2 == 2.0 * a0 + a0).all()
 
     def test_store_target_read_in_its_own_statement(self):
-        # jacobi's fused body: b3 = b3 + s * (b0 - b1)
+        # jacobi's fused body: a3 = a3 + s * (a0 - a1)
         k = _one_nest(
             [("a0", R), ("a1", R), ("a3", RW)],
             [
@@ -414,7 +422,7 @@ class TestInPlaceEvaluation:
         rng = np.random.default_rng(0)
         bound = {x: rng.integers(1, 9, n).astype(np.float64), y: rng.integers(1, 9, n).astype(np.float64)}
         bound[out] = np.zeros(n)
-        bufs = {f"b{j}": bound[a.store] for j, a in enumerate(fused.args) if j not in temps}
+        bufs = {f"a{j}": bound[a.store] for j, a in enumerate(fused.args) if j not in temps}
         scalars = {sp.name: v for sp, (_, v) in zip(kernel.scalar_params, fused.scalars)}
         slab = bound[x].nbytes
         peak = self._peak(kernel, bufs, scalars)

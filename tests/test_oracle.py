@@ -9,7 +9,6 @@ from diffusekit.oracle import (
     OracleTooLargeError,
     dep,
     dependence_map,
-    intra_task_interference,
     oracle_fusible,
     point_task,
 )
@@ -102,21 +101,3 @@ class TestOracleFusible:
         t2 = task("K", (4,), [(0, tiling((1,)), R)])
         assert not oracle_fusible([t1, t2], stores)
 
-
-class TestIntraTaskInterference:
-    def test_clean_tiling_has_no_warnings(self):
-        stores = store_table((4,), (4,))
-        p = tiling((2,))
-        t = task("COPY", (2,), [(0, p, R), (1, p, W)])
-        assert intra_task_interference(t, stores) == []
-
-    def test_overlapping_point_accesses_are_flagged(self):
-        # A write through the zero-offset view overlaps the neighboring
-        # point's read through the shifted view of the same store.
-        stores = store_table((5,))
-        t = task(
-            "K",
-            (2,),
-            [(0, tiling((2,)), W), (0, tiling((2,), (1,)), R)],
-        )
-        assert intra_task_interference(t, stores) != []

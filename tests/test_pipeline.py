@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from diffusekit.executor import heap_diff
-from diffusekit.pipeline import Session, SessionConfig, run_events
+from diffusekit.kernels import KernelRegistry
+from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
 from diffusekit.trace import gen_benchmark
 from helpers import R, W, task, tiling
 
@@ -17,21 +18,10 @@ def _run(name, config, **gen_kwargs):
     return session, report
 
 
-def _iteration_counts(report):
-    out, tin, tout = [], 0, 0
-    for fr in report.per_flush:
-        tin += fr.tasks_in
-        tout += fr.tasks_out
-        if fr.explicit:
-            out.append((tin, tout))
-            tin = tout = 0
-    return out
-
-
 class TestStencilPipeline:
     def test_each_iteration_fuses_six_into_two(self):
         _, report = _run("stencil", SessionConfig(execute=False), iters=4)
-        assert _iteration_counts(report) == [(6, 2)] * 4
+        assert report.iterations() == [(6, 2)] * 4
         assert report.fused_prefixes == [5, 1] * 4
 
     def test_four_temporaries_eliminated_per_iteration(self):
@@ -72,6 +62,7 @@ class TestStencilPipeline:
             assert fr.memo_hits == 2
             assert fr.memo_misses == 0
             assert fr.constraint_steps == 0
+            assert fr.verdicts == first.verdicts  # the replayed stop reason
 
     def test_memo_disabled_reanalyzes(self):
         _, report = _run("stencil", SessionConfig(execute=False, memoize=False), iters=3)
@@ -92,33 +83,21 @@ class TestAdaptiveWindow:
     def test_window_doubles_when_a_full_buffer_fuses(self):
         _, report = _run("blackscholes_chain", SessionConfig(execute=False), iters=4)
         assert report.final_window > 10
-        assert _iteration_counts(report)[-1] == (67, 1)
+        assert report.iterations()[-1] == (67, 1)
 
     def test_window_is_capped(self):
-        _, report = _run(
-            "blackscholes_chain",
-            SessionConfig(execute=False, max_window=32),
-            iters=4,
-        )
-        assert report.final_window == 32
-
-    def test_adaptive_growth_can_be_disabled(self):
-        _, report = _run(
-            "blackscholes_chain",
-            SessionConfig(execute=False, adaptive=False),
-            iters=2,
-        )
-        assert report.final_window == 10
+        _, report = _run("blackscholes_chain", SessionConfig(execute=False), iters=4)
+        assert report.final_window == MAX_WINDOW
 
 
 class TestOtherBenchmarks:
     def test_jacobi_opaque_barrier_keeps_two_tasks(self):
         _, report = _run("jacobi", SessionConfig(execute=False), iters=3)
-        assert _iteration_counts(report) == [(3, 2)] * 3
+        assert report.iterations() == [(3, 2)] * 3
 
     def test_cg_like_steady_state(self):
         _, report = _run("cg_like", SessionConfig(execute=False), iters=4)
-        counts = _iteration_counts(report)
+        counts = report.iterations()
         assert counts[-1] == (12, 4)
         assert all(abs(tout - 4) <= 1 for _, tout in counts)
 
@@ -162,6 +141,23 @@ class TestSessionLifecycle:
         _, report = _run("stencil", SessionConfig(execute=False, fusion=False), iters=2)
         assert report.tasks_out == report.tasks_in == 12
         assert report.fused_prefixes == [1] * 12
+
+    def test_unfused_launch_generates_its_kernel_once(self, monkeypatch):
+        calls = []
+        generate = KernelRegistry.generate
+
+        def counting(registry, t):
+            calls.append(t.kind)
+            return generate(registry, t)
+
+        monkeypatch.setattr(KernelRegistry, "generate", counting)
+        session = Session(SessionConfig(fusion=False))
+        session.create_store(0, (4,))
+        session.create_store(1, (4,))
+        session.submit(task("COPY", (2,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]))
+        session.finish()
+        assert calls == ["COPY"]
+        assert (session.heap.get(1) == session.heap.get(0)).all()
 
     def test_finish_is_idempotent(self):
         session = Session(SessionConfig(execute=False))

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from diffusekit.cli import bench_report, main
+from diffusekit.pipeline import Report, Session, SessionConfig, run_events
 from diffusekit.trace import (
     TraceError,
     gen_benchmark,
@@ -141,8 +143,20 @@ class TestCli:
         unmemoized = json.loads(out.read_text())
         assert unmemoized["memo_hits"] == 0 and unmemoized["memo_misses"] == 0
         assert unmemoized["constraint_steps"] == 2 * payload["constraint_steps"] > 0
+        # one list per flush; each iteration's five-task prefix stops at the copy
+        assert payload["verdicts"] == [[{"constraint": "AntiDep", "task": 5, "store": 0}]] * 2
+        assert payload["verdicts"] == unmemoized["verdicts"]
 
-    def test_canon_prints_identical_lines_for_isomorphic_windows(self, tmp_path, capsys):
+    def test_json_report_has_every_report_field(self):
+        session = Session(SessionConfig(execute=False))
+        payload = run_events(session, gen_benchmark("jacobi", iters=1)).to_json()
+        # per_flush appears only as each flush's verdicts
+        names = {f.name for f in fields(Report)} - {"per_flush"}
+        assert set(payload) == names | {"verdicts"}
+
+    @staticmethod
+    def _copy_windows(tmp_path, drop_second_output=False):
+        """Two flush-delimited one-task COPY windows over fresh store pairs."""
         lines = []
         for base in (0, 10):
             a, b = base, base + 1
@@ -150,6 +164,8 @@ class TestCli:
             lines.append({"event": "create_store", "id": b, "shape": [4]})
             lines.append({"event": "create_partition", "id": a, "store": a, "kind": "none"})
             lines.append({"event": "create_partition", "id": b, "store": b, "kind": "none"})
+            if drop_second_output and base:
+                lines.append({"event": "drop_ref", "store": b})
             lines.append(
                 {
                     "event": "index_task",
@@ -164,10 +180,40 @@ class TestCli:
             lines.append({"event": "flush"})
         path = tmp_path / "canon.trace"
         path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
-        assert main(["canon", str(path)]) == 0
+        return str(path)
+
+    def _canon_blocks(self, path, capsys):
+        assert main(["canon", path]) == 0
         blocks = [b for b in capsys.readouterr().out.strip().split("\n\n") if b]
         assert len(blocks) == 2
+        return blocks
+
+    def test_canon_prints_identical_lines_for_isomorphic_windows(self, tmp_path, capsys):
+        blocks = self._canon_blocks(self._copy_windows(tmp_path), capsys)
         assert blocks[0] == blocks[1]
+
+    def test_canon_shows_liveness_and_coverage(self, tmp_path, capsys):
+        # dropping the second window's output makes it a different memo key,
+        # which the canonical text must show
+        path = self._copy_windows(tmp_path, drop_second_output=True)
+        blocks = self._canon_blocks(path, capsys)
+        assert blocks[0] != blocks[1]
+        assert blocks[0].splitlines()[-1] == "live: 0 1"
+        assert blocks[1].splitlines()[-1] == "live: 0"
+        assert "(0,0,R) covers k0" in blocks[0]
+        assert main(["analyze", path]) == 0
+        assert "memo: 0 hits, 2 misses" in capsys.readouterr().out
+
+    def test_analyze_gives_a_stop_reason_for_memo_hits(self, tmp_path, capsys):
+        path = tmp_path / "stencil3.trace"
+        path.write_text(print_trace(gen_benchmark("stencil", iters=3)))
+        stops = []
+        for flags in ([], ["--no-memo"]):
+            assert main(["analyze", str(path), *flags]) == 0
+            out = capsys.readouterr().out
+            stops.append([l for l in out.splitlines() if "stopped by AntiDep" in l])
+        assert len(stops[0]) == 3
+        assert stops[0] == stops[1]
 
     def test_bench_stencil_counts(self, capsys):
         assert main(["bench", "stencil", "--iters", "2"]) == 0
