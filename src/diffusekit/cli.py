@@ -10,13 +10,10 @@ import sys
 from typing import Sequence
 
 from .executor import heap_diff
-from .ir import IndexTask
-from .memo import canonicalize, canon_text
-from .pipeline import Report, Session, SessionConfig, apply_event, run_events, task_from_event
+from .memo import CanonicalStream, MemoCache, MemoEntry, canon_text
+from .pipeline import Report, Session, SessionConfig, run_events
 from .trace import (
     BENCHMARKS,
-    Flush,
-    TaskEvent,
     TraceError,
     gen_benchmark,
     parse_trace,
@@ -102,29 +99,27 @@ def _cmd_run(ns: argparse.Namespace) -> int:
     return 0
 
 
+class _RecordingMemo(MemoCache):
+    """A memo cache that keeps every key it is asked for and whether it hit."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lookups: list[tuple[CanonicalStream, bool]] = []
+
+    def lookup(self, key: CanonicalStream) -> MemoEntry | None:
+        entry = super().lookup(key)
+        self.lookups.append((key, entry is not None))
+        return entry
+
+
 def _cmd_canon(ns: argparse.Namespace) -> int:
-    events = _load_events(ns.trace)
-    # The session only tracks stores, partitions and references; the tasks of
-    # each flush-delimited window are collected here instead of submitted.
-    session = Session(SessionConfig(execute=False, fusion=False))
-    window: list[IndexTask] = []
-
-    def emit() -> None:
-        if not window:
-            return
-        stream, _, _ = canonicalize(window, session.stores, set(session.live_store_ids()))
-        print(canon_text(stream))
+    session = Session(SessionConfig(execute=False))
+    session.memo = memo = _RecordingMemo()
+    run_events(session, _load_events(ns.trace))
+    for key, hit in memo.lookups:
+        print("hit" if hit else "miss")
+        print(canon_text(key))
         print()
-        window.clear()
-
-    for ev in events:
-        if isinstance(ev, TaskEvent):
-            window.append(task_from_event(session, ev))
-            continue
-        apply_event(session, ev)
-        if isinstance(ev, Flush):
-            emit()
-    emit()
     return 0
 
 
@@ -204,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p)
     p.set_defaults(fn=_cmd_run)
 
-    p = sub.add_parser("canon", help="print canonical forms of each flush-delimited window")
+    p = sub.add_parser("canon", help="print the memo key of every lookup, marked hit or miss")
     p.add_argument("trace", help="trace file, or - for stdin")
     p.set_defaults(fn=_cmd_canon)
 

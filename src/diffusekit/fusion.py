@@ -181,6 +181,13 @@ def fused_kind_name(kinds: Sequence[str]) -> str:
     return "FUSED_" + "_".join(seen)
 
 
+def fused_scalars(prefix: Sequence[IndexTask]) -> tuple[tuple[str, float], ...]:
+    """The fused task's scalars: task i's k-th scalar is named ``s{i}_{k}``."""
+    return tuple(
+        (f"s{i}_{k}", v) for i, t in enumerate(prefix) for k, (_, v) in enumerate(t.scalars)
+    )
+
+
 def build_fused_task(tasks: Sequence[IndexTask], f: int, registry: KernelRegistry) -> FusedTaskPlan:
     """Union the prefix's (store, partition) arguments with joined privileges."""
     prefix = tasks[:f]
@@ -194,8 +201,7 @@ def build_fused_task(tasks: Sequence[IndexTask], f: int, registry: KernelRegistr
     order: list[tuple[int, Partition]] = []
     privs: dict[tuple[int, Partition], Privilege] = {}
     arg_map: list[tuple[int, ...]] = []
-    scalars: list[tuple[str, float]] = []
-    for i, t in enumerate(prefix):
+    for t in prefix:
         positions = []
         for a in t.args:
             key = (a.store, a.partition)
@@ -206,12 +212,11 @@ def build_fused_task(tasks: Sequence[IndexTask], f: int, registry: KernelRegistr
                 privs[key] = join_privileges(privs[key], a.privilege)
             positions.append(order.index(key))
         arg_map.append(tuple(positions))
-        scalars.extend((f"s{i}_{k}", v) for k, (_, v) in enumerate(t.scalars))
 
     fused = IndexTask(
         fused_kind_name([t.kind for t in prefix]),
         prefix[0].domain,
         tuple(StoreArg(s, p, privs[(s, p)]) for s, p in order),
-        tuple(scalars),
+        fused_scalars(prefix),
     )
     return FusedTaskPlan(f, fused, tuple(arg_map))

@@ -121,8 +121,11 @@ class LoopNest:
     body: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
+    """A compiled kernel. Kernels compare by identity: a memoized kernel is
+    shared by every launch that replays it, so caches can key on it."""
+
     buf_params: tuple[BufParam, ...]
     scalar_params: tuple[ScalarParam, ...]
     locals: tuple[LocalBuf, ...]

@@ -9,10 +9,10 @@ indices, in the spirit of De Bruijn numbering for bound variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .fusion import ConstraintVerdict
-from .ir import Domain, IndexTask, NonePart, Partition, Store, StoreTable, covers
+from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreTable, covers
 from .kernels import Kernel
 
 CanonTask = tuple[str, int, tuple[tuple[int, int, str], ...], int]
@@ -55,13 +55,29 @@ def extent_class(store: Store, part: Partition, launch: Domain) -> object:
     return ("clamped", store.shape.extents, part)
 
 
+# (store, partition, launch domain) -> a tuple starting (covers, extent class)
+Facts = Callable[[Store, Partition, Domain], tuple]
+
+
+def _key_facts(store: Store, part: Partition, launch: Domain) -> tuple[bool, object]:
+    return covers(store, part, launch), extent_class(store, part, launch)
+
+
 def canonicalize(
-    tasks: Sequence[IndexTask], stores: StoreTable, live_stores: frozenset[int] | set[int]
+    tasks: Sequence[IndexTask],
+    stores: StoreTable,
+    live_stores: frozenset[int] | set[int],
+    facts: Facts = _key_facts,
 ) -> tuple[CanonicalStream, list[int], list[Partition]]:
     """Canonical form plus the bindings from canonical indices back to ids.
 
     The liveness flags and the coverage/extent fingerprint are part of the
     form because both temporariness and the compiled kernel depend on them.
+    The form of any suffix of ``tasks`` follows from this one, so a key fixes
+    the remainders that carving leaves and one entry can hold a whole flush.
+    ``facts`` gives an argument's coverage and extent class; a session
+    passes its cache of them, so each distinct (store shape, partition,
+    launch domain) is worked out once rather than once per window.
     """
     store_bind: list[int] = []
     store_idx: dict[int, int] = {}
@@ -86,10 +102,9 @@ def canonicalize(
                 part_idx[a.partition] = len(part_bind)
                 part_bind.append(a.partition)
             args.append((store_idx[a.store], part_idx[a.partition], a.privilege.value))
-            cls = extent_class(stores[a.store], a.partition, t.domain)
-            if cls not in class_idx:
-                class_idx[cls] = len(class_idx)
-            fingerprint.append((covers(stores[a.store], a.partition, t.domain), class_idx[cls]))
+            fact = facts(stores[a.store], a.partition, t.domain)
+            cls = class_idx.setdefault(fact[1], len(class_idx))
+            fingerprint.append((fact[0], cls))
         canon_tasks.append((t.kind, domain_idx[t.domain], tuple(args), len(t.scalars)))
 
     stream = CanonicalStream(
@@ -123,21 +138,43 @@ def canon_text(stream: CanonicalStream) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class MemoEntry:
-    """Replayable analysis result keyed by a CanonicalStream.
+@dataclass(frozen=True, slots=True)
+class Carve:
+    """One prefix carved off a memoized window, in that window's canonical
+    store and partition indices.
 
     ``temp_arg_positions`` index the fused task's arguments; the demoted
     stores are those arguments' stores. ``verdicts`` say why the prefix
-    stopped, with stores and partitions as indices into the bindings that
-    ``canonicalize`` returns, so replay rebinds them to the new window. The
-    kernel is shape-symbolic and shared as-is.
+    stopped, with their task index counted from the carve's first task.
+    A fused carve (``prefix_len > 1``) also holds its shape-symbolic kernel
+    and the fused task's template: its kind and, per argument, (store,
+    partition, joined privilege). A single task keeps no kernel, since its
+    generator reads partition ranks that the key does not hold.
     """
 
     prefix_len: int
     temp_arg_positions: frozenset[int] = frozenset()
     kernel: Kernel | None = None
     verdicts: tuple[ConstraintVerdict, ...] = ()
+    fused_kind: str = ""
+    fused_args: tuple[tuple[int, int, Privilege], ...] = ()
+
+
+@dataclass(frozen=True)
+class MemoEntry:
+    """Replayable analysis of a whole window, keyed by its CanonicalStream.
+
+    A window's key fixes the key of every remainder carved from it, so one
+    entry holds every carve from the window's first task to the end of its
+    flush, and a hit replays them all from one lookup.
+    """
+
+    carves: tuple[Carve, ...]
+
+    @property
+    def prefix_len(self) -> int:
+        """Length of the first prefix the window fuses."""
+        return self.carves[0].prefix_len
 
 
 class MemoCache:

@@ -3,18 +3,20 @@
 A Session ingests stream events, buffers index tasks into a window, and on
 flush repeatedly carves the longest fusible prefix off the buffer, compiles a
 fused kernel for it, demotes temporaries to task-local buffers, and executes.
-Isomorphic windows replay memoized analysis results. The window grows
-adaptively: whenever an entire flushed buffer fuses into one task, the window
-doubles up to MAX_WINDOW, so long chains reach steady state after a few rounds.
+An isomorphic window replays the memoized analysis of its whole flush from
+one lookup. The window grows adaptively: whenever an entire flushed buffer
+fuses into one task, the window doubles up to MAX_WINDOW, so long chains
+reach steady state after a few rounds.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import logging
+from weakref import WeakKeyDictionary
 
 from .executor import (
     Builtin,
@@ -28,12 +30,22 @@ from .fusion import (
     ConstraintVerdict,
     build_fused_task,
     FusedTaskPlan,
+    fused_scalars,
     longest_fusible_prefix,
 )
-from .ir import Domain, IndexTask, Partition, Privilege, Store, StoreArg, sub_store_bounds
+from .ir import (
+    Domain,
+    IndexTask,
+    Partition,
+    Privilege,
+    Store,
+    StoreArg,
+    covers,
+    sub_store_bounds,
+)
 from .kernels import Kernel, KernelRegistry, arg_name, compose, count_memory_traffic
 from .kernels import default_registry, optimize
-from .memo import CanonicalStream, MemoCache, MemoEntry, canonicalize, extent_class
+from .memo import Carve, CanonicalStream, MemoCache, MemoEntry, canonicalize, extent_class
 from .oracle import DEFAULT_ORACLE_CAP, oracle_fusible
 from .temporaries import RefState, find_temporaries
 from . import trace as tracefmt
@@ -145,15 +157,36 @@ class Report:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentPlan:
     """One carved prefix: the task to run, the kernel it runs (None for a
-    builtin) and its argument positions demoted to task-local buffers."""
+    builtin), its argument positions demoted to task-local buffers, and the
+    verdicts that stopped it."""
 
     f: int
     task: IndexTask
     kernel: Kernel | None
     temp_positions: frozenset[int]
+    verdicts: Sequence[ConstraintVerdict] = ()
+
+    def carve(self, store_index: Callable[[int], int], part_index: Callable) -> Carve:
+        """This launch as a memo record, its stores and partitions mapped to
+        the canonical indices of a window that contains it."""
+        verdicts = tuple(v.rebind(store_index, part_index) for v in self.verdicts)
+        if self.f == 1:
+            return Carve(1, verdicts=verdicts)
+        args = tuple(
+            (store_index(a.store), part_index(a.partition), a.privilege) for a in self.task.args
+        )
+        return Carve(self.f, self.temp_positions, self.kernel, verdicts, self.task.kind, args)
+
+
+class ArgFacts(NamedTuple):
+    """What the analysis needs of one argument's partition."""
+
+    covers: bool
+    extent_class: object
+    extents: tuple[int, ...]  # of the sub-store at launch point 0
 
 
 class Session:
@@ -174,6 +207,9 @@ class Session:
         self.stats = AnalysisStats()
         self.window = self.config.window
         self.report = Report()
+        self._arg_facts: dict[tuple[tuple, Partition, tuple], ArgFacts] = {}
+        # per kernel, kept while the kernel lives: argument shapes -> traffic
+        self._traffic_counts: WeakKeyDictionary[Kernel, dict] = WeakKeyDictionary()
         self._buffer: list[IndexTask] = []
         self._finished = False
 
@@ -217,29 +253,54 @@ class Session:
         return self.report
 
     def live_store_ids(self) -> list[int]:
-        return sorted(s for s, n in self.refs.app_refs.items() if n > 0)
+        return sorted(self.refs.app_live)
 
     # --- window processing ---------------------------------------------------
 
     def _flush(self, explicit: bool) -> None:
+        """Carve the buffer into launches and run them.
+
+        With the memo on, each remainder is looked up until one hits. A key
+        fixes every later carve of its window, so the hit's entry replays all
+        carves from there to the end of the flush with no further lookup, and
+        counts one memo hit per replayed carve. At the end, every key that
+        missed gets an entry holding the carves from its position on; no
+        ``drop_ref`` can happen in between, so liveness stays as keyed.
+
+        An explicit flush of an empty buffer still ends an iteration: it
+        marks the capacity flush that emptied the buffer explicit.
+        """
         if not self._buffer:
+            if explicit and self.report.per_flush:
+                self.report.per_flush[-1].explicit = True
             return
         rem = self._buffer
         self._buffer = []
         fr = FlushReport(explicit=explicit, tasks_in=len(rem))
         steps0 = self.stats.constraint_steps
-        hits0, miss0 = self.memo.hits, self.memo.misses
+        memoize = self.config.fusion and self.config.memoize
+        plans: list[SegmentPlan] = []
+        missed: list[tuple[int, CanonicalStream, list[int], list[Partition]]] = []
         while rem:
-            plan = self._analyze(rem, fr)
-            self._execute(plan, fr)
-            for t in rem[: plan.f]:
-                for s in {a.store for a in t.args}:
-                    self.refs.release_runtime(s)
-                    self._maybe_free(s)
-            rem = rem[plan.f :]
+            if memoize:
+                key, sbind, pbind = canonicalize(rem, self.stores, self.refs.app_live, self._facts)
+                entry = self.memo.lookup(key)
+                if entry is not None:
+                    fr.memo_hits += len(entry.carves)
+                    for carve in entry.carves:
+                        plans.append(self._replay(rem, carve, sbind, pbind))
+                        rem = self._launch(rem, plans[-1], fr)
+                    break
+                missed.append((len(plans), key, sbind, pbind))
+            plans.append(self._analyze(rem))
+            rem = self._launch(rem, plans[-1], fr)
+        for at, key, sbind, pbind in missed:
+            sidx = {s: i for i, s in enumerate(sbind)}
+            pidx = {p: i for i, p in enumerate(pbind)}
+            carves = tuple(p.carve(sidx.__getitem__, pidx.__getitem__) for p in plans[at:])
+            self.memo.insert(key, MemoEntry(carves))
+        fr.memo_misses = len(missed)
         fr.constraint_steps = self.stats.constraint_steps - steps0
-        fr.memo_hits = self.memo.hits - hits0
-        fr.memo_misses = self.memo.misses - miss0
         if fr.tasks_in > 1 and fr.tasks_out == 1:
             self.window = min(self.window * 2, MAX_WINDOW)
         log.debug(
@@ -252,56 +313,67 @@ class Session:
         )
         self.report.add(fr)
 
-    def _analyze(self, rem: list[IndexTask], fr: FlushReport) -> SegmentPlan:
-        """Carve the next prefix off ``rem``: replayed on a memo hit, else
-        analysed, compiled and memoized."""
+    def _analyze(self, rem: list[IndexTask]) -> SegmentPlan:
+        """Analyse, compile and plan the longest fusible prefix of ``rem``."""
         if not self.config.fusion:
-            return self._plan(rem, 1, None, frozenset())
-        key: CanonicalStream | None = None
-        if self.config.memoize:
-            live = {s for s, n in self.refs.app_refs.items() if n > 0}
-            key, sbind, pbind = canonicalize(rem, self.stores, live)
-            entry = self.memo.lookup(key)
-            if entry is not None:
-                fr.verdicts.extend(
-                    v.rebind(sbind.__getitem__, pbind.__getitem__) for v in entry.verdicts
-                )
-                return self._plan(rem, entry.prefix_len, entry.kernel, entry.temp_arg_positions)
+            return self._single(rem[0])
         f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
-        fr.verdicts.extend(verdicts)
-        kernel, positions, fused = None, frozenset(), None
-        if f > 1:
-            temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
-            fused = build_fused_task(rem, f, self.registry)
-            positions = frozenset(j for j, a in enumerate(fused.fused_task.args) if a.store in temps)
-            kernel = self._compile(rem[:f], fused, positions)
-            if self.config.oracle_check:
-                self._cross_check(rem[:f])
-        if key is not None:
-            sidx = {s: i for i, s in enumerate(sbind)}
-            pidx = {p: i for i, p in enumerate(pbind)}
-            canonical = tuple(v.rebind(sidx.__getitem__, pidx.__getitem__) for v in verdicts)
-            self.memo.insert(key, MemoEntry(f, positions, kernel, canonical))
-        return self._plan(rem, f, kernel, positions, fused)
+        if f == 1:
+            return self._single(rem[0], verdicts)
+        temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
+        fused = build_fused_task(rem, f, self.registry)
+        task = fused.fused_task
+        positions = frozenset(j for j, a in enumerate(task.args) if a.store in temps)
+        kernel = self._compile(rem[:f], fused, positions)
+        if self.config.oracle_check:
+            self._cross_check(rem[:f])
+        return SegmentPlan(f, task, kernel, positions, verdicts)
 
-    def _plan(
-        self,
-        rem: list[IndexTask],
-        f: int,
-        kernel: Kernel | None,
-        positions: frozenset[int],
-        fused: FusedTaskPlan | None = None,
+    def _replay(
+        self, rem: list[IndexTask], carve: Carve, sbind: list[int], pbind: list[Partition]
     ) -> SegmentPlan:
-        """The launch of ``rem[:f]``, whether its analysis was replayed or
-        fresh. A fused prefix runs ``kernel`` (built by the caller when it has
-        ``fused`` at hand); a single task runs its generated kernel, or a
-        builtin when its kind has no generator."""
-        if f > 1:
-            fused = fused or build_fused_task(rem, f, self.registry)
-            return SegmentPlan(f, fused.fused_task, kernel, positions)
-        task = rem[0]
+        """Plan a memoized carve over the head of ``rem``. The bindings map the
+        carve's canonical indices to the stores and partitions of the window
+        that was looked up; the launch domain and scalars come from ``rem``."""
+        verdicts = [v.rebind(sbind.__getitem__, pbind.__getitem__) for v in carve.verdicts]
+        f = carve.prefix_len
+        if f == 1:
+            return self._single(rem[0], verdicts)
+        prefix = rem[:f]
+        args = tuple(StoreArg(sbind[s], pbind[p], pr) for s, p, pr in carve.fused_args)
+        task = IndexTask(carve.fused_kind, prefix[0].domain, args, fused_scalars(prefix))
+        return SegmentPlan(f, task, carve.kernel, carve.temp_arg_positions, verdicts)
+
+    def _single(self, task: IndexTask, verdicts: Sequence[ConstraintVerdict] = ()) -> SegmentPlan:
+        """A task launched alone runs its generated kernel, or a builtin when
+        its kind has no generator."""
         kernel = self.registry.generate(task) if self.registry.has(task.kind) else None
-        return SegmentPlan(1, task, kernel, frozenset())
+        return SegmentPlan(1, task, kernel, frozenset(), verdicts)
+
+    def _launch(self, rem: list[IndexTask], plan: SegmentPlan, fr: FlushReport) -> list[IndexTask]:
+        """Run ``plan`` in place of the head of ``rem`` and return the rest."""
+        fr.verdicts.extend(plan.verdicts)
+        self._execute(plan, fr)
+        for t in rem[: plan.f]:
+            for s in {a.store for a in t.args}:
+                self.refs.release_runtime(s)
+                self._maybe_free(s)
+        return rem[plan.f :]
+
+    def _facts(self, store: Store, part: Partition, launch: Domain) -> ArgFacts:
+        """One argument's coverage, extent class and point-0 sub-store extents,
+        worked out once per distinct (store shape, partition, launch domain)."""
+        key = (store.shape.extents, part, launch.extents)
+        facts = self._arg_facts.get(key)
+        if facts is None:
+            p0 = (0,) * launch.rank
+            facts = ArgFacts(
+                covers(store, part, launch),
+                extent_class(store, part, launch),
+                sub_store_bounds(store, part, p0).bounds.extents,
+            )
+            self._arg_facts[key] = facts
+        return facts
 
     def _compile(
         self, prefix: Sequence[IndexTask], plan0: FusedTaskPlan, temp_positions: frozenset[int]
@@ -311,7 +383,7 @@ class Session:
         class_ids: dict[object, int] = {}
         classes: dict[int, int] = {}
         for j, a in enumerate(fused.args):
-            cls = extent_class(self.stores[a.store], a.partition, fused.domain)
+            cls = self._facts(self.stores[a.store], a.partition, fused.domain).extent_class
             classes[j] = class_ids.setdefault(cls, len(class_ids))
         return optimize(compose(kernels, plan0.arg_map, temp_positions, classes, len(fused.args)))
 
@@ -343,16 +415,19 @@ class Session:
         """Static whole-launch element traffic, using the first point's extents.
 
         Edge tiles of clamped partitions may differ; the count is exact for
-        uniform tilings and an approximation otherwise.
+        uniform tilings and an approximation otherwise. The per-point count is
+        worked out once per kernel and tuple of argument shapes.
         """
-        p0 = tuple(0 for _ in range(task.domain.rank))
-        shapes: dict[str, tuple[int, ...]] = {}
-        for j, a in enumerate(task.args):
-            sub = sub_store_bounds(self.stores[a.store], a.partition, p0)
-            shapes[arg_name(j, j in temp_positions)] = sub.bounds.extents
-        loads, stores = count_memory_traffic(kernel, shapes)
+        shapes = tuple(
+            self._facts(self.stores[a.store], a.partition, task.domain).extents for a in task.args
+        )
+        by_shapes = self._traffic_counts.setdefault(kernel, {})
+        counts = by_shapes.get(shapes)
+        if counts is None:
+            named = {arg_name(j, j in temp_positions): e for j, e in enumerate(shapes)}
+            counts = by_shapes[shapes] = count_memory_traffic(kernel, named)
         vol = task.domain.volume
-        return loads * vol, stores * vol
+        return counts[0] * vol, counts[1] * vol
 
     def _maybe_free(self, store_id: int) -> None:
         if not self.refs.live(store_id):

@@ -20,24 +20,33 @@ class RefUnderflowError(ValueError):
 
 @dataclass
 class RefState:
-    """Split reference counts: application-held vs. runtime-held (buffered tasks)."""
+    """Split reference counts: application-held vs. runtime-held (buffered tasks).
+
+    ``app_live`` is the set of stores the application holds, kept as counts
+    cross zero so that reading it never scans every store ever created.
+    """
 
     app_refs: dict[int, int] = field(default_factory=dict)
     runtime_refs: dict[int, int] = field(default_factory=dict)
+    app_live: set[int] = field(default_factory=set)
 
     def create(self, store_id: int) -> None:
         if store_id in self.app_refs:
             raise ValueError(f"store id {store_id} already created")
         self.app_refs[store_id] = 1
+        self.app_live.add(store_id)
 
     def add_app_ref(self, store_id: int) -> None:
         self.app_refs[store_id] = self.app_refs.get(store_id, 0) + 1
+        self.app_live.add(store_id)
 
     def drop_app_ref(self, store_id: int) -> None:
         n = self.app_refs.get(store_id, 0)
         if n <= 0:
             raise RefUnderflowError(f"application reference underflow on store {store_id}")
         self.app_refs[store_id] = n - 1
+        if n == 1:
+            self.app_live.discard(store_id)
 
     def acquire_runtime(self, store_id: int) -> None:
         self.runtime_refs[store_id] = self.runtime_refs.get(store_id, 0) + 1
@@ -49,7 +58,7 @@ class RefState:
         self.runtime_refs[store_id] = n - 1
 
     def live(self, store_id: int) -> bool:
-        return self.app_refs.get(store_id, 0) > 0 or self.runtime_refs.get(store_id, 0) > 0
+        return store_id in self.app_live or self.runtime_refs.get(store_id, 0) > 0
 
 
 def find_temporaries(
@@ -68,7 +77,7 @@ def find_temporaries(
     candidates = {a.store for t in prefix for a in t.args}
     result: set[int] = set()
     for s in candidates:
-        if refs.app_refs.get(s, 0) > 0:
+        if s in refs.app_live:
             continue
         if any(
             a.store == s and (a.privilege.is_read or a.privilege.is_reduce)

@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from diffusekit.ir import Domain, NonePart, Store
 from diffusekit.kernels import Kernel
 from diffusekit.memo import (
+    Carve,
     MemoCache,
     MemoEntry,
     canon_text,
     canonicalize,
     extent_class,
 )
+from diffusekit.pipeline import Session, SessionConfig, run_events
+from diffusekit.trace import BENCHMARKS, gen_benchmark
 from helpers import R, RD, RW, W, store_table, task, tiling
+from stream_fuzz import corpus, run_stream
 
 
 def _swap_stream(a, b, c):
@@ -133,7 +139,7 @@ class TestMemoCache:
         cache = MemoCache()
         key, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
         assert cache.lookup(key) is None
-        cache.insert(key, MemoEntry(prefix_len=2))
+        cache.insert(key, MemoEntry((Carve(2),)))
         entry = cache.lookup(key)
         assert entry is not None and entry.prefix_len == 2
         assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
@@ -141,8 +147,8 @@ class TestMemoCache:
     def test_insert_is_idempotent(self):
         cache = MemoCache()
         key, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
-        cache.insert(key, MemoEntry(prefix_len=2))
-        cache.insert(key, MemoEntry(prefix_len=4))
+        cache.insert(key, MemoEntry((Carve(2),)))
+        cache.insert(key, MemoEntry((Carve(4),)))
         assert cache.lookup(key).prefix_len == 2
 
     def test_isomorphic_window_hits(self):
@@ -152,6 +158,49 @@ class TestMemoCache:
         k3, _, _ = canonicalize(
             _swap_stream_variant(0, 1, 2), _stores([0, 1, 2]), set()
         )
-        cache.insert(k1, MemoEntry(prefix_len=4))
+        cache.insert(k1, MemoEntry((Carve(4),)))
         assert cache.lookup(k2) is not None
         assert cache.lookup(k3) is None
+
+
+class TestReplayEqualsFreshAnalysis:
+    """A memo hit replays every carve of its flush; the results must be those
+    of analysing every window afresh."""
+
+    @staticmethod
+    def _outcome(session, live_ids):
+        report = session.report
+        return (
+            report.fused_prefixes,
+            report.temporaries_eliminated,
+            report.to_json()["verdicts"],
+            [fr.kernel_stats for fr in report.per_flush],
+            (report.loads, report.stores),
+            session.heap.digest(live_ids) if session.config.execute else None,
+        )
+
+    @pytest.mark.parametrize("execute", [False, True])
+    @pytest.mark.parametrize("window", [2, 10, 67])
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_benchmarks(self, name, window, execute):
+        events = gen_benchmark(name, iters=4)
+        outcomes, hits = [], []
+        for memoize in (True, False):
+            session = Session(SessionConfig(window=window, memoize=memoize, execute=execute))
+            hits.append(run_events(session, events).memo_hits)
+            outcomes.append(self._outcome(session, session.live_store_ids()))
+        assert hits[0] > 0 and hits[1] == 0
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("window", [2, 10])
+    def test_fuzz_corpus(self, window):
+        hits = 0
+        for stream in corpus(200):
+            outcomes = []
+            for memoize in (True, False):
+                session = run_stream(stream, SessionConfig(window=window, memoize=memoize))
+                hits += session.report.memo_hits
+                outcomes.append(self._outcome(session, stream.live_ids))
+            assert outcomes[0] == outcomes[1], f"stream seed {stream.seed}"
+        # a stream of 3 to 7 tasks repeats a window only when windows are short
+        assert hits > 0 if window == 2 else hits == 0

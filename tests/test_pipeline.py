@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from diffusekit import pipeline
 from diffusekit.executor import heap_diff
 from diffusekit.kernels import KernelRegistry
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
@@ -106,6 +109,57 @@ class TestOtherBenchmarks:
         fused, _ = _run(name, SessionConfig(), iters=3)
         plain, _ = _run(name, SessionConfig(fusion=False), iters=3)
         assert heap_diff(fused.heap, plain.heap, fused.live_store_ids()) == []
+
+
+class TestAnalysisCost:
+    """Call counts of the analysis steps, wrapped in the pipeline module as a
+    tracer wraps them. They are sizes, not times."""
+
+    @staticmethod
+    def _counted(monkeypatch, iters):
+        session = Session(SessionConfig(execute=False))
+        lookups = Counter()  # flush index -> canonicalize calls
+        prefixes, builds, bounds = [], [], []
+
+        def wrap(name, record):
+            fn = getattr(pipeline, name)
+
+            def counted(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                record(result)
+                return result
+
+            monkeypatch.setattr(pipeline, name, counted)
+
+        wrap("canonicalize", lambda _: lookups.update([len(session.report.per_flush)]))
+        wrap("longest_fusible_prefix", lambda result: prefixes.append(result[0]))
+        wrap("build_fused_task", builds.append)
+        wrap("sub_store_bounds", bounds.append)
+        report = run_events(session, gen_benchmark("cg_like", iters=iters))
+        return session, report, lookups, prefixes, builds, bounds
+
+    def test_one_lookup_per_flush_once_warm(self, monkeypatch):
+        _, report, lookups, *_ = self._counted(monkeypatch, 40)
+        for i, fr in enumerate(report.per_flush):
+            # a flush looks up each missed remainder, and one that hits
+            assert lookups[i] == fr.memo_misses + (fr.memo_hits > 0)
+        warm = [i for i, fr in enumerate(report.per_flush) if fr.memo_misses]
+        assert warm == [0, 1, 2]  # window growth, then the first full iteration
+        assert all(lookups[i] == 1 for i in range(3, len(report.per_flush)))
+        assert sum(lookups.values()) <= len(report.per_flush) + report.memo_misses
+
+    def test_fused_task_built_only_for_fused_misses(self, monkeypatch):
+        _, report, _, prefixes, builds, _ = self._counted(monkeypatch, 40)
+        assert len(prefixes) == report.memo_misses
+        assert len(builds) == sum(f > 1 for f in prefixes) > 0
+
+    def test_sub_store_bounds_once_per_argument_shape(self, monkeypatch):
+        session, report, *_, bounds = self._counted(monkeypatch, 40)
+        assert len(bounds) == len(session._arg_facts) < report.tasks_out
+
+    def test_argument_facts_do_not_grow_with_the_stream(self, monkeypatch):
+        sizes = [len(self._counted(monkeypatch, n)[0]._arg_facts) for n in (50, 200)]
+        assert sizes[0] == sizes[1] > 0
 
 
 class TestSessionLifecycle:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from diffusekit.ir import NonePart
@@ -39,6 +41,23 @@ class TestRefState:
         assert not refs.live(0)
         with pytest.raises(RefUnderflowError):
             refs.release_runtime(0)
+
+
+    def test_app_live_follows_app_counts(self):
+        rng = random.Random(3)
+        refs = RefState()
+        for step in range(500):
+            op = rng.choice(["create", "add", "drop", "drop"])
+            if op == "create":
+                refs.create(step)
+            elif refs.app_refs:
+                s = rng.choice(sorted(refs.app_refs))
+                if op == "add":
+                    refs.add_app_ref(s)
+                elif refs.app_refs[s]:
+                    refs.drop_app_ref(s)
+            assert refs.app_live == {s for s, n in refs.app_refs.items() if n > 0}
+        assert refs.app_live and len(refs.app_live) < len(refs.app_refs)
 
 
 def _chain_scenario():

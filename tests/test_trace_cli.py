@@ -182,9 +182,15 @@ class TestCli:
         path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
         return str(path)
 
-    def _canon_blocks(self, path, capsys):
+    @staticmethod
+    def _canon_lookups(path, capsys):
+        """(hit or miss, canonical text) per memo lookup that canon prints."""
         assert main(["canon", path]) == 0
         blocks = [b for b in capsys.readouterr().out.strip().split("\n\n") if b]
+        return [tuple(b.split("\n", 1)) for b in blocks]
+
+    def _canon_blocks(self, path, capsys):
+        blocks = [text for _, text in self._canon_lookups(path, capsys)]
         assert len(blocks) == 2
         return blocks
 
@@ -203,6 +209,18 @@ class TestCli:
         assert "(0,0,R) covers k0" in blocks[0]
         assert main(["analyze", path]) == 0
         assert "memo: 0 hits, 2 misses" in capsys.readouterr().out
+
+    def test_canon_prints_every_lookup(self, tmp_path, capsys):
+        # the first window misses, and so does the COPY remainder carved off
+        # it; the later windows hit and replay both carves without a lookup
+        path = tmp_path / "stencil3.trace"
+        path.write_text(print_trace(gen_benchmark("stencil", iters=3)))
+        lookups = self._canon_lookups(str(path), capsys)
+        assert [mark for mark, _ in lookups] == ["miss", "miss", "hit", "hit"]
+        window, remainder = lookups[0][1], lookups[1][1]
+        assert len(window.splitlines()) == 7  # six tasks and the live line
+        assert len(remainder.splitlines()) == 2 and " COPY " in remainder
+        assert lookups[2][1] == lookups[3][1] == window
 
     def test_analyze_gives_a_stop_reason_for_memo_hits(self, tmp_path, capsys):
         path = tmp_path / "stencil3.trace"
@@ -231,3 +249,9 @@ class TestCli:
         assert result["tasks_per_iter_in"] == 3
         assert result["tasks_per_iter_fused"] == 2
         assert result["traffic_reduction"] >= 1.0
+
+    def test_bench_report_keeps_iterations_apart(self):
+        # at window 67 each iteration fills the buffer, so the capacity flush
+        # empties it and the iteration's explicit flush finds nothing to do
+        result = bench_report("blackscholes_chain", window=67)
+        assert result["per_iteration"] == [(67, 1)] * 4
