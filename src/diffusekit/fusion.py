@@ -74,8 +74,8 @@ class PrefixTracker:
         self.domain: Domain | None = None
         self.written: dict[int, list[Partition]] = {}
         self.read: dict[int, list[Partition]] = {}
-        self.reduced_by: dict[int, set[int]] = {}
-        self.readwrite_by: dict[int, set[int]] = {}
+        self.reduced: set[int] = set()
+        self.read_or_written: set[int] = set()
 
     def admit(self, task: IndexTask, index: int, stats: AnalysisStats) -> ConstraintVerdict | None:
         """Check all constraints for appending ``task``; apply effects on success."""
@@ -95,8 +95,7 @@ class PrefixTracker:
                         return ConstraintVerdict(
                             FusionConstraint.TRUE_DEP, index, s, (p, arg.partition)
                         )
-                others = self.reduced_by.get(s, set()) - {index}
-                if others:
+                if s in self.reduced:
                     return ConstraintVerdict(FusionConstraint.REDUCTION, index, s)
             if arg.privilege.is_write:
                 for p in self.read.get(s, ()):
@@ -105,15 +104,9 @@ class PrefixTracker:
                         return ConstraintVerdict(
                             FusionConstraint.ANTI_DEP, index, s, (p, arg.partition)
                         )
-            if arg.privilege.is_reduce:
-                others = self.readwrite_by.get(s, set()) - {index}
-                if others:
-                    return ConstraintVerdict(FusionConstraint.REDUCTION, index, s)
+            if arg.privilege.is_reduce and s in self.read_or_written:
+                return ConstraintVerdict(FusionConstraint.REDUCTION, index, s)
 
-        self._apply(task, index)
-        return None
-
-    def _apply(self, task: IndexTask, index: int) -> None:
         for arg in task.args:
             s = arg.store
             if arg.privilege.is_write:
@@ -125,9 +118,9 @@ class PrefixTracker:
                 if not any(partition_eq(p, arg.partition) for p in parts):
                     parts.append(arg.partition)
             if arg.privilege.is_read or arg.privilege.is_write:
-                self.readwrite_by.setdefault(s, set()).add(index)
+                self.read_or_written.add(s)
             if arg.privilege.is_reduce:
-                self.reduced_by.setdefault(s, set()).add(index)
+                self.reduced.add(s)
 
 
 def longest_fusible_prefix(
@@ -198,25 +191,22 @@ def build_fused_task(tasks: Sequence[IndexTask], f: int, registry: KernelRegistr
         if not registry.has(t.kind):
             raise ValueError(f"internal error: task kind {t.kind!r} has no generator")
 
-    order: list[tuple[int, Partition]] = []
-    privs: dict[tuple[int, Partition], Privilege] = {}
+    # (store, partition) -> (fused argument position, joined privilege)
+    args: dict[tuple[int, Partition], tuple[int, Privilege]] = {}
     arg_map: list[tuple[int, ...]] = []
     for t in prefix:
         positions = []
         for a in t.args:
             key = (a.store, a.partition)
-            if key not in privs:
-                privs[key] = a.privilege
-                order.append(key)
-            else:
-                privs[key] = join_privileges(privs[key], a.privilege)
-            positions.append(order.index(key))
+            j, priv = args.get(key, (len(args), None))
+            args[key] = (j, a.privilege if priv is None else join_privileges(priv, a.privilege))
+            positions.append(j)
         arg_map.append(tuple(positions))
 
     fused = IndexTask(
         fused_kind_name([t.kind for t in prefix]),
         prefix[0].domain,
-        tuple(StoreArg(s, p, privs[(s, p)]) for s, p in order),
+        tuple(StoreArg(s, p, priv) for (s, p), (_, priv) in args.items()),
         fused_scalars(prefix),
     )
     return FusedTaskPlan(f, fused, tuple(arg_map))

@@ -16,8 +16,11 @@ a named buffer, and concrete shapes are bound only at interpretation time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import count
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,6 +136,12 @@ class Kernel:
     # buffer name -> hashable iteration-domain class; nests merge only within a class
     shape_class: Mapping[str, object] = field(default_factory=dict)
 
+    @cached_property
+    def plans(self) -> tuple["_NestPlan", ...]:
+        """Each nest compiled for ``interpret``, once per kernel."""
+        priv = {p.name: p.privilege for p in self.buf_params}
+        return tuple(_compile_nest(nest, priv) for nest in self.nests)
+
 
 # --- expression / statement walking ----------------------------------------
 
@@ -233,134 +242,73 @@ def _arg_rank(task: IndexTask, i: int) -> int:
     return task.domain.rank
 
 
-def _elementwise(task: IndexTask, out: int, expr: Expr) -> Kernel:
-    rank = _arg_rank(task, out)
-    nest = LoopNest(arg_name(out), rank, (StoreStmt(arg_name(out), expr),))
-    return Kernel(
-        _params(task),
-        tuple(ScalarParam(f"s{k}") for k in range(len(task.scalars))),
-        (),
-        (nest,),
-    )
+def _template(
+    nargs: int, out: int, body: Callable, nscalars: int | None = None, reduce: bool = False
+) -> Generator:
+    """The generator of one nest holding one statement that stores ``body(ld)``
+    into argument ``out``, or sum-accumulates it there for a reduction. The
+    nest iterates over argument ``out``, or 0 for a reduction, at its rank;
+    ``ld(i)`` loads argument i at that rank and ``ld(i, 0)`` whole."""
 
-
-def _ld(i: int, rank: int) -> Load:
-    return Load(arg_name(i), rank)
-
-
-def _binary_gen(op: str) -> Generator:
     def gen(task: IndexTask) -> Kernel:
-        _arity(task, 3)
-        r = _arg_rank(task, 2)
-        return _elementwise(task, 2, Bin(op, _ld(0, r), _ld(1, r)))
+        _arity(task, nargs, nscalars)
+        over = 0 if reduce else out
+        rank = _arg_rank(task, over)
+
+        def ld(i: int, r: int = rank) -> Load:
+            return Load(arg_name(i), r)
+
+        stmt = (ReduceStmt if reduce else StoreStmt)(arg_name(out), body(ld))
+        return Kernel(
+            _params(task),
+            tuple(ScalarParam(f"s{k}") for k in range(len(task.scalars))),
+            (),
+            (LoopNest(arg_name(over), rank, (stmt,)),),
+        )
 
     return gen
 
 
-def _gen_mult(task: IndexTask) -> Kernel:
-    if len(task.args) == 2:
-        _arity(task, 2, 1)
-        r = _arg_rank(task, 1)
-        return _elementwise(task, 1, Bin("*", ScalarRef("s0"), _ld(0, r)))
-    _arity(task, 3)
-    r = _arg_rank(task, 2)
-    return _elementwise(task, 2, Bin("*", _ld(0, r), _ld(1, r)))
+_S0 = ScalarRef("s0")  # the first scalar
 
 
-def _gen_pow(task: IndexTask) -> Kernel:
-    if len(task.args) == 2:
-        _arity(task, 2, 1)
-        r = _arg_rank(task, 1)
-        return _elementwise(task, 1, Bin("**", _ld(0, r), ScalarRef("s0")))
-    _arity(task, 3)
-    r = _arg_rank(task, 2)
-    return _elementwise(task, 2, Bin("**", _ld(0, r), _ld(1, r)))
+def _binary(op: str) -> Generator:
+    return _template(3, 2, lambda ld: Bin(op, ld(0), ld(1)))
 
 
-def _gen_copy(task: IndexTask) -> Kernel:
-    _arity(task, 2)
-    r = _arg_rank(task, 1)
-    return _elementwise(task, 1, _ld(0, r))
+def _by_nargs(two: Generator, three: Generator) -> Generator:
+    return lambda task: (two if len(task.args) == 2 else three)(task)
 
 
-def _gen_neg(task: IndexTask) -> Kernel:
-    _arity(task, 2)
-    r = _arg_rank(task, 1)
-    return _elementwise(task, 1, Un("neg", _ld(0, r)))
+def _ratio(ld: Callable[..., Load]) -> Expr:
+    # num / den of the ratio kinds, with args (x: R, y: RW, num: R, den: R)
+    return Bin("/", ld(2, 0), ld(3, 0))
 
 
-def _gen_fill(task: IndexTask) -> Kernel:
-    _arity(task, 1, 1)
-    r = _arg_rank(task, 0)
-    return _elementwise(task, 0, ScalarRef("s0"))
-
-
-def _gen_axpy(task: IndexTask) -> Kernel:
+_GENERATORS: dict[str, Generator] = {
+    "ADD": _binary("+"),
+    "SUB": _binary("-"),
+    "DIV": _binary("/"),
+    "MIN": _binary("min"),
+    "MAX": _binary("max"),
+    "MULT": _by_nargs(_template(2, 1, lambda ld: Bin("*", _S0, ld(0)), 1), _binary("*")),
+    "POW": _by_nargs(_template(2, 1, lambda ld: Bin("**", ld(0), _S0), 1), _binary("**")),
+    "COPY": _template(2, 1, lambda ld: ld(0)),
+    "NEG": _template(2, 1, lambda ld: Un("neg", ld(0))),
+    "FILL": _template(1, 0, lambda ld: _S0, 1),
     # y = y + s * x with args (x: R, y: RW)
-    _arity(task, 2, 1)
-    r = _arg_rank(task, 1)
-    return _elementwise(task, 1, Bin("+", _ld(1, r), Bin("*", ScalarRef("s0"), _ld(0, r))))
-
-
-def _reduction(task: IndexTask, acc: int, expr: Expr) -> Kernel:
-    rank = _arg_rank(task, 0)
-    nest = LoopNest(arg_name(0), rank, (ReduceStmt(arg_name(acc), expr),))
-    return Kernel(
-        _params(task),
-        tuple(ScalarParam(f"s{k}") for k in range(len(task.scalars))),
-        (),
-        (nest,),
-    )
-
-
-def _gen_dot(task: IndexTask) -> Kernel:
-    _arity(task, 3)
-    r = _arg_rank(task, 0)
-    return _reduction(task, 2, Bin("*", _ld(0, r), _ld(1, r)))
-
-
-def _gen_sum(task: IndexTask) -> Kernel:
-    _arity(task, 2)
-    return _reduction(task, 1, _ld(0, _arg_rank(task, 0)))
-
-
-def _ratio_update(sign: str) -> Generator:
-    # y = y +/- (num / den) * x with args (x: R, y: RW, num: R, den: R)
-    def gen(task: IndexTask) -> Kernel:
-        _arity(task, 4)
-        r = _arg_rank(task, 1)
-        ratio = Bin("/", _ld(2, 0), _ld(3, 0))
-        return _elementwise(task, 1, Bin(sign, _ld(1, r), Bin("*", ratio, _ld(0, r))))
-
-    return gen
-
-
-def _gen_xpby_ratio(task: IndexTask) -> Kernel:
-    # p = r + (num / den) * p with args (r: R, p: RW, num: R, den: R)
-    _arity(task, 4)
-    r = _arg_rank(task, 1)
-    ratio = Bin("/", _ld(2, 0), _ld(3, 0))
-    return _elementwise(task, 1, Bin("+", _ld(0, r), Bin("*", ratio, _ld(1, r))))
+    "AXPY": _template(2, 1, lambda ld: Bin("+", ld(1), Bin("*", _S0, ld(0))), 1),
+    "DOT": _template(3, 2, lambda ld: Bin("*", ld(0), ld(1)), reduce=True),
+    "SUM": _template(2, 1, lambda ld: ld(0), reduce=True),
+    "AXPY_RATIO": _template(4, 1, lambda ld: Bin("+", ld(1), Bin("*", _ratio(ld), ld(0)))),
+    "AXMY_RATIO": _template(4, 1, lambda ld: Bin("-", ld(1), Bin("*", _ratio(ld), ld(0)))),
+    "XPBY_RATIO": _template(4, 1, lambda ld: Bin("+", ld(0), Bin("*", _ratio(ld), ld(1)))),
+}
 
 
 def default_registry() -> KernelRegistry:
     reg = KernelRegistry()
-    reg.register("ADD", _binary_gen("+"))
-    reg.register("SUB", _binary_gen("-"))
-    reg.register("DIV", _binary_gen("/"))
-    reg.register("MIN", _binary_gen("min"))
-    reg.register("MAX", _binary_gen("max"))
-    reg.register("MULT", _gen_mult)
-    reg.register("POW", _gen_pow)
-    reg.register("COPY", _gen_copy)
-    reg.register("NEG", _gen_neg)
-    reg.register("FILL", _gen_fill)
-    reg.register("AXPY", _gen_axpy)
-    reg.register("DOT", _gen_dot)
-    reg.register("SUM", _gen_sum)
-    reg.register("AXPY_RATIO", _ratio_update("+"))
-    reg.register("AXMY_RATIO", _ratio_update("-"))
-    reg.register("XPBY_RATIO", _gen_xpby_ratio)
+    reg._gens.update(_GENERATORS)
     return reg
 
 
@@ -587,33 +535,79 @@ _BIN_OPS = {
 }
 
 
-def _plan_nest(body: Sequence[Stmt]) -> tuple[list[int], dict[int, str]]:
-    """Per statement, the reads of the value it sets; and the SetTemps that may
-    compute directly in a store's slab, mapped to that store.
+class _NestPlan(NamedTuple):
+    """A compiled nest: ops over registers holding its buffers, scalars and slots."""
 
-    A chain of single-read temps ending in ``StoreStmt D`` may live in D's
-    slab when D is written once in the nest and read by no statement up to and
-    including that store: until then D's contents are dead. Each link is the
-    first single-read temp its successor reads.
+    inputs: tuple[tuple[int, str, bool], ...]  # (register, name, is a scalar)
+    slabs: tuple[tuple[str, int], ...]  # (store, the slot of its chain)
+    nregs: int
+    ops: tuple[tuple[Callable, tuple[int, ...], int, bool], ...]
+
+    def run(self, env: Mapping[str, np.ndarray], scalars: Mapping[str, float]) -> None:
+        regs: list = [None] * self.nregs
+        for r, name, is_scalar in self.inputs:
+            regs[r] = (scalars if is_scalar else env)[name]
+        for name, r in self.slabs:
+            slab = env[name]
+            if not any(o != name and np.may_share_memory(slab, a) for o, a in env.items()):
+                regs[r] = slab
+        for fn, srcs, dst, into in self.ops:
+            args = [regs[i] for i in srcs]
+            out = regs[dst]
+            if not into:  # reuse the slot's array if the result has its shape
+                shape = out.shape if isinstance(out, np.ndarray) else None
+                shapes = {getattr(a, "shape", ()) for a in args}
+                if shape not in shapes or not shapes <= {shape, ()}:
+                    out = None
+            regs[dst] = fn(*args, out=out)
+
+
+def _assign(val: object, out: np.ndarray) -> np.ndarray:
+    if val is not out:
+        out[...] = val
+    return out
+
+
+def _reduce(val: object, domain: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out[()] += np.sum(val) if np.ndim(val) else val * np.prod(domain.shape)
+    return out
+
+
+def _copy_if_shared(val: object, *written: np.ndarray, out: None = None) -> object:
+    shared = isinstance(val, np.ndarray) and any(np.may_share_memory(val, w) for w in written)
+    return val.copy() if shared else val
+
+
+def _compile_nest(nest: LoopNest, priv: Mapping[str, Privilege]) -> _NestPlan:
+    """Compile a nest into ops in evaluation order.
+
+    An op ``(fn, sources, dst, into)`` runs ``regs[dst] = fn(*sources,
+    out=...)``. Each Bin/Un is one op. A store's root op writes into its
+    target (``into``); any other op into a slot whose value had its last read
+    at this op or earlier, else a new one, with the slot's array as out if it
+    has the result's shape. A temp set to a load, scalar or temp names that
+    operand, but a bare load with a write after it is a copy op, which
+    copies if the two share memory.
+
+    A chain of single-read temps ending in ``StoreStmt D`` shares one slot,
+    which starts as D's slab, when D is written once in the nest and read by
+    no statement up to and including that store: until then D's contents are
+    dead. Each link is the first single-read temp its successor reads. The
+    slot starts empty if another bound buffer shares D's memory. A store or
+    reduction through a param that forbids it raises here, before any op runs.
     """
-    reads = [0] * len(body)
+    body = nest.body
+    reads = [0] * len(body)  # per SetTemp, the reads of the value it sets
     sources: list[list[int]] = []
     defined: dict[str, int] = {}
     for i, s in enumerate(body):
-        srcs = [
-            defined[leaf.name]
-            for leaf in _leaves(s.expr)
-            if isinstance(leaf, TempRef) and leaf.name in defined
-        ]
+        srcs = [defined[x.name] for x in _leaves(s.expr) if isinstance(x, TempRef) and x.name in defined]
         for j in srcs:
             reads[j] += 1
         sources.append(srcs)
         if isinstance(s, SetTemp):
             defined[s.name] = i
-    writes: dict[str, int] = {}
-    for s in body:
-        if not isinstance(s, SetTemp):
-            writes[s.buf] = writes.get(s.buf, 0) + 1
+    writes = Counter(s.buf for s in body if not isinstance(s, SetTemp))
     chain: dict[int, str] = {}
     loaded: set[str] = set()
     for k, s in enumerate(body):
@@ -623,132 +617,90 @@ def _plan_nest(body: Sequence[Stmt]) -> tuple[list[int], dict[int, str]]:
         j: int | None = k
         while (j := next((src for src in sources[j] if reads[src] == 1), None)) is not None:
             chain[j] = s.buf
-    return reads, chain
 
+    new_reg = count().__next__
+    slabs = {buf: new_reg() for buf in dict.fromkeys(chain.values())}
+    inputs: dict[tuple[type, str], int] = {}
+    left: dict[int, int] = {}  # slot -> reads still due of its value; 0 when free
+    free: list[int] = []
+    temps: dict[str, int] = {}
+    ops: list[tuple[Callable, tuple[int, ...], int, bool]] = []
 
-def _spare(a, a_free: bool, b) -> np.ndarray | None:
-    """``a`` if it may receive the result of an elementwise op on (a, b)."""
-    if a_free and isinstance(a, np.ndarray) and (not isinstance(b, np.ndarray) or b.shape == a.shape):
-        return a
-    return None
+    def operand(*key) -> int:
+        if key not in inputs:
+            inputs[key] = new_reg()
+        return inputs[key]
 
+    def read(r: int) -> None:
+        if left.get(r):
+            left[r] -= 1
+            if not left[r]:
+                free.append(r)
 
-class _InPlace:
-    """Vectorized evaluation of one nest that reuses dead arrays.
+    def emit(fn: Callable, srcs: tuple[int, ...], dst=None, nreads=1, into=False) -> int:
+        for r in srcs:
+            read(r)
+        if dst is None:
+            dst = free.pop() if free else new_reg()
+        elif dst in free:
+            free.remove(dst)
+        ops.append((fn, srcs, dst, into))
+        if not into:
+            if nreads:
+                left[dst] = nreads
+            else:
+                free.append(dst)  # a value nothing reads
+        return dst
 
-    Values are ``(value, free)`` pairs; a free value is an array this
-    evaluation made and nothing will read again, so the op consuming it may
-    write its result there. A temp's array turns free at its last read and the
-    temp is released then; ``refs`` counts the reads still due through every
-    temp that names an array.
-    """
-
-    def __init__(self, env: Mapping[str, np.ndarray], scalars: Mapping[str, float]) -> None:
-        self.env = env
-        self.scalars = scalars
-        self.temps: dict[str, object] = {}
-        self.left: dict[str, int] = {}
-        self.refs: dict[int, int] = {}
-
-    def value(self, e: Expr, out: np.ndarray | None = None) -> tuple[object, bool]:
-        """Evaluate ``e``; a root op writes into ``out`` when one is given."""
-        if isinstance(e, Bin):
-            lhs, lf = self.value(e.lhs)
-            rhs, rf = self.value(e.rhs)
-            lf, rf = self.take(e.lhs, lhs, lf), self.take(e.rhs, rhs, rf)
-            if out is None:
-                out = _spare(lhs, lf, rhs)
-                if out is None:
-                    out = _spare(rhs, rf, lhs)
-            return _BIN_OPS[e.op](lhs, rhs, out=out), True
-        if isinstance(e, Un):
-            x, xf = self.value(e.x)
-            xf = self.take(e.x, x, xf)
-            return np.negative(x, out=out if out is not None else _spare(x, xf, None)), True
+    def value(e: Expr, dst: int | None = None, nreads: int = 1, into: bool = False) -> int:
         if isinstance(e, Load):
-            arr = self.env[e.buf]
-            return (arr[()] if arr.ndim == 0 else arr), False
+            return operand(Load, e.buf)
         if isinstance(e, ScalarRef):
-            return self.scalars[e.name], False
+            return operand(ScalarRef, e.name)
         if isinstance(e, TempRef):
-            return self.temps[e.name], False
+            return temps[e.name]
+        if isinstance(e, Bin):
+            return emit(_BIN_OPS[e.op], (value(e.lhs), value(e.rhs)), dst, nreads, into)
+        if isinstance(e, Un):
+            return emit(np.negative, (value(e.x),), dst, nreads, into)
         raise KernelError(f"unknown expression {e!r}")
 
-    def take(self, e: Expr, value: object, free: bool) -> bool:
-        """Consume one read of ``e``'s value; returns whether it is now free."""
-        if not isinstance(e, TempRef):
-            return free
-        left = self.left[e.name] - 1
-        if left:
-            self.left[e.name] = left
-        else:
-            del self.left[e.name], self.temps[e.name]
-        key = id(value)
-        n = self.refs.get(key)
-        if n is None:
-            return False
-        if n > 1:
-            self.refs[key] = n - 1
-            return False
-        del self.refs[key]
-        return True
-
-    def set_temp(self, name: str, value: object, free: bool, reads: int) -> None:
-        if not reads:
-            return
-        self.temps[name] = value
-        self.left[name] = reads
-        key = id(value)
-        if isinstance(value, np.ndarray) and (free or key in self.refs):
-            self.refs[key] = self.refs.get(key, 0) + reads
-
-
-def _run_nest(
-    nest: LoopNest,
-    env: Mapping[str, np.ndarray],
-    scalars: Mapping[str, float],
-    priv: Mapping[str, Privilege],
-) -> None:
-    """Run a nest statement by statement over whole buffers."""
-    reads, chain = _plan_nest(nest.body)
-    bounds = env[nest.domain].shape
-    # a chain target is scratch only if it is writable and nothing else bound
-    # to the kernel can see its memory
-    scratch = {
-        buf: env[buf]
-        for buf in set(chain.values())
-        if priv.get(buf, Privilege.READ_WRITE).is_write
-        and not any(o != buf and np.may_share_memory(env[buf], arr) for o, arr in env.items())
-    }
-    run = _InPlace(env, scalars)
-    for i, s in enumerate(nest.body):
-        if isinstance(s, SetTemp):
-            val, free = run.value(s.expr, scratch.get(chain.get(i, "")))
-            free = run.take(s.expr, val, free)
-            if isinstance(s.expr, Load) and isinstance(val, np.ndarray) and any(
-                not isinstance(t, SetTemp) and np.may_share_memory(val, env[t.buf])
-                for t in nest.body[i + 1 :]
-            ):
-                # a view of a buffer written later: keep the values it has now
-                val, free = val.copy(), True
-            run.set_temp(s.name, val, free, reads[i])
-        elif isinstance(s, StoreStmt):
-            if not priv.get(s.buf, Privilege.READ_WRITE).is_write and s.buf in priv:
-                raise PrivilegeViolationError(f"store to read-only param {s.buf}")
-            target = env[s.buf]
-            if isinstance(s.expr, (Bin, Un)):
-                run.value(s.expr, target)
+    for i, s in enumerate(body):
+        if not isinstance(s, SetTemp):
+            p = priv.get(s.buf, Privilege.READ_WRITE)
+            reduce = isinstance(s, ReduceStmt)
+            if not (p.is_write or reduce and p.is_reduce):
+                what = "reduce into" if reduce else "store to"
+                raise PrivilegeViolationError(f"{what} read-only param {s.buf}")
+            target = operand(Load, s.buf)
+            if reduce:
+                emit(_reduce, (value(s.expr), operand(Load, nest.domain)), target, 0, True)
+            elif isinstance(s.expr, (Bin, Un)):
+                value(s.expr, target, into=True)
             else:
-                val, free = run.value(s.expr)
-                run.take(s.expr, val, free)
-                if val is not target:
-                    target[...] = val
+                emit(_assign, (value(s.expr),), target, 0, True)
+            if slabs.get(s.buf) in free:
+                free.remove(slabs[s.buf])  # it may hold the store's slab
+        elif isinstance(s.expr, (Bin, Un)):
+            temps[s.name] = value(s.expr, slabs.get(chain.get(i, "")), reads[i])
+        elif isinstance(s.expr, Load) and (
+            written := dict.fromkeys(t.buf for t in body[i + 1 :] if not isinstance(t, SetTemp))
+        ):
+            srcs = tuple(operand(Load, b) for b in (s.expr.buf, *written))
+            temps[s.name] = emit(_copy_if_shared, srcs, new_reg(), 0, True)
         else:
-            if s.buf in priv and not priv[s.buf].is_reduce and not priv[s.buf].is_write:
-                raise PrivilegeViolationError(f"reduce into read-only param {s.buf}")
-            val, free = run.value(s.expr)
-            run.take(s.expr, val, free)
-            env[s.buf][()] += np.sum(val) if np.ndim(val) else val * np.prod(bounds)
+            r = temps[s.name] = value(s.expr)
+            if r in left:
+                left[r] += reads[i]
+            read(r)
+
+    del value  # it names itself; the compile state is freed now, not by the cycle collector
+    return _NestPlan(
+        tuple((r, name, kind is ScalarRef) for (kind, name), r in inputs.items()),
+        tuple(slabs.items()),
+        new_reg(),
+        tuple(ops),
+    )
 
 
 def interpret(
@@ -760,12 +712,11 @@ def interpret(
     """Execute the kernel in place on the given buffers.
 
     ``bufs`` must bind every buffer param and ``local_shapes`` give the shape
-    of every local.
+    of every local. The kernel's nests are compiled on its first call.
     """
     scalars = scalars or {}
     local_shapes = local_shapes or {}
     env: dict[str, np.ndarray] = dict(bufs)
-    priv = {p.name: p.privilege for p in kernel.buf_params}
     for p in kernel.buf_params:
         if p.name not in env:
             raise KernelError(f"missing buffer binding for param {p.name}")
@@ -775,8 +726,8 @@ def interpret(
         env[loc.name] = np.zeros(local_shapes[loc.name], dtype=np.float64)
 
     with np.errstate(all="ignore"):
-        for nest in kernel.nests:
-            _run_nest(nest, env, scalars, priv)
+        for plan in kernel.plans:
+            plan.run(env, scalars)
 
 
 # --- pretty printing --------------------------------------------------------

@@ -8,6 +8,7 @@ indices, in the spirit of De Bruijn numbering for bound variables.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,6 +17,7 @@ from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreT
 from .kernels import Kernel
 
 CanonTask = tuple[str, int, tuple[tuple[int, int, str], ...], int]
+MEMO_CAPACITY = 1024  # entries a MemoCache keeps; steady-state cg_like needs 9
 
 
 @dataclass(frozen=True)
@@ -178,10 +180,11 @@ class MemoEntry:
 
 
 class MemoCache:
-    """Map from canonical streams to entries, counting lookup hits and misses."""
+    """Map from canonical streams to entries, counting lookup hits and misses.
+    Past ``MEMO_CAPACITY`` entries, the least recently inserted or hit goes."""
 
     def __init__(self) -> None:
-        self._entries: dict[CanonicalStream, MemoEntry] = {}
+        self._entries: OrderedDict[CanonicalStream, MemoEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -194,7 +197,10 @@ class MemoCache:
             self.misses += 1
         else:
             self.hits += 1
+            self._entries.move_to_end(key)
         return entry
 
     def insert(self, key: CanonicalStream, entry: MemoEntry) -> None:
         self._entries.setdefault(key, entry)
+        if len(self._entries) > MEMO_CAPACITY:
+            self._entries.popitem(last=False)

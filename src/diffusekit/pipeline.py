@@ -265,7 +265,9 @@ class Session:
         carves from there to the end of the flush with no further lookup, and
         counts one memo hit per replayed carve. At the end, every key that
         missed gets an entry holding the carves from its position on; no
-        ``drop_ref`` can happen in between, so liveness stays as keyed.
+        ``drop_ref`` can happen in between, so liveness stays as keyed. The
+        buffer keeps every task not yet launched, so after a launch raises,
+        the next flush resumes with it; nothing is memoized then.
 
         An explicit flush of an empty buffer still ends an iteration: it
         marks the capacity flush that emptied the buffer explicit.
@@ -274,33 +276,35 @@ class Session:
             if explicit and self.report.per_flush:
                 self.report.per_flush[-1].explicit = True
             return
-        rem = self._buffer
-        self._buffer = []
-        fr = FlushReport(explicit=explicit, tasks_in=len(rem))
+        fr = FlushReport(explicit=explicit)
         steps0 = self.stats.constraint_steps
         memoize = self.config.fusion and self.config.memoize
         plans: list[SegmentPlan] = []
         missed: list[tuple[int, CanonicalStream, list[int], list[Partition]]] = []
-        while rem:
-            if memoize:
-                key, sbind, pbind = canonicalize(rem, self.stores, self.refs.app_live, self._facts)
-                entry = self.memo.lookup(key)
-                if entry is not None:
-                    fr.memo_hits += len(entry.carves)
-                    for carve in entry.carves:
-                        plans.append(self._replay(rem, carve, sbind, pbind))
-                        rem = self._launch(rem, plans[-1], fr)
-                    break
-                missed.append((len(plans), key, sbind, pbind))
-            plans.append(self._analyze(rem))
-            rem = self._launch(rem, plans[-1], fr)
+        try:
+            while rem := self._buffer:
+                if memoize:
+                    key, sbind, pbind = canonicalize(rem, self.stores, self.refs.app_live, self._facts)
+                    entry = self.memo.lookup(key)
+                    if entry is not None:
+                        for carve in entry.carves:
+                            plans.append(self._replay(self._buffer, carve, sbind, pbind))
+                            self._launch(plans[-1], fr)
+                            fr.memo_hits += 1
+                        break
+                    missed.append((len(plans), key, sbind, pbind))
+                plans.append(self._analyze(rem))
+                self._launch(plans[-1], fr)
+        finally:
+            fr.tasks_in = sum(fr.fused_prefixes)
+            fr.memo_misses = len(missed)
+            fr.constraint_steps = self.stats.constraint_steps - steps0
+            self.report.add(fr)
         for at, key, sbind, pbind in missed:
             sidx = {s: i for i, s in enumerate(sbind)}
             pidx = {p: i for i, p in enumerate(pbind)}
             carves = tuple(p.carve(sidx.__getitem__, pidx.__getitem__) for p in plans[at:])
             self.memo.insert(key, MemoEntry(carves))
-        fr.memo_misses = len(missed)
-        fr.constraint_steps = self.stats.constraint_steps - steps0
         if fr.tasks_in > 1 and fr.tasks_out == 1:
             self.window = min(self.window * 2, MAX_WINDOW)
         log.debug(
@@ -311,7 +315,6 @@ class Session:
             fr.fused_prefixes,
             self.window,
         )
-        self.report.add(fr)
 
     def _analyze(self, rem: list[IndexTask]) -> SegmentPlan:
         """Analyse, compile and plan the longest fusible prefix of ``rem``."""
@@ -350,15 +353,25 @@ class Session:
         kernel = self.registry.generate(task) if self.registry.has(task.kind) else None
         return SegmentPlan(1, task, kernel, frozenset(), verdicts)
 
-    def _launch(self, rem: list[IndexTask], plan: SegmentPlan, fr: FlushReport) -> list[IndexTask]:
-        """Run ``plan`` in place of the head of ``rem`` and return the rest."""
+    def _launch(self, plan: SegmentPlan, fr: FlushReport) -> None:
+        """Run and record ``plan``, then drop its tasks from the buffer's head."""
+        task, kernel, positions = plan.task, plan.kernel, plan.temp_positions
+        if self.config.execute:
+            run = execute_isolated if plan.f > 1 and self.config.isolated else execute_task
+            run(task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
         fr.verdicts.extend(plan.verdicts)
-        self._execute(plan, fr)
-        for t in rem[: plan.f]:
+        fr.fused_prefixes.append(plan.f)
+        fr.temporaries.extend(sorted({task.args[j].store for j in positions}))
+        if kernel is not None:
+            loads, stores = self._traffic(kernel, task, positions)
+            fr.loads += loads
+            fr.stores += stores
+            fr.kernel_stats.append((plan.f, len(kernel.nests), len(kernel.locals)))
+        done, self._buffer = self._buffer[: plan.f], self._buffer[plan.f :]
+        for t in done:
             for s in {a.store for a in t.args}:
                 self.refs.release_runtime(s)
                 self._maybe_free(s)
-        return rem[plan.f :]
 
     def _facts(self, store: Store, part: Partition, launch: Domain) -> ArgFacts:
         """One argument's coverage, extent class and point-0 sub-store extents,
@@ -395,19 +408,6 @@ class Session:
                 f"oracle rejected engine-accepted prefix of {len(prefix)} tasks "
                 f"starting with {prefix[0].kind}"
             )
-
-    def _execute(self, plan: SegmentPlan, fr: FlushReport) -> None:
-        task, kernel, positions = plan.task, plan.kernel, plan.temp_positions
-        fr.fused_prefixes.append(plan.f)
-        fr.temporaries.extend(sorted({task.args[j].store for j in positions}))
-        if kernel is not None:
-            loads, stores = self._traffic(kernel, task, positions)
-            fr.loads += loads
-            fr.stores += stores
-            fr.kernel_stats.append((plan.f, len(kernel.nests), len(kernel.locals)))
-        if self.config.execute:
-            run = execute_isolated if plan.f > 1 and self.config.isolated else execute_task
-            run(task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
 
     def _traffic(
         self, kernel: Kernel, task: IndexTask, temp_positions: frozenset[int]

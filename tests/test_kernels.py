@@ -8,6 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diffusekit import executor
+from diffusekit.executor import Heap, execute_sequential
 from diffusekit.fusion import build_fused_task
 from diffusekit.ir import Domain, NonePart, Privilege
 from diffusekit.kernels import (
@@ -26,6 +28,7 @@ from diffusekit.kernels import (
     StoreStmt,
     TempRef,
     Un,
+    _compile_nest,
     compose,
     count_memory_traffic,
     default_registry,
@@ -35,14 +38,79 @@ from diffusekit.kernels import (
     optimize,
     scalarize_locals,
 )
-from diffusekit.trace import gen_blackscholes_chain
-from helpers import R, RD, RW, W, task, tasks_of, tiling
+from diffusekit.pipeline import Session, SessionConfig, run_events
+from diffusekit.trace import gen_blackscholes_chain, gen_stencil
+from helpers import R, RD, RW, W, store_table, task, tasks_of, tiling
 
 REG = default_registry()
 
 
 def _p(rank=1):
     return tiling((2,) * rank)
+
+
+# case -> (kind, argument privileges, scalar count, kernel_text at rank 1).
+# Reduction targets and the ratio kinds' num/den are rank-0 replications;
+# every other argument is a tiling of the launch rank.
+_GOLDEN = {
+    f"{kind}/{len(privs)}": (kind, privs, nscalars, text)
+    for kind, privs, nscalars, text in [
+        ("ADD", (R, R, W), 0,
+         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
+         "    a2[i0] = (a0[i0] + a1[i0])"),
+        ("SUB", (R, R, W), 0,
+         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
+         "    a2[i0] = (a0[i0] - a1[i0])"),
+        ("DIV", (R, R, W), 0,
+         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
+         "    a2[i0] = (a0[i0] / a1[i0])"),
+        ("MIN", (R, R, W), 0,
+         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
+         "    a2[i0] = min(a0[i0], a1[i0])"),
+        ("MAX", (R, R, W), 0,
+         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
+         "    a2[i0] = max(a0[i0], a1[i0])"),
+        ("MULT", (R, R, W), 0,
+         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
+         "    a2[i0] = (a0[i0] * a1[i0])"),
+        ("MULT", (R, W), 1,
+         "kernel(a0: R rank1, a1: W rank1) scalars(s0)\n  for extents(a1):\n"
+         "    a1[i0] = (s0 * a0[i0])"),
+        ("POW", (R, R, W), 0,
+         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
+         "    a2[i0] = (a0[i0] ** a1[i0])"),
+        ("POW", (R, W), 1,
+         "kernel(a0: R rank1, a1: W rank1) scalars(s0)\n  for extents(a1):\n"
+         "    a1[i0] = (a0[i0] ** s0)"),
+        ("COPY", (R, W), 0,
+         "kernel(a0: R rank1, a1: W rank1)\n  for extents(a1):\n"
+         "    a1[i0] = a0[i0]"),
+        ("NEG", (R, W), 0,
+         "kernel(a0: R rank1, a1: W rank1)\n  for extents(a1):\n"
+         "    a1[i0] = (-a0[i0])"),
+        ("FILL", (W,), 1,
+         "kernel(a0: W rank1) scalars(s0)\n  for extents(a0):\n"
+         "    a0[i0] = s0"),
+        ("AXPY", (R, RW), 1,
+         "kernel(a0: R rank1, a1: RW rank1) scalars(s0)\n  for extents(a1):\n"
+         "    a1[i0] = (a1[i0] + (s0 * a0[i0]))"),
+        ("DOT", (R, R, RD), 0,
+         "kernel(a0: R rank1, a1: R rank1, a2: Rd rank1)\n  for extents(a0):\n"
+         "    a2 += sum (a0[i0] * a1[i0])"),
+        ("SUM", (R, RD), 0,
+         "kernel(a0: R rank1, a1: Rd rank1)\n  for extents(a0):\n"
+         "    a1 += sum a0[i0]"),
+        ("AXPY_RATIO", (R, RW, R, R), 0,
+         "kernel(a0: R rank1, a1: RW rank1, a2: R rank1, a3: R rank1)\n  for extents(a1):\n"
+         "    a1[i0] = (a1[i0] + ((a2[] / a3[]) * a0[i0]))"),
+        ("AXMY_RATIO", (R, RW, R, R), 0,
+         "kernel(a0: R rank1, a1: RW rank1, a2: R rank1, a3: R rank1)\n  for extents(a1):\n"
+         "    a1[i0] = (a1[i0] - ((a2[] / a3[]) * a0[i0]))"),
+        ("XPBY_RATIO", (R, RW, R, R), 0,
+         "kernel(a0: R rank1, a1: RW rank1, a2: R rank1, a3: R rank1)\n  for extents(a1):\n"
+         "    a1[i0] = (a0[i0] + ((a2[] / a3[]) * a1[i0]))"),
+    ]
+}
 
 
 class TestGenerators:
@@ -73,6 +141,20 @@ class TestGenerators:
         t = task("MATVEC", (2,), [(0, NonePart(), R)])
         with pytest.raises(NoGeneratorError):
             REG.generate(t)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("case", sorted(_GOLDEN))
+    def test_kernel_text_matches_golden(self, case, rank):
+        kind, privs, nscalars, golden = _GOLDEN[case]
+        p = _p(rank)
+        args = [
+            (j, NonePart() if pr == RD or (kind.endswith("_RATIO") and j >= 2) else p, pr)
+            for j, pr in enumerate(privs)
+        ]
+        t = task(kind, (2,) * rank, args, [("s", 2.0)] * nscalars)
+        if rank == 2:
+            golden = golden.replace("rank1", "rank2").replace("[i0]", "[i0, i1]")
+        assert kernel_text(REG.generate(t)) == golden
 
     def test_generated_kernels_compute_their_operation(self):
         rng = np.random.default_rng(3)
@@ -428,3 +510,89 @@ class TestInPlaceEvaluation:
         peak = self._peak(kernel, bufs, scalars)
         assert (bound[out] == bound[x] + bound[y]).all()
         assert peak <= 2 * slab, f"{peak / slab:.1f} slabs"
+
+
+class TestNestPlans:
+    def test_reduce_into_read_only_param_raises_before_any_op(self):
+        k = _one_nest(
+            [("a0", R), ("a1", W), ("a2", R)],
+            [
+                StoreStmt("a1", Bin("*", ScalarRef("s"), Load("a0", 1))),
+                ReduceStmt("a2", Load("a0", 1)),
+            ],
+        )
+        a0, a1, a2 = _vec(0), np.zeros(6), np.zeros(())
+        with pytest.raises(PrivilegeViolationError):
+            interpret(k, {"a0": a0, "a1": a1, "a2": a2}, {"s": 2.0})
+        assert not a1.any() and a2[()] == 0.0
+
+    def test_store_slab_is_not_reused_after_its_store(self):
+        # t is computed in a2's slab; u, read twice, is no chain and must not
+        # take that slot once a2 is stored
+        k = _one_nest(
+            [("a0", R), ("a1", R), ("a2", W), ("a3", W)],
+            [
+                SetTemp("t", Bin("+", Load("a0", 1), Load("a1", 1))),
+                StoreStmt("a2", Bin("*", ScalarRef("s"), TempRef("t"))),
+                SetTemp("u", Bin("-", Load("a0", 1), Load("a1", 1))),
+                StoreStmt("a3", Bin("*", TempRef("u"), TempRef("u"))),
+            ],
+        )
+        a0, a1, a2, a3 = _vec(0), _vec(1), np.zeros(6), np.zeros(6)
+        interpret(k, {"a0": a0, "a1": a1, "a2": a2, "a3": a3}, {"s": 2.0})
+        assert (a2 == 2.0 * (a0 + a1)).all() and (a3 == (a0 - a1) ** 2).all()
+
+    def test_scalar_result_stays_scalar_beside_a_free_slot(self):
+        # t's slot is free when u is computed; u stays a scalar, so its
+        # reduction is u times the nest volume, not a sum of six copies
+        k = _one_nest(
+            [("a0", R), ("a1", W), ("a2", RD)],
+            [
+                SetTemp("t", Bin("+", Load("a0", 1), Load("a0", 1))),
+                StoreStmt("a1", Bin("*", TempRef("t"), TempRef("t"))),
+                SetTemp("u", Un("neg", ScalarRef("s"))),
+                ReduceStmt("a2", TempRef("u")),
+            ],
+        )
+        a0, a1, a2 = _vec(0), np.zeros(6), np.zeros(())
+        interpret(k, {"a0": a0, "a1": a1, "a2": a2}, {"s": 0.1})
+        assert (a1 == (a0 + a0) ** 2).all()
+        assert a2[()] == -0.1 * 6 != np.sum(np.full(6, -0.1))
+
+    @staticmethod
+    def _count_plans(monkeypatch):
+        """Nests compiled, and kernels interpreted, while the test runs."""
+        compiled, interpreted = [], []
+        compile_nest, run = _compile_nest, executor.interpret
+
+        def counted_compile(nest, priv):
+            compiled.append(nest)
+            return compile_nest(nest, priv)
+
+        def counted_interpret(kernel, *args):
+            interpreted.append(kernel)
+            return run(kernel, *args)
+
+        monkeypatch.setattr("diffusekit.kernels._compile_nest", counted_compile)
+        monkeypatch.setattr(executor, "interpret", counted_interpret)
+        return compiled, interpreted
+
+    def test_each_kernel_is_planned_once(self, monkeypatch):
+        compiled, interpreted = self._count_plans(monkeypatch)
+        session = Session(SessionConfig())
+        run_events(session, gen_stencil(size=10, nodes=2, iters=6))
+        distinct = list({id(k): k for k in interpreted}.values())
+        assert sorted(map(id, compiled)) == sorted(id(n) for k in distinct for n in k.nests)
+        hits = [c.kernel for e in session.memo._entries.values() for c in e.carves if c.kernel]
+        assert hits and session.report.memo_hits
+        for k in hits:
+            assert interpreted.count(k) > 1
+            assert sum(n is k.nests[0] for n in compiled) == 1
+
+    def test_per_point_launch_plans_once(self, monkeypatch):
+        compiled, interpreted = self._count_plans(monkeypatch)
+        t = task("DOT", (4,), [(0, _p(), R), (1, _p(), R), (2, NonePart(), RD)])
+        stores = store_table((8,), (8,), ())
+        execute_sequential([t], Heap(stores), stores, REG, {})
+        assert len(interpreted) == 4 and len(set(map(id, interpreted))) == 1
+        assert len(compiled) == 1

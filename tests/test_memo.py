@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from diffusekit import memo
 from diffusekit.ir import Domain, NonePart, Store
 from diffusekit.kernels import Kernel
 from diffusekit.memo import (
+    CanonicalStream,
     Carve,
     MemoCache,
     MemoEntry,
@@ -204,3 +206,15 @@ class TestReplayEqualsFreshAnalysis:
             assert outcomes[0] == outcomes[1], f"stream seed {stream.seed}"
         # a stream of 3 to 7 tasks repeats a window only when windows are short
         assert hits > 0 if window == 2 else hits == 0
+
+
+def test_memo_evicts_the_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(memo, "MEMO_CAPACITY", 2)
+    cache = MemoCache()
+    a, b, c = (CanonicalStream((), (rank,), (), ()) for rank in range(3))
+    cache.insert(a, MemoEntry((Carve(1),)))
+    cache.insert(b, MemoEntry((Carve(2),)))
+    assert cache.lookup(a) is not None  # a is now more recent than b
+    cache.insert(c, MemoEntry((Carve(3),)))
+    assert len(cache) == 2 and cache.lookup(b) is None
+    assert cache.lookup(a).prefix_len == 1 and cache.lookup(c).prefix_len == 3

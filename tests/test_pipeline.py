@@ -7,8 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diffusekit import pipeline
-from diffusekit.executor import heap_diff
+from diffusekit import memo, pipeline
+from diffusekit.executor import UnknownTaskKindError, default_builtins, heap_diff
 from diffusekit.kernels import KernelRegistry
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
 from diffusekit.trace import gen_benchmark
@@ -217,3 +217,76 @@ class TestSessionLifecycle:
         session = Session(SessionConfig(execute=False))
         report = run_events(session, gen_benchmark("stencil", iters=1))
         assert session.finish() is report
+
+
+class TestFailedFlush:
+    """A launch that raises keeps the unlaunched tasks buffered."""
+
+    @staticmethod
+    def _window(session):
+        for sid in range(4):
+            session.create_store(sid, (4,))
+        p = tiling((2,))
+        for src, kind in enumerate(["COPY", "MYSTERY", "COPY"]):
+            session.submit(task(kind, (2,), [(src, p, R), (src + 1, p, W)]))
+
+    @staticmethod
+    def _mystery(t, bufs):
+        bufs["a1"][...] = 2.0 * bufs["a0"] + 1.0
+
+    def test_flush_resumes_after_a_failed_launch(self):
+        session = Session(SessionConfig())
+        self._window(session)
+        with pytest.raises(UnknownTaskKindError):
+            session.flush()
+        assert [t.kind for t in session._buffer] == ["MYSTERY", "COPY"]
+        held = Counter(s for t in session._buffer for s in {a.store for a in t.args})
+        assert {s: n for s, n in session.refs.runtime_refs.items() if n} == dict(held)
+
+        copies = []
+        session.builtins["MYSTERY"] = self._mystery
+        with pytest.MonkeyPatch.context() as mp:
+            execute = pipeline.execute_task
+            mp.setattr(pipeline, "execute_task", lambda t, *a: copies.append(t.kind) or execute(t, *a))
+            session.flush()
+        assert copies == ["MYSTERY", "COPY"]
+        assert not any(session.refs.runtime_refs.values())
+
+        whole = Session(SessionConfig(), builtins={**default_builtins(), "MYSTERY": self._mystery})
+        self._window(whole)
+        whole.flush()
+        assert heap_diff(session.heap, whole.heap, range(4)) == []
+        report = session.finish()
+        assert report.tasks_in == 3 == sum(report.fused_prefixes)
+
+
+class TestMemoBound:
+    @staticmethod
+    def _cycle(config):
+        """Three distinct two-task windows, submitted in turn three times."""
+        session = Session(config)
+        for sid in range(3):
+            session.create_store(sid, (4,))
+        p = tiling((2,))
+        kinds = [("COPY", "NEG"), ("NEG", "COPY"), ("COPY", "COPY")]
+        sizes = []
+        for _ in range(3):
+            for first, second in kinds:
+                session.submit(task(first, (2,), [(0, p, R), (1, p, W)]))
+                session.submit(task(second, (2,), [(1, p, R), (2, p, W)]))
+                session.flush()
+                sizes.append(len(session.memo))
+        return session, session.finish(), sizes
+
+    def test_memo_keeps_at_most_its_capacity(self, monkeypatch):
+        monkeypatch.setattr(memo, "MEMO_CAPACITY", 2)
+        session, report, sizes = self._cycle(SessionConfig())
+        assert max(sizes) == 2 and report.memo_hits == 0
+        plain, plain_report, _ = self._cycle(SessionConfig(memoize=False))
+        assert report.fused_prefixes == plain_report.fused_prefixes
+        assert report.temporaries_eliminated == plain_report.temporaries_eliminated
+        assert heap_diff(session.heap, plain.heap, range(3)) == []
+
+    def test_steady_state_cg_like_hits_as_unbounded(self):
+        _, report = _run("cg_like", SessionConfig(execute=False), iters=300)
+        assert (report.memo_hits, report.memo_misses) == (1192, 9)
