@@ -13,7 +13,8 @@ up as an arena violation or a heap mismatch.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from .ir import (
     IndexTask,
     NonePart,
     Point,
+    Privilege,
     Rect,
     StoreTable,
+    covers,
     sub_store_bounds,
 )
 from .kernels import Kernel, KernelRegistry, arg_name, interpret
@@ -46,22 +49,45 @@ class Heap:
     Arrays materialize on first access, filled with small deterministic
     integers derived from (seed, store id); allocation order therefore never
     affects contents, and stores demoted to task-local buffers simply never
-    appear here.
+    appear here. The one exception is a store whose first touch overwrites
+    it whole (see ``overwriting``): it is allocated unfilled, and every cell
+    holds what that launch wrote.
     """
 
     def __init__(self, stores: StoreTable, seed: int = 0) -> None:
         self._stores = stores
         self._seed = seed
         self.arrays: dict[int, np.ndarray] = {}
+        self._unfilled: Collection[int] = ()
 
     def get(self, store_id: int) -> np.ndarray:
         arr = self.arrays.get(store_id)
         if arr is None:
             shape = self._stores[store_id].shape.extents
-            rng = np.random.default_rng([self._seed, store_id])
-            arr = rng.integers(1, 10, size=shape).astype(np.float64)
+            if store_id in self._unfilled:
+                arr = np.empty(shape, dtype=np.float64)
+            else:
+                rng = np.random.default_rng([self._seed, store_id])
+                arr = rng.integers(1, 10, size=shape).astype(np.float64)
             self.arrays[store_id] = arr
         return arr
+
+    @contextmanager
+    def overwriting(self, store_ids: Collection[int]) -> Iterator[None]:
+        """Within, the first ``get`` of a listed store that is not yet
+        materialized allocates it unfilled: the caller writes every cell
+        before reading any. If the block raises, those stores are dropped
+        again, so their next touch fills them."""
+        fresh = [s for s in store_ids if s not in self.arrays]
+        self._unfilled = fresh
+        try:
+            yield
+        except BaseException:
+            for s in fresh:
+                self.arrays.pop(s, None)
+            raise
+        finally:
+            self._unfilled = ()
 
     def materialized(self, store_id: int) -> bool:
         return store_id in self.arrays
@@ -214,7 +240,8 @@ def execute_task(
     ``kernel`` is the one the task runs, fused or generated by the caller;
     without one it is generated here. Argument j binds to buffer param a{j},
     or, for a position in ``temp_positions``, to a task-local buffer l{j}
-    instead of a heap region.
+    instead of a heap region. A store this launch overwrites whole before
+    reading it is allocated unfilled (``_overwritten``).
     """
     _run(task, heap, stores, registry, builtins, kernel, temp_positions, whole_launch=True)
 
@@ -226,7 +253,8 @@ def execute_sequential(
     registry: KernelRegistry,
     builtins: Mapping[str, Builtin],
 ) -> None:
-    """The semantic reference: tasks in program order, each point by point."""
+    """The semantic reference: tasks in program order, each point by point,
+    every store filled with its documented contents when first touched."""
     for t in tasks:
         _run(t, heap, stores, registry, builtins, None, frozenset(), whole_launch=False)
 
@@ -257,9 +285,30 @@ def _run(
         launches: Iterable[list[Rect]] = (whole,)
     else:
         launches = (_point_rects(task, p, stores) for p in task.domain.points())
-    for rects in launches:
-        bufs, local_shapes = _bindings(task, rects, heap, temp_positions)
-        interpret(kernel, bufs, scalars, local_shapes)
+    unfilled = _overwritten(task, kernel, heap, stores, temp_positions) if whole_launch else ()
+    with heap.overwriting(unfilled):
+        for rects in launches:
+            bufs, local_shapes = _bindings(task, rects, heap, temp_positions)
+            interpret(kernel, bufs, scalars, local_shapes)
+
+
+def _overwritten(
+    task: IndexTask, kernel: Kernel, heap: Heap, stores: StoreTable, temp_positions: frozenset[int]
+) -> list[int]:
+    """The heap stores a kernel launch writes whole before reading: not yet
+    materialized, named through exactly one argument, with privilege W (not
+    RW) through a partition that covers the store, and neither loaded nor
+    reduced into by the kernel."""
+    return [
+        a.store
+        for j, a in enumerate(task.args)
+        if j not in temp_positions
+        and a.store not in heap.arrays
+        and a.privilege is Privilege.WRITE
+        and sum(b.store == a.store for b in task.args) == 1
+        and covers(stores[a.store], a.partition, task.domain)
+        and arg_name(j) not in kernel.loaded
+    ]
 
 
 def execute_isolated(

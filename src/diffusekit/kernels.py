@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import count
+from math import prod
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -141,6 +142,11 @@ class Kernel:
         """Each nest compiled for ``interpret``, once per kernel."""
         priv = {p.name: p.privilege for p in self.buf_params}
         return tuple(_compile_nest(nest, priv) for nest in self.nests)
+
+    @cached_property
+    def loaded(self) -> frozenset[str]:
+        """The buffers the kernel reads: by a load, or by reducing into them."""
+        return frozenset().union(*(plan.reads for plan in self.plans))
 
 
 # --- expression / statement walking ----------------------------------------
@@ -535,11 +541,30 @@ _BIN_OPS = {
 }
 
 
+STRIP = 1 << 16  # about this many elements of a store-only nest run at a time
+
+
 class _NestPlan(NamedTuple):
-    """A compiled nest: ops over registers holding its buffers, scalars and slots."""
+    """A compiled nest: ops over registers holding its buffers, scalars and slots.
+
+    A nest of rank >= 1 with no reduction runs its ops strip by strip, about
+    ``STRIP`` elements of whole rows along axis 0 at a time, so that a strip's
+    values stay in cache from one op to the next. Every access is at the loop
+    index, so this gives the bits of one whole pass. Nest-rank buffers and the
+    store slabs of chains are sliced per strip; rank-0 buffers and scalars stay
+    whole, and slots keep their strip-sized arrays from strip to strip. A nest
+    runs whole if it fits in one strip, if it reduces (pairwise ``np.sum``
+    depends on blocking), if a
+    buffer it stores to may share memory with another bound buffer, or if a
+    nest-rank buffer's shape is not the domain's.
+    """
 
     inputs: tuple[tuple[int, str, bool], ...]  # (register, name, is a scalar)
     slabs: tuple[tuple[str, int], ...]  # (store, the slot of its chain)
+    domain: str
+    reads: frozenset[str]  # the buffers it loads or reduces into
+    stored: tuple[str, ...]  # the buffers its StoreStmts write
+    strips: bool  # rank >= 1 and no ReduceStmt
     nregs: int
     ops: tuple[tuple[Callable, tuple[int, ...], int, bool], ...]
 
@@ -547,10 +572,37 @@ class _NestPlan(NamedTuple):
         regs: list = [None] * self.nregs
         for r, name, is_scalar in self.inputs:
             regs[r] = (scalars if is_scalar else env)[name]
-        for name, r in self.slabs:
-            slab = env[name]
-            if not any(o != name and np.may_share_memory(slab, a) for o, a in env.items()):
-                regs[r] = slab
+        rows = self._strip_rows(env)
+        if rows is None:
+            for name, r in self.slabs:
+                if not _shares_memory(name, env):
+                    regs[r] = env[name]
+            self._eval(regs)
+            return
+        cut = [(r, name) for r, name, is_scalar in self.inputs if not is_scalar and env[name].ndim]
+        cut += [(r, name) for name, r in self.slabs]
+        for lo in range(0, len(env[self.domain]), rows):
+            views = {name: env[name][lo : lo + rows] for _, name in cut}
+            for r, name in cut:
+                regs[r] = views[name]
+            self._eval(regs)
+
+    def _strip_rows(self, env: Mapping[str, np.ndarray]) -> int | None:
+        """Rows of axis 0 per strip, or None to run whole."""
+        shape = env[self.domain].shape
+        if not (self.strips and shape):
+            return None
+        rows = max(1, STRIP // max(1, prod(shape[1:])))
+        if rows >= shape[0]:
+            return None
+        for _, name, is_scalar in self.inputs:
+            if not is_scalar and env[name].ndim and env[name].shape != shape:
+                return None
+        if any(_shares_memory(name, env) for name in self.stored):
+            return None
+        return rows
+
+    def _eval(self, regs: list) -> None:
         for fn, srcs, dst, into in self.ops:
             args = [regs[i] for i in srcs]
             out = regs[dst]
@@ -560,6 +612,12 @@ class _NestPlan(NamedTuple):
                 if shape not in shapes or not shapes <= {shape, ()}:
                     out = None
             regs[dst] = fn(*args, out=out)
+
+
+def _shares_memory(name: str, env: Mapping[str, np.ndarray]) -> bool:
+    """Whether buffer ``name`` may share memory with another bound buffer."""
+    buf = env[name]
+    return any(o != name and np.may_share_memory(buf, a) for o, a in env.items())
 
 
 def _assign(val: object, out: np.ndarray) -> np.ndarray:
@@ -698,6 +756,10 @@ def _compile_nest(nest: LoopNest, priv: Mapping[str, Privilege]) -> _NestPlan:
     return _NestPlan(
         tuple((r, name, kind is ScalarRef) for (kind, name), r in inputs.items()),
         tuple(slabs.items()),
+        nest.domain,
+        frozenset(loaded).union(s.buf for s in body if isinstance(s, ReduceStmt)),
+        tuple(dict.fromkeys(s.buf for s in body if isinstance(s, StoreStmt))),
+        nest.rank >= 1 and not any(isinstance(s, ReduceStmt) for s in body),
         new_reg(),
         tuple(ops),
     )

@@ -229,14 +229,20 @@ class Session:
         self.partitions[part_id] = part
 
     def submit(self, task: IndexTask) -> None:
+        """Buffer ``task``. A full buffer is flushed first, so the capacity
+        flush of a window fires at the next task, after the ``drop_ref``s that
+        follow the window's last task. The task is buffered even if that
+        flush raises."""
         for a in task.args:
             if a.store not in self.stores:
                 raise ValueError(f"task {task.kind} names unknown store {a.store}")
-        self._buffer.append(task)
-        for s in {a.store for a in task.args}:
-            self.refs.acquire_runtime(s)
-        if len(self._buffer) >= self.window:
-            self._flush(explicit=False)
+        try:
+            if len(self._buffer) >= self.window:
+                self._flush(explicit=False)
+        finally:
+            self._buffer.append(task)
+            for s in {a.store for a in task.args}:
+                self.refs.acquire_runtime(s)
 
     def drop_ref(self, store_id: int) -> None:
         self.refs.drop_app_ref(store_id)
@@ -268,13 +274,8 @@ class Session:
         ``drop_ref`` can happen in between, so liveness stays as keyed. The
         buffer keeps every task not yet launched, so after a launch raises,
         the next flush resumes with it; nothing is memoized then.
-
-        An explicit flush of an empty buffer still ends an iteration: it
-        marks the capacity flush that emptied the buffer explicit.
         """
         if not self._buffer:
-            if explicit and self.report.per_flush:
-                self.report.per_flush[-1].explicit = True
             return
         fr = FlushReport(explicit=explicit)
         steps0 = self.stats.constraint_steps

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from diffusekit import executor
+from diffusekit import executor, kernels
 from diffusekit import trace as tracefmt
 from diffusekit.executor import (
     ArenaViolationError,
@@ -18,7 +18,18 @@ from diffusekit.executor import (
     heap_diff,
 )
 from diffusekit.fusion import build_fused_task
-from diffusekit.kernels import compose, default_registry, interpret, optimize
+from diffusekit.kernels import (
+    BufParam,
+    Kernel,
+    LoopNest,
+    ScalarParam,
+    ScalarRef,
+    StoreStmt,
+    compose,
+    default_registry,
+    interpret,
+    optimize,
+)
 from diffusekit.ir import Domain, NonePart, ProjectionFn, Store
 from diffusekit.pipeline import Session, SessionConfig, run_events
 import stream_fuzz
@@ -350,3 +361,168 @@ def test_fused_temp_keeps_values_of_a_buffer_overwritten_later():
     ref = Heap(session.stores, 0)
     execute_sequential(tasks, ref, session.stores, REG, BUILTINS)
     assert heap_diff(session.heap, ref, [0, 2, 3]) == []
+
+
+# --- strips ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def evals(monkeypatch):
+    """Counts the passes of nest ops: one per nest run whole, one per strip otherwise."""
+    calls = []
+    run = kernels._NestPlan._eval
+
+    def counted(plan, regs):
+        calls.append(plan)
+        return run(plan, regs)
+
+    monkeypatch.setattr(kernels._NestPlan, "_eval", counted)
+    return calls
+
+
+class TestStrips:
+    """Nests run in strips of ``kernels.STRIP`` elements leave the heap the
+    unstripped run and the point-by-point reference leave, byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(SMALL_BENCHMARKS))
+    def test_benchmarks(self, name, monkeypatch, evals):
+        events = tracefmt.gen_benchmark(name, **SMALL_BENCHMARKS[name])
+        tasks, stores = tasks_of(events)
+        ref = Heap(stores, 0)
+        execute_sequential(tasks, ref, stores, REG, BUILTINS)
+
+        def run():
+            session = Session(SessionConfig())
+            run_events(session, events)
+            return session.heap.digest(session.live_store_ids())
+
+        monkeypatch.setattr(kernels, "STRIP", 1 << 30)  # every nest fits one strip
+        del evals[:]
+        whole = run()
+        assert whole == ref.digest(sorted(whole))
+        passes = len(evals)
+        for strip in (3, 5):
+            monkeypatch.setattr(kernels, "STRIP", strip)
+            del evals[:]
+            assert run() == whole, strip
+            assert len(evals) > passes
+
+    def test_fuzz_corpus(self, monkeypatch):
+        for stream in stream_fuzz.corpus(1000):
+            monkeypatch.setattr(kernels, "STRIP", 1 << 30)
+            stores = {s: Store(s, Domain(shape)) for s, shape in stream.stores.items()}
+            ref = Heap(stores, 0)
+            execute_sequential(stream.tasks, ref, stores, REG, BUILTINS)
+            want = ref.digest(stream.live_ids)
+            assert stream_fuzz.run_stream(stream, SessionConfig()).heap.digest(stream.live_ids) == want
+            for strip in (3, 5):
+                monkeypatch.setattr(kernels, "STRIP", strip)
+                got = stream_fuzz.run_stream(stream, SessionConfig()).heap.digest(stream.live_ids)
+                assert got == want, (stream.seed, strip)
+
+    def test_stripped_launch_is_one_interpret_call(self, monkeypatch, interpret_calls, evals):
+        monkeypatch.setattr(kernels, "STRIP", 3)
+        tasks, stores, _ = stencil_window(size=10, nodes=2)
+        fused, kernel = _compile_fused(tasks, 5, stores)
+        execute_task(fused, Heap(stores, 0), stores, REG, BUILTINS, kernel)
+        assert len(interpret_calls) == 1
+        assert len(evals) == 8  # one row of the 8x8 interior per strip
+
+
+# --- first touch -------------------------------------------------------------------
+
+
+@pytest.fixture
+def filled(monkeypatch):
+    """The store ids whose documented contents the heap generates."""
+    ids = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        ids.append(seed[1])
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return ids
+
+
+def _documented(stores, store_id):
+    return Heap(stores, 0).get(store_id).copy()
+
+
+class TestFirstTouch:
+    """A launch that overwrites a store whole materializes it unfilled."""
+
+    def test_covering_write_skips_the_fill(self, filled):
+        stores = store_table((8,), (8,))
+        heap = Heap(stores, 0)
+        execute_task(task("NEG", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores, REG, BUILTINS)
+        assert filled == [0] and heap.materialized(1)
+        assert (heap.get(1) == -heap.get(0)).all()
+
+    def test_point_by_point_covering_write_skips_the_fill(self, filled):
+        stores = store_table((7,), (7,))
+        heap = Heap(stores, 0)
+        p = tiling((2,))  # a clamped edge tile: the launch runs point by point
+        execute_task(task("NEG", (4,), [(0, p, R), (1, p, W)]), heap, stores, REG, BUILTINS)
+        assert filled == [0] and (heap.get(1) == -heap.get(0)).all()
+
+    def test_partial_first_write_keeps_the_documented_contents(self, filled):
+        stores = store_table((9,), (9,))
+        heap = Heap(stores, 0)
+        shifted = tiling((2,), (1,))  # writes cells 1..8 of store 1, never cell 0
+        execute_task(task("COPY", (4,), [(0, tiling((2,)), R), (1, shifted, W)]), heap, stores, REG, BUILTINS)
+        assert sorted(filled) == [0, 1]
+        want = _documented(stores, 1)
+        want[1:] = heap.get(0)[:8]
+        assert (heap.get(1) == want).all()
+
+    @pytest.mark.parametrize(
+        "case, shape",
+        [
+            # OPAQUE is a builtin: it reads its W arguments
+            (task("OPAQUE", (2,), [(0, NonePart(), R), (1, tiling((4,)), W)]), (8,)),
+            (task("AXPY", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), RW)], [("s", 2.0)]), (8,)),
+            # AXPY given W still loads its second argument
+            (task("AXPY", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)], [("s", 2.0)]), (8,)),
+            # a reduction given W adds to its accumulator's contents
+            (task("DOT", (4,), [(0, tiling((2,)), R), (0, tiling((2,)), R), (1, NonePart(), W)]), ()),
+            (task("SUM", (4,), [(0, tiling((2,)), R), (1, NonePart(), W)]), ()),
+        ],
+        ids=["opaque", "rw", "loaded-w", "dot-w", "sum-w"],
+    )
+    def test_written_stores_that_are_read_are_filled(self, case, shape, filled):
+        stores = store_table((8,), shape)
+        heap, ref = Heap(stores, 0), Heap(stores, 0)
+        execute_task(case, heap, stores, REG, BUILTINS)
+        assert 1 in filled
+        execute_sequential([case], ref, stores, REG, BUILTINS)
+        assert heap_diff(heap, ref, [0, 1]) == []
+
+    def test_store_named_through_two_partitions_is_filled(self, filled):
+        stores = store_table((8,))
+        kernel = Kernel(
+            (BufParam("a0", 1, W), BufParam("a1", 1, W)),
+            (ScalarParam("s"),),
+            (),
+            (LoopNest("a0", 1, (StoreStmt("a0", ScalarRef("s")),)),
+             LoopNest("a1", 1, (StoreStmt("a1", ScalarRef("s")),))),
+        )
+        t = task("FILL2", (2,), [(0, tiling((4,)), W), (0, tiling((2,)), W)], [("s", 5.0)])
+        heap = Heap(stores, 0)
+        execute_task(t, heap, stores, REG, BUILTINS, kernel)
+        assert filled == [0] and (heap.get(0) == 5.0).all()
+
+    def test_raising_launch_leaves_no_unfilled_store(self, monkeypatch):
+        stores = store_table((8,), (8,))
+        heap = Heap(stores, 0)
+
+        def failing(kernel, bufs, *args):
+            bufs["a1"][...] = np.nan
+            raise RuntimeError("kernel failed")
+
+        monkeypatch.setattr(executor, "interpret", failing)
+        with pytest.raises(RuntimeError):
+            execute_task(task("COPY", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores, REG, BUILTINS)
+        assert heap.materialized(0) and not heap.materialized(1)
+        assert (heap.get(1) == _documented(stores, 1)).all()

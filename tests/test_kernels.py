@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diffusekit import executor
+from diffusekit import executor, kernels
 from diffusekit.executor import Heap, execute_sequential
 from diffusekit.fusion import build_fused_task
 from diffusekit.ir import Domain, NonePart, Privilege
@@ -484,32 +484,37 @@ class TestInPlaceEvaluation:
         assert (a0 == before).all()
 
     def test_fused_chain_allocates_at_most_two_slabs(self):
-        n = 1 << 16
-        tasks, stores = tasks_of(gen_blackscholes_chain(size=n, nodes=1, iters=1))
-        assert len(tasks) == 67
-        plan = build_fused_task(tasks, 67, REG)
-        fused = plan.fused_task
-        x, y, out = 0, 1, 2  # the chain's first three stores
-        temps = frozenset(j for j, a in enumerate(fused.args) if a.store not in (x, y, out))
-        kernel = optimize(
-            compose(
-                [REG.generate(t) for t in tasks],
-                plan.arg_map,
-                temps,
-                {j: 0 for j in range(len(fused.args))},
-                len(fused.args),
-            )
-        )
-        assert len(kernel.nests) == 1 and len(kernel.nests[0].body) == 67
-        rng = np.random.default_rng(0)
-        bound = {x: rng.integers(1, 9, n).astype(np.float64), y: rng.integers(1, 9, n).astype(np.float64)}
-        bound[out] = np.zeros(n)
-        bufs = {f"a{j}": bound[a.store] for j, a in enumerate(fused.args) if j not in temps}
-        scalars = {sp.name: v for sp, (_, v) in zip(kernel.scalar_params, fused.scalars)}
-        slab = bound[x].nbytes
+        kernel, bufs, scalars, out, want = _fused_chain(1 << 16)
         peak = self._peak(kernel, bufs, scalars)
-        assert (bound[out] == bound[x] + bound[y]).all()
-        assert peak <= 2 * slab, f"{peak / slab:.1f} slabs"
+        assert (out == want).all()
+        assert peak <= 2 * out.nbytes, f"{peak / out.nbytes:.1f} slabs"
+
+
+def _fused_chain(n):
+    """The 67-task chain kernel fused whole and bound over slabs of n elements:
+    (kernel, bound buffers, scalars, the output slab, its expected contents)."""
+    tasks, stores = tasks_of(gen_blackscholes_chain(size=n, nodes=1, iters=1))
+    assert len(tasks) == 67
+    plan = build_fused_task(tasks, 67, REG)
+    fused = plan.fused_task
+    x, y, out = 0, 1, 2  # the chain's first three stores
+    temps = frozenset(j for j, a in enumerate(fused.args) if a.store not in (x, y, out))
+    kernel = optimize(
+        compose(
+            [REG.generate(t) for t in tasks],
+            plan.arg_map,
+            temps,
+            {j: 0 for j in range(len(fused.args))},
+            len(fused.args),
+        )
+    )
+    assert len(kernel.nests) == 1 and len(kernel.nests[0].body) == 67
+    rng = np.random.default_rng(0)
+    bound = {x: rng.integers(1, 9, n).astype(np.float64), y: rng.integers(1, 9, n).astype(np.float64)}
+    bound[out] = np.zeros(n)
+    bufs = {f"a{j}": bound[a.store] for j, a in enumerate(fused.args) if j not in temps}
+    scalars = {sp.name: v for sp, (_, v) in zip(kernel.scalar_params, fused.scalars)}
+    return kernel, bufs, scalars, bound[out], bound[x] + bound[y]
 
 
 class TestNestPlans:
@@ -596,3 +601,92 @@ class TestNestPlans:
         execute_sequential([t], Heap(stores), stores, REG, {})
         assert len(interpreted) == 4 and len(set(map(id, interpreted))) == 1
         assert len(compiled) == 1
+
+
+def _generated(kind, privs, nscalars=0):
+    """The generated rank-1 kernel of ``kind`` over tilings of a 4-point launch."""
+    return REG.generate(task(kind, (4,), [(j, _p(), pr) for j, pr in enumerate(privs)], [("s", 0.0)] * nscalars))
+
+
+class TestStrips:
+    @pytest.fixture(params=[3, 5])
+    def strip(self, request, monkeypatch):
+        monkeypatch.setattr(kernels, "STRIP", request.param)
+        return request.param
+
+    @staticmethod
+    def _whole(monkeypatch, k, bufs, scalars):
+        """Runs the kernel on copies of ``bufs`` in one pass per nest."""
+        copies = {name: b.copy() for name, b in bufs.items()}
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "STRIP", 1 << 30)
+            interpret(k, copies, scalars)
+        return copies
+
+    @pytest.mark.parametrize("n", [7, 11, 16])
+    def test_pow_div_min_max_match_the_whole_pass(self, strip, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        a0, a1 = rng.normal(size=n), rng.normal(size=n)
+        a1[:3] = [0.0, -0.0, np.inf]  # x/0, x**inf and nan keep their bits too
+        t, u, v = TempRef("t"), TempRef("u"), TempRef("v")
+        k = _one_nest(
+            [("a0", R), ("a1", R), ("a2", W), ("a3", W)],
+            [
+                SetTemp("t", Bin("**", Load("a0", 1), Load("a1", 1))),
+                SetTemp("u", Bin("/", t, Load("a1", 1))),
+                SetTemp("v", Bin("min", u, Bin("**", Load("a0", 1), ScalarRef("s")))),
+                StoreStmt("a2", Bin("max", v, Load("a0", 1))),
+                StoreStmt("a3", Bin("/", Load("a0", 1), Bin("min", t, u))),
+            ],
+        )
+        bufs = {"a0": a0, "a1": a1, "a2": np.zeros(n), "a3": np.zeros(n)}
+        want = self._whole(monkeypatch, k, bufs, {"s": 0.5})
+        interpret(k, bufs, {"s": 0.5})
+        assert all(bufs[b].tobytes() == want[b].tobytes() for b in bufs)
+        for kind, privs, nscalars in [
+            ("POW", (R, R, W), 0), ("POW", (R, W), 1), ("DIV", (R, R, W), 0),
+            ("MIN", (R, R, W), 0), ("MAX", (R, R, W), 0),
+        ]:
+            k = _generated(kind, privs, nscalars)
+            bufs = {"a0": a0, "a1": a1.copy() if len(privs) == 3 else np.zeros(n), "a2": np.zeros(n)}
+            bufs = {p.name: bufs[p.name] for p in k.buf_params}
+            want = self._whole(monkeypatch, k, bufs, {"s0": 1.5})
+            interpret(k, bufs, {"s0": 1.5})
+            assert all(bufs[b].tobytes() == want[b].tobytes() for b in bufs), kind
+
+    @pytest.mark.parametrize("kind", ["DOT", "SUM"])
+    def test_reductions_keep_the_bits_of_one_sum(self, kind, strip):
+        n = 1001
+        rng = np.random.default_rng(7)
+        a0, a1 = rng.normal(size=n), rng.normal(size=n)
+        k = _generated(kind, (R, R, RD) if kind == "DOT" else (R, RD))
+        acc = np.full((), 0.25)
+        bufs = {"a0": a0, "a1": a1, "a2": acc} if kind == "DOT" else {"a0": a0, "a1": acc}
+        interpret(k, bufs, {})
+        want = np.full((), 0.25)
+        want[()] += np.sum(a0 * a1) if kind == "DOT" else np.sum(a0)
+        assert acc.tobytes() == want.tobytes()
+        # the strip-wise partial sums round differently, so blocking would show
+        step = kernels.STRIP
+        blocked = sum(np.sum(a0[i : i + step] * (a1[i : i + step] if kind == "DOT" else 1.0)) for i in range(0, n, step))
+        assert blocked + 0.25 != want[()]
+
+    def test_overlapping_copy_runs_whole(self, strip):
+        x = np.arange(12, dtype=np.float64)
+        k = _generated("COPY", (R, W))
+        interpret(k, {"a0": x[0:10], "a1": x[1:11]}, {})
+        assert x.tolist() == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11]
+
+    def test_rank_two_strips_are_whole_rows(self, strip, monkeypatch):
+        rng = np.random.default_rng(3)
+        a0, a1 = rng.normal(size=(7, 4)), np.zeros((7, 4))
+        k = REG.generate(task("NEG", (2, 2), [(0, _p(2), R), (1, _p(2), W)]))
+        interpret(k, {"a0": a0, "a1": a1}, {})
+        assert a1.tobytes() == (-a0).tobytes()
+
+    def test_chain_allocates_under_half_a_slab(self):
+        kernel, bufs, scalars, out, want = _fused_chain(1 << 20)
+        assert kernels.STRIP < len(out) // 2
+        peak = TestInPlaceEvaluation._peak(kernel, bufs, scalars)
+        assert (out == want).all()
+        assert peak < out.nbytes // 2, f"{peak / out.nbytes:.2f} slabs"

@@ -13,6 +13,7 @@ from diffusekit.kernels import KernelRegistry
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
 from diffusekit.trace import gen_benchmark
 from helpers import R, W, task, tiling
+import stream_fuzz
 
 
 def _run(name, config, **gen_kwargs):
@@ -258,6 +259,67 @@ class TestFailedFlush:
         assert heap_diff(session.heap, whole.heap, range(4)) == []
         report = session.finish()
         assert report.tasks_in == 3 == sum(report.fused_prefixes)
+
+
+    def test_capacity_flush_that_raises_keeps_the_next_task(self):
+        session = Session(SessionConfig(window=2))
+        with pytest.raises(UnknownTaskKindError):
+            self._window(session)  # the third task finds the buffer full
+        assert [t.kind for t in session._buffer] == ["MYSTERY", "COPY"]
+        held = Counter(s for t in session._buffer for s in {a.store for a in t.args})
+        assert {s: n for s, n in session.refs.runtime_refs.items() if n} == dict(held)
+        session.builtins["MYSTERY"] = self._mystery
+        report = session.finish()
+        assert report.tasks_in == 3 == sum(report.fused_prefixes)
+        whole = Session(SessionConfig(), builtins={**default_builtins(), "MYSTERY": self._mystery})
+        self._window(whole)
+        whole.flush()
+        assert heap_diff(session.heap, whole.heap, range(4)) == []
+
+
+class TestCapacityFlush:
+    """A full buffer is flushed when the next task arrives, after the
+    ``drop_ref``s that follow the window's last task."""
+
+    @staticmethod
+    def _flushes(stream, config, explicit):
+        """Per flush, its fused prefixes and temporaries. With ``explicit``,
+        the session never fills: an explicit flush comes before each task
+        that finds as many tasks buffered as the window, which grows as a
+        session's does."""
+        session = Session(config)
+        never = len(stream.tasks) + 1
+        window = session.window
+        for sid in sorted(stream.stores):
+            session.create_store(sid, stream.stores[sid])
+        for i, t in enumerate(stream.tasks):
+            if explicit:
+                if len(session._buffer) >= window:
+                    session.flush()
+                    fr = session.report.per_flush[-1]
+                    if fr.tasks_in > 1 and fr.tasks_out == 1:
+                        window = min(window * 2, MAX_WINDOW)
+                session.window = never
+            session.submit(t)
+            for sid in stream.drops.get(i, ()):
+                session.drop_ref(sid)
+        report = session.finish()
+        return [(fr.fused_prefixes, fr.temporaries) for fr in report.per_flush], report
+
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_fuzz_corpus_flushes_as_at_an_explicit_boundary(self, window):
+        fired = 0
+        for stream in stream_fuzz.corpus(1000):
+            config = SessionConfig(window=window, execute=False)
+            got, report = self._flushes(stream, config, explicit=False)
+            want, _ = self._flushes(stream, config, explicit=True)
+            assert got == want, stream.seed
+            fired += sum(not fr.explicit for fr in report.per_flush)
+        assert fired
+
+    def test_chain_at_window_67_demotes_every_temporary(self):
+        _, report = _run("blackscholes_chain", SessionConfig(window=67, execute=False), iters=4)
+        assert [len(fr.temporaries) for fr in report.per_flush] == [66] * 4
 
 
 class TestMemoBound:

@@ -251,7 +251,7 @@ class TestCli:
         assert result["traffic_reduction"] >= 1.0
 
     def test_bench_report_keeps_iterations_apart(self):
-        # at window 67 each iteration fills the buffer, so the capacity flush
-        # empties it and the iteration's explicit flush finds nothing to do
+        # at window 67 each iteration fills the buffer; it is flushed by the
+        # iteration's explicit flush, before the next task could find it full
         result = bench_report("blackscholes_chain", window=67)
         assert result["per_iteration"] == [(67, 1)] * 4
