@@ -11,7 +11,8 @@ indices, or whole when the buffer is a replicated rank-0 operand, and a store
 writes at the nest's indices. A shifted access is a partition of the store
 (an offset tiling), never a kernel offset, so each nest evaluates as a whole
 with numpy. Buffer extents stay symbolic: a nest iterates over the extents of
-a named buffer, and concrete shapes are bound only at interpretation time.
+a named buffer, and concrete shapes are bound only at interpretation time. So
+the IR holds no ranks and no index lists.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class PrivilegeViolationError(KernelError):
 @dataclass(frozen=True)
 class BufParam:
     name: str
-    rank: int
     privilege: Privilege
 
 
@@ -56,15 +56,8 @@ class ScalarParam:
 
 
 @dataclass(frozen=True)
-class LocalBuf:
-    name: str
-    rank: int
-
-
-@dataclass(frozen=True)
 class Load:
     buf: str
-    rank: int  # the nest's rank, or 0 for a whole rank-0 buffer
 
 
 @dataclass(frozen=True)
@@ -121,7 +114,6 @@ Stmt = SetTemp | StoreStmt | ReduceStmt
 @dataclass(frozen=True)
 class LoopNest:
     domain: str  # buffer whose extents give the iteration bounds
-    rank: int
     body: tuple[Stmt, ...]
 
 
@@ -132,7 +124,7 @@ class Kernel:
 
     buf_params: tuple[BufParam, ...]
     scalar_params: tuple[ScalarParam, ...]
-    locals: tuple[LocalBuf, ...]
+    locals: tuple[str, ...]  # task-local buffers, shaped at interpretation
     nests: tuple[LoopNest, ...]
     # buffer name -> hashable iteration-domain class; nests merge only within a class
     shape_class: Mapping[str, object] = field(default_factory=dict)
@@ -169,7 +161,7 @@ def _expr_loads(e: Expr) -> Iterable[Load]:
 
 def _rename_expr(e: Expr, bufs: Mapping[str, str], scalars: Mapping[str, str]) -> Expr:
     if isinstance(e, Load):
-        return Load(bufs.get(e.buf, e.buf), e.rank)
+        return Load(bufs.get(e.buf, e.buf))
     if isinstance(e, ScalarRef):
         return ScalarRef(scalars.get(e.name, e.name))
     if isinstance(e, Bin):
@@ -200,7 +192,9 @@ Generator = Callable[[IndexTask], Kernel]
 
 
 class KernelRegistry:
-    """task_kind -> generator(task) -> Kernel."""
+    """task_kind -> generator(task) -> Kernel. A generator's kernel may depend
+    only on the task's kind, arity, privileges and scalar count: the memo
+    replays it for every task with the same key."""
 
     def __init__(self) -> None:
         self._gens: dict[str, Generator] = {}
@@ -231,45 +225,23 @@ def _arity(task: IndexTask, nargs: int, nscalars: int | None = None) -> None:
         raise KernelError(f"{task.kind}: expected {nscalars} scalar params, got {len(task.scalars)}")
 
 
-def _params(task: IndexTask) -> tuple[BufParam, ...]:
-    # ranks are unknown to generators beyond what the store args imply; the
-    # executor binds concrete sub-store arrays positionally
-    return tuple(
-        BufParam(arg_name(i), _arg_rank(task, i), a.privilege) for i, a in enumerate(task.args)
-    )
-
-
-def _arg_rank(task: IndexTask, i: int) -> int:
-    # Partitions carry the store rank for tilings; NonePart args default to the
-    # launch rank unless a tiling elsewhere in the task pins the store.
-    part = task.args[i].partition
-    if hasattr(part, "tile"):
-        return len(part.tile)
-    return task.domain.rank
-
-
 def _template(
     nargs: int, out: int, body: Callable, nscalars: int | None = None, reduce: bool = False
 ) -> Generator:
     """The generator of one nest holding one statement that stores ``body(ld)``
     into argument ``out``, or sum-accumulates it there for a reduction. The
-    nest iterates over argument ``out``, or 0 for a reduction, at its rank;
-    ``ld(i)`` loads argument i at that rank and ``ld(i, 0)`` whole."""
+    nest iterates over argument ``out``, or 0 for a reduction; ``ld(i)``
+    loads argument i."""
 
     def gen(task: IndexTask) -> Kernel:
         _arity(task, nargs, nscalars)
-        over = 0 if reduce else out
-        rank = _arg_rank(task, over)
-
-        def ld(i: int, r: int = rank) -> Load:
-            return Load(arg_name(i), r)
-
-        stmt = (ReduceStmt if reduce else StoreStmt)(arg_name(out), body(ld))
+        expr = body(lambda i: Load(arg_name(i)))
+        stmt = (ReduceStmt if reduce else StoreStmt)(arg_name(out), expr)
         return Kernel(
-            _params(task),
+            tuple(BufParam(arg_name(i), a.privilege) for i, a in enumerate(task.args)),
             tuple(ScalarParam(f"s{k}") for k in range(len(task.scalars))),
             (),
-            (LoopNest(arg_name(over), rank, (stmt,)),),
+            (LoopNest(arg_name(0 if reduce else out), (stmt,)),),
         )
 
     return gen
@@ -286,9 +258,9 @@ def _by_nargs(two: Generator, three: Generator) -> Generator:
     return lambda task: (two if len(task.args) == 2 else three)(task)
 
 
-def _ratio(ld: Callable[..., Load]) -> Expr:
+def _ratio(ld: Callable[[int], Load]) -> Expr:
     # num / den of the ratio kinds, with args (x: R, y: RW, num: R, den: R)
-    return Bin("/", ld(2, 0), ld(3, 0))
+    return Bin("/", ld(2), ld(3))
 
 
 _GENERATORS: dict[str, Generator] = {
@@ -338,40 +310,42 @@ def compose(
     nests: list[LoopNest] = []
     params: dict[int, BufParam] = {}
     scalar_params: list[ScalarParam] = []
-    locals_: dict[int, LocalBuf] = {}
+    locals_: set[int] = set()
     for i, (kernel, amap) in enumerate(zip(kernels, arg_maps)):
         bmap: dict[str, str] = {}
         for k, p in enumerate(kernel.buf_params):
             j = amap[k]
             bmap[p.name] = buf_name[j]
             if j in temp_arg_indices:
-                locals_.setdefault(j, LocalBuf(buf_name[j], p.rank))
+                locals_.add(j)
             else:
                 prev = params.get(j)
                 priv = p.privilege
                 if prev is not None:
                     priv = join_privileges(prev.privilege, priv)
-                params[j] = BufParam(buf_name[j], p.rank, priv)
+                params[j] = BufParam(buf_name[j], priv)
         smap = {sp.name: f"s{i}_{k}" for k, sp in enumerate(kernel.scalar_params)}
         scalar_params.extend(ScalarParam(v) for v in smap.values())
         for nest in kernel.nests:
-            nests.append(LoopNest(bmap[nest.domain], nest.rank, tuple(_rename_stmt(s, bmap, smap) for s in nest.body)))
+            nests.append(LoopNest(bmap[nest.domain], tuple(_rename_stmt(s, bmap, smap) for s in nest.body)))
     shape_class = {buf_name[j]: shape_classes[j] for j in range(n_fused_args) if j in shape_classes}
     return Kernel(
         tuple(params[j] for j in sorted(params)),
         tuple(scalar_params),
-        tuple(locals_[j] for j in sorted(locals_)),
+        tuple(buf_name[j] for j in sorted(locals_)),
         tuple(nests),
         shape_class,
     )
 
 
 def fuse_loops(kernel: Kernel) -> Kernel:
-    """Merge adjacent nests of the same rank and iteration-domain class.
+    """Merge adjacent nests of the same iteration-domain class.
 
     Every access is at the loop index, so any dependence between two such
     nests stays within one iteration and running the bodies in one nest, in
-    order, keeps it.
+    order, keeps it. Within one fused kernel the class also fixes the nest's
+    rank: a replication's nest runs at the launch rank, a tiling's at the
+    rank of its tile.
     """
     if not kernel.nests:
         return kernel
@@ -383,8 +357,8 @@ def fuse_loops(kernel: Kernel) -> Kernel:
     merged = [kernel.nests[0]]
     for nest in kernel.nests[1:]:
         prev = merged[-1]
-        if nest.rank == prev.rank and domain_key(nest) == domain_key(prev):
-            merged[-1] = LoopNest(prev.domain, prev.rank, prev.body + nest.body)
+        if domain_key(nest) == domain_key(prev):
+            merged[-1] = LoopNest(prev.domain, prev.body + nest.body)
         else:
             merged.append(nest)
     return replace(kernel, nests=tuple(merged))
@@ -393,21 +367,14 @@ def fuse_loops(kernel: Kernel) -> Kernel:
 def _domain_replacement(
     nest: LoopNest, gone: set[str], shape_class: Mapping[str, object]
 ) -> str | None:
-    """A surviving buffer whose extents can stand in for the nest's domain.
-
-    Prefers a buffer in the same shape class; falls back to any store or
-    nest-rank load, which iterates identically for elementwise bodies.
-    """
-    cands = [s.buf for s in nest.body if isinstance(s, StoreStmt) and s.buf not in gone]
-    for s in nest.body:
-        cands.extend(
-            ld.buf for ld in _expr_loads(s.expr) if ld.buf not in gone and ld.rank == nest.rank
-        )
+    """A surviving store or load of the nest in its domain's shape class, whose
+    extents can stand in for the domain's, or None."""
+    cands = [s.buf for s in nest.body if isinstance(s, StoreStmt)]
+    cands += [ld.buf for s in nest.body for ld in _expr_loads(s.expr)]
     cls = shape_class.get(nest.domain)
-    for c in cands:
-        if cls is not None and shape_class.get(c) == cls:
-            return c
-    return cands[0] if cands else None
+    if cls is None:
+        return None
+    return next((c for c in cands if c not in gone and shape_class.get(c) == cls), None)
 
 
 def scalarize_locals(kernel: Kernel) -> Kernel:
@@ -426,10 +393,9 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
                 if isinstance(s, ReduceStmt):
                     reduced_into.add(s.buf)
 
-    local_names = {l.name for l in kernel.locals}
     dead: set[str] = set()
     scalarized: set[str] = set()
-    for name in local_names:
+    for name in kernel.locals:
         uses = usage.get(name, [])
         if all(is_w for _, is_w in uses):
             dead.add(name)
@@ -495,10 +461,10 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
         if domain in gone:
             domain = _domain_replacement(nest, gone, kernel.shape_class)
             assert domain is not None  # guaranteed by the back-off loop above
-        new_nests.append(LoopNest(domain, nest.rank, tuple(body)))
+        new_nests.append(LoopNest(domain, tuple(body)))
     return replace(
         kernel,
-        locals=tuple(l for l in kernel.locals if l.name not in gone),
+        locals=tuple(l for l in kernel.locals if l not in gone),
         nests=tuple(new_nests),
     )
 
@@ -547,16 +513,16 @@ STRIP = 1 << 16  # about this many elements of a store-only nest run at a time
 class _NestPlan(NamedTuple):
     """A compiled nest: ops over registers holding its buffers, scalars and slots.
 
-    A nest of rank >= 1 with no reduction runs its ops strip by strip, about
-    ``STRIP`` elements of whole rows along axis 0 at a time, so that a strip's
-    values stay in cache from one op to the next. Every access is at the loop
-    index, so this gives the bits of one whole pass. Nest-rank buffers and the
-    store slabs of chains are sliced per strip; rank-0 buffers and scalars stay
-    whole, and slots keep their strip-sized arrays from strip to strip. A nest
-    runs whole if it fits in one strip, if it reduces (pairwise ``np.sum``
-    depends on blocking), if a
+    A nest with no reduction runs its ops strip by strip, about ``STRIP``
+    elements of whole rows along axis 0 of its domain at a time, so that a
+    strip's values stay in cache from one op to the next. Every access is at
+    the loop index, so this gives the bits of one whole pass. Buffers of rank
+    >= 1 and the store slabs of chains are sliced per strip; rank-0 buffers
+    and scalars stay whole, and slots keep their strip-sized arrays from strip
+    to strip. A nest runs whole if its domain has rank 0 or fits in one
+    strip, if it reduces (pairwise ``np.sum`` depends on blocking), if a
     buffer it stores to may share memory with another bound buffer, or if a
-    nest-rank buffer's shape is not the domain's.
+    buffer of rank >= 1 has a shape other than the domain's.
     """
 
     inputs: tuple[tuple[int, str, bool], ...]  # (register, name, is a scalar)
@@ -564,7 +530,7 @@ class _NestPlan(NamedTuple):
     domain: str
     reads: frozenset[str]  # the buffers it loads or reduces into
     stored: tuple[str, ...]  # the buffers its StoreStmts write
-    strips: bool  # rank >= 1 and no ReduceStmt
+    strips: bool  # no ReduceStmt
     nregs: int
     ops: tuple[tuple[Callable, tuple[int, ...], int, bool], ...]
 
@@ -759,7 +725,7 @@ def _compile_nest(nest: LoopNest, priv: Mapping[str, Privilege]) -> _NestPlan:
         nest.domain,
         frozenset(loaded).union(s.buf for s in body if isinstance(s, ReduceStmt)),
         tuple(dict.fromkeys(s.buf for s in body if isinstance(s, StoreStmt))),
-        nest.rank >= 1 and not any(isinstance(s, ReduceStmt) for s in body),
+        not any(isinstance(s, ReduceStmt) for s in body),
         new_reg(),
         tuple(ops),
     )
@@ -783,9 +749,9 @@ def interpret(
         if p.name not in env:
             raise KernelError(f"missing buffer binding for param {p.name}")
     for loc in kernel.locals:
-        if loc.name not in local_shapes:
-            raise KernelError(f"no shape given for local buffer {loc.name}")
-        env[loc.name] = np.zeros(local_shapes[loc.name], dtype=np.float64)
+        if loc not in local_shapes:
+            raise KernelError(f"no shape given for local buffer {loc}")
+        env[loc] = np.zeros(local_shapes[loc], dtype=np.float64)
 
     with np.errstate(all="ignore"):
         for plan in kernel.plans:
@@ -795,13 +761,9 @@ def interpret(
 # --- pretty printing --------------------------------------------------------
 
 
-def _index_text(rank: int) -> str:
-    return ", ".join(f"i{a}" for a in range(rank))
-
-
 def _expr_text(e: Expr) -> str:
     if isinstance(e, Load):
-        return f"{e.buf}[{_index_text(e.rank)}]"
+        return e.buf
     if isinstance(e, ScalarRef):
         return e.name
     if isinstance(e, TempRef):
@@ -818,18 +780,18 @@ def _expr_text(e: Expr) -> str:
 def kernel_text(kernel: Kernel) -> str:
     """Stable textual dump used by golden tests."""
     lines = []
-    params = ", ".join(f"{p.name}: {p.privilege.value} rank{p.rank}" for p in kernel.buf_params)
+    params = ", ".join(f"{p.name}: {p.privilege.value}" for p in kernel.buf_params)
     scalars = ", ".join(s.name for s in kernel.scalar_params)
     lines.append(f"kernel({params})" + (f" scalars({scalars})" if scalars else ""))
     for l in kernel.locals:
-        lines.append(f"  local {l.name} rank{l.rank}")
+        lines.append(f"  local {l}")
     for nest in kernel.nests:
         lines.append(f"  for extents({nest.domain}):")
         for s in nest.body:
             if isinstance(s, SetTemp):
                 lines.append(f"    {s.name} = {_expr_text(s.expr)}")
             elif isinstance(s, StoreStmt):
-                lines.append(f"    {s.buf}[{_index_text(nest.rank)}] = {_expr_text(s.expr)}")
+                lines.append(f"    {s.buf} = {_expr_text(s.expr)}")
             else:
                 lines.append(f"    {s.buf} += sum {_expr_text(s.expr)}")
     return "\n".join(lines)

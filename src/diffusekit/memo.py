@@ -145,21 +145,20 @@ class Carve:
     """One prefix carved off a memoized window, in that window's canonical
     store and partition indices.
 
-    ``temp_arg_positions`` index the fused task's arguments; the demoted
+    ``temp_arg_positions`` index the launched task's arguments; the demoted
     stores are those arguments' stores. ``verdicts`` say why the prefix
     stopped, with their task index counted from the carve's first task.
-    A fused carve (``prefix_len > 1``) also holds its shape-symbolic kernel
-    and the fused task's template: its kind and, per argument, (store,
-    partition, joined privilege). A single task keeps no kernel, since its
-    generator reads partition ranks that the key does not hold.
+    Every carve, a single task too, holds its shape-symbolic kernel (None
+    for a builtin) and the launched task's template: its kind and, per
+    argument, (store, partition, joined privilege).
     """
 
     prefix_len: int
     temp_arg_positions: frozenset[int] = frozenset()
     kernel: Kernel | None = None
     verdicts: tuple[ConstraintVerdict, ...] = ()
-    fused_kind: str = ""
-    fused_args: tuple[tuple[int, int, Privilege], ...] = ()
+    kind: str = ""
+    args: tuple[tuple[int, int, Privilege], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -173,30 +172,20 @@ class MemoEntry:
 
     carves: tuple[Carve, ...]
 
-    @property
-    def prefix_len(self) -> int:
-        """Length of the first prefix the window fuses."""
-        return self.carves[0].prefix_len
-
 
 class MemoCache:
-    """Map from canonical streams to entries, counting lookup hits and misses.
-    Past ``MEMO_CAPACITY`` entries, the least recently inserted or hit goes."""
+    """Map from canonical streams to entries. Past ``MEMO_CAPACITY`` entries,
+    the least recently inserted or hit goes."""
 
     def __init__(self) -> None:
         self._entries: OrderedDict[CanonicalStream, MemoEntry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, key: CanonicalStream) -> MemoEntry | None:
         entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
+        if entry is not None:
             self._entries.move_to_end(key)
         return entry
 

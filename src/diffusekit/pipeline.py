@@ -173,8 +173,6 @@ class SegmentPlan:
         """This launch as a memo record, its stores and partitions mapped to
         the canonical indices of a window that contains it."""
         verdicts = tuple(v.rebind(store_index, part_index) for v in self.verdicts)
-        if self.f == 1:
-            return Carve(1, verdicts=verdicts)
         args = tuple(
             (store_index(a.store), part_index(a.partition), a.privilege) for a in self.task.args
         )
@@ -211,7 +209,6 @@ class Session:
         # per kernel, kept while the kernel lives: argument shapes -> traffic
         self._traffic_counts: WeakKeyDictionary[Kernel, dict] = WeakKeyDictionary()
         self._buffer: list[IndexTask] = []
-        self._finished = False
 
     # --- stream-facing API ---------------------------------------------------
 
@@ -252,10 +249,9 @@ class Session:
         self._flush(explicit=True)
 
     def finish(self) -> Report:
-        if not self._finished:
-            self._flush(explicit=True)
-            self.report.final_window = self.window
-            self._finished = True
+        """Flush what is buffered and return the report."""
+        self._flush(explicit=True)
+        self.report.final_window = self.window
         return self.report
 
     def live_store_ids(self) -> list[int]:
@@ -338,14 +334,16 @@ class Session:
     ) -> SegmentPlan:
         """Plan a memoized carve over the head of ``rem``. The bindings map the
         carve's canonical indices to the stores and partitions of the window
-        that was looked up; the launch domain and scalars come from ``rem``."""
+        that was looked up; the launch domain and scalars come from ``rem``.
+        A single task is launched as buffered, since the template would
+        rebuild it unchanged."""
         verdicts = [v.rebind(sbind.__getitem__, pbind.__getitem__) for v in carve.verdicts]
         f = carve.prefix_len
-        if f == 1:
-            return self._single(rem[0], verdicts)
         prefix = rem[:f]
-        args = tuple(StoreArg(sbind[s], pbind[p], pr) for s, p, pr in carve.fused_args)
-        task = IndexTask(carve.fused_kind, prefix[0].domain, args, fused_scalars(prefix))
+        task = prefix[0]
+        if f > 1:
+            args = tuple(StoreArg(sbind[s], pbind[p], pr) for s, p, pr in carve.args)
+            task = IndexTask(carve.kind, task.domain, args, fused_scalars(prefix))
         return SegmentPlan(f, task, carve.kernel, carve.temp_arg_positions, verdicts)
 
     def _single(self, task: IndexTask, verdicts: Sequence[ConstraintVerdict] = ()) -> SegmentPlan:

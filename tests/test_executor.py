@@ -502,11 +502,11 @@ class TestFirstTouch:
     def test_store_named_through_two_partitions_is_filled(self, filled):
         stores = store_table((8,))
         kernel = Kernel(
-            (BufParam("a0", 1, W), BufParam("a1", 1, W)),
+            (BufParam("a0", W), BufParam("a1", W)),
             (ScalarParam("s"),),
             (),
-            (LoopNest("a0", 1, (StoreStmt("a0", ScalarRef("s")),)),
-             LoopNest("a1", 1, (StoreStmt("a1", ScalarRef("s")),))),
+            (LoopNest("a0", (StoreStmt("a0", ScalarRef("s")),)),
+             LoopNest("a1", (StoreStmt("a1", ScalarRef("s")),))),
         )
         t = task("FILL2", (2,), [(0, tiling((4,)), W), (0, tiling((2,)), W)], [("s", 5.0)])
         heap = Heap(stores, 0)

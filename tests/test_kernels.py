@@ -17,6 +17,7 @@ from diffusekit.kernels import (
     BufParam,
     Kernel,
     KernelError,
+    KernelRegistry,
     Load,
     LoopNest,
     NoGeneratorError,
@@ -49,66 +50,66 @@ def _p(rank=1):
     return tiling((2,) * rank)
 
 
-# case -> (kind, argument privileges, scalar count, kernel_text at rank 1).
+# case -> (kind, argument privileges, scalar count, kernel_text at any rank).
 # Reduction targets and the ratio kinds' num/den are rank-0 replications;
 # every other argument is a tiling of the launch rank.
 _GOLDEN = {
     f"{kind}/{len(privs)}": (kind, privs, nscalars, text)
     for kind, privs, nscalars, text in [
         ("ADD", (R, R, W), 0,
-         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
-         "    a2[i0] = (a0[i0] + a1[i0])"),
+         "kernel(a0: R, a1: R, a2: W)\n  for extents(a2):\n"
+         "    a2 = (a0 + a1)"),
         ("SUB", (R, R, W), 0,
-         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
-         "    a2[i0] = (a0[i0] - a1[i0])"),
+         "kernel(a0: R, a1: R, a2: W)\n  for extents(a2):\n"
+         "    a2 = (a0 - a1)"),
         ("DIV", (R, R, W), 0,
-         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
-         "    a2[i0] = (a0[i0] / a1[i0])"),
+         "kernel(a0: R, a1: R, a2: W)\n  for extents(a2):\n"
+         "    a2 = (a0 / a1)"),
         ("MIN", (R, R, W), 0,
-         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
-         "    a2[i0] = min(a0[i0], a1[i0])"),
+         "kernel(a0: R, a1: R, a2: W)\n  for extents(a2):\n"
+         "    a2 = min(a0, a1)"),
         ("MAX", (R, R, W), 0,
-         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
-         "    a2[i0] = max(a0[i0], a1[i0])"),
+         "kernel(a0: R, a1: R, a2: W)\n  for extents(a2):\n"
+         "    a2 = max(a0, a1)"),
         ("MULT", (R, R, W), 0,
-         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
-         "    a2[i0] = (a0[i0] * a1[i0])"),
+         "kernel(a0: R, a1: R, a2: W)\n  for extents(a2):\n"
+         "    a2 = (a0 * a1)"),
         ("MULT", (R, W), 1,
-         "kernel(a0: R rank1, a1: W rank1) scalars(s0)\n  for extents(a1):\n"
-         "    a1[i0] = (s0 * a0[i0])"),
+         "kernel(a0: R, a1: W) scalars(s0)\n  for extents(a1):\n"
+         "    a1 = (s0 * a0)"),
         ("POW", (R, R, W), 0,
-         "kernel(a0: R rank1, a1: R rank1, a2: W rank1)\n  for extents(a2):\n"
-         "    a2[i0] = (a0[i0] ** a1[i0])"),
+         "kernel(a0: R, a1: R, a2: W)\n  for extents(a2):\n"
+         "    a2 = (a0 ** a1)"),
         ("POW", (R, W), 1,
-         "kernel(a0: R rank1, a1: W rank1) scalars(s0)\n  for extents(a1):\n"
-         "    a1[i0] = (a0[i0] ** s0)"),
+         "kernel(a0: R, a1: W) scalars(s0)\n  for extents(a1):\n"
+         "    a1 = (a0 ** s0)"),
         ("COPY", (R, W), 0,
-         "kernel(a0: R rank1, a1: W rank1)\n  for extents(a1):\n"
-         "    a1[i0] = a0[i0]"),
+         "kernel(a0: R, a1: W)\n  for extents(a1):\n"
+         "    a1 = a0"),
         ("NEG", (R, W), 0,
-         "kernel(a0: R rank1, a1: W rank1)\n  for extents(a1):\n"
-         "    a1[i0] = (-a0[i0])"),
+         "kernel(a0: R, a1: W)\n  for extents(a1):\n"
+         "    a1 = (-a0)"),
         ("FILL", (W,), 1,
-         "kernel(a0: W rank1) scalars(s0)\n  for extents(a0):\n"
-         "    a0[i0] = s0"),
+         "kernel(a0: W) scalars(s0)\n  for extents(a0):\n"
+         "    a0 = s0"),
         ("AXPY", (R, RW), 1,
-         "kernel(a0: R rank1, a1: RW rank1) scalars(s0)\n  for extents(a1):\n"
-         "    a1[i0] = (a1[i0] + (s0 * a0[i0]))"),
+         "kernel(a0: R, a1: RW) scalars(s0)\n  for extents(a1):\n"
+         "    a1 = (a1 + (s0 * a0))"),
         ("DOT", (R, R, RD), 0,
-         "kernel(a0: R rank1, a1: R rank1, a2: Rd rank1)\n  for extents(a0):\n"
-         "    a2 += sum (a0[i0] * a1[i0])"),
+         "kernel(a0: R, a1: R, a2: Rd)\n  for extents(a0):\n"
+         "    a2 += sum (a0 * a1)"),
         ("SUM", (R, RD), 0,
-         "kernel(a0: R rank1, a1: Rd rank1)\n  for extents(a0):\n"
-         "    a1 += sum a0[i0]"),
+         "kernel(a0: R, a1: Rd)\n  for extents(a0):\n"
+         "    a1 += sum a0"),
         ("AXPY_RATIO", (R, RW, R, R), 0,
-         "kernel(a0: R rank1, a1: RW rank1, a2: R rank1, a3: R rank1)\n  for extents(a1):\n"
-         "    a1[i0] = (a1[i0] + ((a2[] / a3[]) * a0[i0]))"),
+         "kernel(a0: R, a1: RW, a2: R, a3: R)\n  for extents(a1):\n"
+         "    a1 = (a1 + ((a2 / a3) * a0))"),
         ("AXMY_RATIO", (R, RW, R, R), 0,
-         "kernel(a0: R rank1, a1: RW rank1, a2: R rank1, a3: R rank1)\n  for extents(a1):\n"
-         "    a1[i0] = (a1[i0] - ((a2[] / a3[]) * a0[i0]))"),
+         "kernel(a0: R, a1: RW, a2: R, a3: R)\n  for extents(a1):\n"
+         "    a1 = (a1 - ((a2 / a3) * a0))"),
         ("XPBY_RATIO", (R, RW, R, R), 0,
-         "kernel(a0: R rank1, a1: RW rank1, a2: R rank1, a3: R rank1)\n  for extents(a1):\n"
-         "    a1[i0] = (a0[i0] + ((a2[] / a3[]) * a1[i0]))"),
+         "kernel(a0: R, a1: RW, a2: R, a3: R)\n  for extents(a1):\n"
+         "    a1 = (a0 + ((a2 / a3) * a1))"),
     ]
 }
 
@@ -119,18 +120,18 @@ class TestGenerators:
         k = REG.generate(t)
         assert len(k.nests) == 1 and k.locals == ()
         text = kernel_text(k)
-        assert "a2[i0] = (a0[i0] + a1[i0])" in text
+        assert "a2 = (a0 + a1)" in text
 
     def test_scalar_mult(self):
         t = task("MULT", (2, 2), [(0, _p(2), R), (1, _p(2), W)], [("s", 0.2)])
         k = REG.generate(t)
-        assert "a1[i0, i1] = (s0 * a0[i0, i1])" in kernel_text(k)
+        assert "a1 = (s0 * a0)" in kernel_text(k)
 
     def test_dot_reduces_into_rank_zero(self):
         t = task("DOT", (2,), [(0, _p(), R), (1, _p(), R), (2, NonePart(), RD)])
         k = REG.generate(t)
         assert isinstance(k.nests[0].body[0], ReduceStmt)
-        assert "a2 += sum (a0[i0] * a1[i0])" in kernel_text(k)
+        assert "a2 += sum (a0 * a1)" in kernel_text(k)
 
     def test_arity_mismatch_rejected(self):
         t = task("ADD", (2,), [(0, _p(), R), (1, _p(), W)])
@@ -152,8 +153,6 @@ class TestGenerators:
             for j, pr in enumerate(privs)
         ]
         t = task(kind, (2,) * rank, args, [("s", 2.0)] * nscalars)
-        if rank == 2:
-            golden = golden.replace("rank1", "rank2").replace("[i0]", "[i0, i1]")
         assert kernel_text(REG.generate(t)) == golden
 
     def test_generated_kernels_compute_their_operation(self):
@@ -188,7 +187,7 @@ class TestComposeAndOptimize:
         kernels, amap = _chain_kernels(2)
         composed = compose(kernels, amap, frozenset({2}), {j: 0 for j in range(5)}, 5)
         assert [p.name for p in composed.buf_params] == ["a0", "a1", "a3", "a4"]
-        assert [l.name for l in composed.locals] == ["l2"]
+        assert [l for l in composed.locals] == ["l2"]
         assert len(composed.nests) == 2
         optimized = optimize(composed)
         assert len(optimized.nests) == 1 and optimized.locals == ()
@@ -232,11 +231,31 @@ class TestComposeAndOptimize:
         kernels = [REG.generate(t1), REG.generate(t2)]
         composed = compose(kernels, [(0, 0, 1), (1, 2)], frozenset({1}), {0: 0}, 3)
         optimized = optimize(composed)
-        assert [l.name for l in optimized.locals] == ["l1"]
+        assert [l for l in optimized.locals] == ["l1"]
         a = np.arange(1.0, 7.0)
         out = np.zeros(())
         interpret(optimized, {"a0": a, "a2": out}, {}, {"l1": ()})
         assert out[()] == float(a @ a)
+
+    def test_local_domain_without_a_stand_in_stays_a_buffer(self):
+        """FILL then SUM of a dropped store: the merged nest iterates over
+        the demoted store, and no other buffer of the nest shares its shape
+        class, so the local stays a buffer instead of a per-iteration value."""
+        heaps, kernels = [], []
+        for fusion in (True, False):
+            session = Session(SessionConfig(fusion=fusion))
+            session.create_store(0, (8,))
+            session.create_store(1, ())
+            session.submit(task("FILL", (4,), [(0, _p(), W)], [("s", 3.0)]))
+            session.submit(task("SUM", (4,), [(0, _p(), R), (1, NonePart(), RD)]))
+            session.drop_ref(0)
+            report = session.finish()
+            heaps.append(session.heap.digest([1]))
+            kernels.extend(c.kernel for e in session.memo._entries.values() for c in e.carves)
+        (fused,) = kernels
+        assert report.fused_prefixes == [1, 1] and fused.locals == ("l0",)
+        assert [s.buf for s in fused.nests[0].body] == ["l0", "a1"]
+        assert heaps[0] == heaps[1]
 
     def test_unread_reduction_temporary_is_dropped(self):
         p = _p()
@@ -310,10 +329,10 @@ class TestTraffic:
 class TestInterpretSafety:
     def test_store_to_read_only_param_rejected(self):
         k = Kernel(
-            (BufParam("a0", 1, R),),
+            (BufParam("a0", R),),
             (),
             (),
-            (LoopNest("a0", 1, (StoreStmt("a0", Load("a0", 1)),)),),
+            (LoopNest("a0", (StoreStmt("a0", Load("a0")),)),),
         )
         with pytest.raises(PrivilegeViolationError):
             interpret(k, {"a0": np.ones(4)})
@@ -334,10 +353,10 @@ class TestInterpretSafety:
 def _one_nest(params, body):
     """A kernel with one rank-1 nest over a0 and params (name, privilege)."""
     return Kernel(
-        tuple(BufParam(n, 1, pr) for n, pr in params),
+        tuple(BufParam(n, pr) for n, pr in params),
         (ScalarParam("s"),),
         (),
-        (LoopNest("a0", 1, tuple(body)),),
+        (LoopNest("a0", tuple(body)),),
     )
 
 
@@ -352,7 +371,7 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", R), ("a1", R), ("a2", W)],
             [
-                SetTemp("t", Bin("+", Load("a0", 1), Load("a1", 1))),
+                SetTemp("t", Bin("+", Load("a0"), Load("a1"))),
                 StoreStmt("a2", Bin("*", t, t1) if t_first else Bin("*", t1, t)),
             ],
         )
@@ -366,11 +385,11 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", R), ("a1", W), ("a2", W)],
             [
-                SetTemp("t", Bin("*", ScalarRef("s"), Load("a0", 1))),
+                SetTemp("t", Bin("*", ScalarRef("s"), Load("a0"))),
                 SetTemp("u", TempRef("t")),
                 SetTemp("v", Un("neg", TempRef("u"))),
                 StoreStmt("a1", Bin("+", TempRef("v"), TempRef("v"))),
-                StoreStmt("a2", Bin("+", TempRef("t"), Load("a0", 1))),
+                StoreStmt("a2", Bin("+", TempRef("t"), Load("a0"))),
             ],
         )
         a0, a1, a2 = _vec(0), np.zeros(6), np.zeros(6)
@@ -382,10 +401,10 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", R), ("a1", R), ("a3", RW)],
             [
-                SetTemp("t", Bin("-", Load("a0", 1), Load("a1", 1))),
+                SetTemp("t", Bin("-", Load("a0"), Load("a1"))),
                 StoreStmt(
                     "a3",
-                    Bin("+", Load("a3", 1), Bin("*", ScalarRef("s"), TempRef("t"))),
+                    Bin("+", Load("a3"), Bin("*", ScalarRef("s"), TempRef("t"))),
                 ),
             ],
         )
@@ -403,8 +422,8 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", R), ("a1", W)],
             [
-                SetTemp("t", Bin("*", ScalarRef("s"), Load("a0", 1))),
-                StoreStmt("a1", Bin("+", TempRef("t"), Load("a0", 1))),
+                SetTemp("t", Bin("*", ScalarRef("s"), Load("a0"))),
+                StoreStmt("a1", Bin("+", TempRef("t"), Load("a0"))),
             ],
         )
         interpret(k, {"a0": a0, "a1": a1}, {"s": 2.0})
@@ -414,8 +433,8 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", RW), ("a1", R), ("a2", W)],
             [
-                SetTemp("t", Load("a0", 1)),
-                StoreStmt("a0", Load("a1", 1)),
+                SetTemp("t", Load("a0")),
+                StoreStmt("a0", Load("a1")),
                 StoreStmt("a2", TempRef("t")),
             ],
         )
@@ -441,10 +460,10 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", RW), ("a1", R)],
             [
-                SetTemp("t1", Bin("+", Load("a0", 1), Load("a1", 1))),
+                SetTemp("t1", Bin("+", Load("a0"), Load("a1"))),
                 SetTemp("t2", Un("neg", TempRef("t1"))),
                 SetTemp("t3", Bin("*", ScalarRef("s"), TempRef("t2"))),
-                StoreStmt("a0", Bin("+", TempRef("t3"), Load("a0", 1))),
+                StoreStmt("a0", Bin("+", TempRef("t3"), Load("a0"))),
             ],
         )
         a0, a1 = _vec(0, n), _vec(1, n)
@@ -458,7 +477,7 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", R), ("a1", R), ("a2", W)],
             [
-                SetTemp("t", Bin("+", Load("a0", 1), Load("a1", 1))),
+                SetTemp("t", Bin("+", Load("a0"), Load("a1"))),
                 SetTemp("u", Un("neg", TempRef("t"))),
                 SetTemp("v", TempRef("u")),
                 StoreStmt("a2", Bin("*", ScalarRef("s"), TempRef("v"))),
@@ -473,7 +492,7 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", R), ("a1", R)],
             [
-                SetTemp("t", Un("neg", Load("a1", 1))),
+                SetTemp("t", Un("neg", Load("a1"))),
                 StoreStmt("a0", Bin("*", ScalarRef("s"), TempRef("t"))),
             ],
         )
@@ -522,8 +541,8 @@ class TestNestPlans:
         k = _one_nest(
             [("a0", R), ("a1", W), ("a2", R)],
             [
-                StoreStmt("a1", Bin("*", ScalarRef("s"), Load("a0", 1))),
-                ReduceStmt("a2", Load("a0", 1)),
+                StoreStmt("a1", Bin("*", ScalarRef("s"), Load("a0"))),
+                ReduceStmt("a2", Load("a0")),
             ],
         )
         a0, a1, a2 = _vec(0), np.zeros(6), np.zeros(())
@@ -537,9 +556,9 @@ class TestNestPlans:
         k = _one_nest(
             [("a0", R), ("a1", R), ("a2", W), ("a3", W)],
             [
-                SetTemp("t", Bin("+", Load("a0", 1), Load("a1", 1))),
+                SetTemp("t", Bin("+", Load("a0"), Load("a1"))),
                 StoreStmt("a2", Bin("*", ScalarRef("s"), TempRef("t"))),
-                SetTemp("u", Bin("-", Load("a0", 1), Load("a1", 1))),
+                SetTemp("u", Bin("-", Load("a0"), Load("a1"))),
                 StoreStmt("a3", Bin("*", TempRef("u"), TempRef("u"))),
             ],
         )
@@ -553,7 +572,7 @@ class TestNestPlans:
         k = _one_nest(
             [("a0", R), ("a1", W), ("a2", RD)],
             [
-                SetTemp("t", Bin("+", Load("a0", 1), Load("a0", 1))),
+                SetTemp("t", Bin("+", Load("a0"), Load("a0"))),
                 StoreStmt("a1", Bin("*", TempRef("t"), TempRef("t"))),
                 SetTemp("u", Un("neg", ScalarRef("s"))),
                 ReduceStmt("a2", TempRef("u")),
@@ -584,8 +603,17 @@ class TestNestPlans:
 
     def test_each_kernel_is_planned_once(self, monkeypatch):
         compiled, interpreted = self._count_plans(monkeypatch)
+        generated = []
+        generate = KernelRegistry.generate
+        monkeypatch.setattr(
+            KernelRegistry, "generate", lambda reg, t: generated.append(t.kind) or generate(reg, t)
+        )
         session = Session(SessionConfig())
         run_events(session, gen_stencil(size=10, nodes=2, iters=6))
+        # only the first iteration's two windows miss: the fused ADDs and MULT,
+        # then the COPY on its own, which every later iteration replays
+        assert session.report.memo_misses == 2
+        assert sorted(generated) == ["ADD"] * 4 + ["COPY", "MULT"]
         distinct = list({id(k): k for k in interpreted}.values())
         assert sorted(map(id, compiled)) == sorted(id(n) for k in distinct for n in k.nests)
         hits = [c.kernel for e in session.memo._entries.values() for c in e.carves if c.kernel]
@@ -632,11 +660,11 @@ class TestStrips:
         k = _one_nest(
             [("a0", R), ("a1", R), ("a2", W), ("a3", W)],
             [
-                SetTemp("t", Bin("**", Load("a0", 1), Load("a1", 1))),
-                SetTemp("u", Bin("/", t, Load("a1", 1))),
-                SetTemp("v", Bin("min", u, Bin("**", Load("a0", 1), ScalarRef("s")))),
-                StoreStmt("a2", Bin("max", v, Load("a0", 1))),
-                StoreStmt("a3", Bin("/", Load("a0", 1), Bin("min", t, u))),
+                SetTemp("t", Bin("**", Load("a0"), Load("a1"))),
+                SetTemp("u", Bin("/", t, Load("a1"))),
+                SetTemp("v", Bin("min", u, Bin("**", Load("a0"), ScalarRef("s")))),
+                StoreStmt("a2", Bin("max", v, Load("a0"))),
+                StoreStmt("a3", Bin("/", Load("a0"), Bin("min", t, u))),
             ],
         )
         bufs = {"a0": a0, "a1": a1, "a2": np.zeros(n), "a3": np.zeros(n)}

@@ -6,9 +6,9 @@ import random
 
 import pytest
 
-from diffusekit import memo
-from diffusekit.ir import Domain, NonePart, Store
-from diffusekit.kernels import Kernel
+from diffusekit import memo, pipeline
+from diffusekit.ir import Domain, NonePart, ProjectionFn, Store
+from diffusekit.kernels import Kernel, kernel_text
 from diffusekit.memo import (
     CanonicalStream,
     Carve,
@@ -143,15 +143,15 @@ class TestMemoCache:
         assert cache.lookup(key) is None
         cache.insert(key, MemoEntry((Carve(2),)))
         entry = cache.lookup(key)
-        assert entry is not None and entry.prefix_len == 2
-        assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
+        assert entry is not None and entry.carves[0].prefix_len == 2
+        assert len(cache) == 1
 
     def test_insert_is_idempotent(self):
         cache = MemoCache()
         key, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
         cache.insert(key, MemoEntry((Carve(2),)))
         cache.insert(key, MemoEntry((Carve(4),)))
-        assert cache.lookup(key).prefix_len == 2
+        assert cache.lookup(key).carves[0].prefix_len == 2
 
     def test_isomorphic_window_hits(self):
         cache = MemoCache()
@@ -207,6 +207,36 @@ class TestReplayEqualsFreshAnalysis:
         # a stream of 3 to 7 tasks repeats a window only when windows are short
         assert hits > 0 if window == 2 else hits == 0
 
+    def test_kernel_text_of_a_window_whose_stores_differ_in_rank(self, monkeypatch):
+        """Two windows over one 2x2 launch share a key: NEG then COPY over
+        rank-2 stores through an offset identity tiling, then over rank-1
+        stores through a tiling that drops a launch dimension. The second
+        replays the first's kernel, which must print as a fresh one."""
+        texts = []
+        execute = pipeline.execute_task
+
+        def recording(t, heap, stores, registry, builtins, kernel, positions):
+            texts.append(kernel_text(kernel))
+            execute(t, heap, stores, registry, builtins, kernel, positions)
+
+        monkeypatch.setattr(pipeline, "execute_task", recording)
+        square = tiling((2, 2), (1, 1))
+        row = tiling((2,), (1,), ProjectionFn(((1, 0),), (0,)))
+        runs, hits = [], []
+        for memoize in (True, False):
+            session = Session(SessionConfig(memoize=memoize))
+            for first, shape, part in [(0, (5, 5), square), (3, (5,), row)]:
+                for sid in range(first, first + 3):
+                    session.create_store(sid, shape)
+                session.submit(task("NEG", (2, 2), [(first, part, R), (first + 1, part, W)]))
+                session.submit(task("COPY", (2, 2), [(first + 1, part, R), (first + 2, part, W)]))
+                session.flush()
+            hits.append(session.finish().memo_hits)
+            runs.append((texts[:], session.heap.digest(range(6))))
+            texts.clear()
+        assert hits[0] > 0 and hits[1] == 0
+        assert runs[0] == runs[1]
+
 
 def test_memo_evicts_the_least_recently_used_entry(monkeypatch):
     monkeypatch.setattr(memo, "MEMO_CAPACITY", 2)
@@ -217,4 +247,5 @@ def test_memo_evicts_the_least_recently_used_entry(monkeypatch):
     assert cache.lookup(a) is not None  # a is now more recent than b
     cache.insert(c, MemoEntry((Carve(3),)))
     assert len(cache) == 2 and cache.lookup(b) is None
-    assert cache.lookup(a).prefix_len == 1 and cache.lookup(c).prefix_len == 3
+    assert cache.lookup(a).carves[0].prefix_len == 1
+    assert cache.lookup(c).carves[0].prefix_len == 3

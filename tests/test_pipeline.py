@@ -219,6 +219,16 @@ class TestSessionLifecycle:
         report = run_events(session, gen_benchmark("stencil", iters=1))
         assert session.finish() is report
 
+    def test_finish_launches_a_task_submitted_after_an_earlier_finish(self):
+        session = Session(SessionConfig())
+        session.create_store(0, (4,))
+        session.create_store(1, (4,))
+        session.finish()
+        session.submit(task("COPY", (2,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]))
+        report = session.finish()
+        assert report.fused_prefixes == [1] and session._buffer == []
+        assert (session.heap.get(1) == session.heap.get(0)).all()
+
 
 class TestFailedFlush:
     """A launch that raises keeps the unlaunched tasks buffered."""
