@@ -10,7 +10,7 @@ import sys
 from typing import Sequence
 
 from .executor import heap_diff
-from .memo import CanonicalStream, MemoCache, MemoEntry, canon_text
+from .memo import CanonicalStream, Carve, MemoCache, canon_text
 from .pipeline import Report, Session, SessionConfig, run_events
 from .trace import (
     BENCHMARKS,
@@ -60,14 +60,11 @@ def _load_events(path: str):
         return parse_trace(fh.read())
 
 
-def _emit_report(report: Report, ns: argparse.Namespace, extra: dict | None = None) -> None:
+def _emit_report(report: Report, ns: argparse.Namespace) -> None:
     print(report.summary())
     if ns.json_report:
-        payload = report.to_json()
-        if extra:
-            payload.update(extra)
         with open(ns.json_report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(report.to_json(), fh, indent=2)
             fh.write("\n")
 
 
@@ -106,10 +103,10 @@ class _RecordingMemo(MemoCache):
         super().__init__()
         self.lookups: list[tuple[CanonicalStream, bool]] = []
 
-    def lookup(self, key: CanonicalStream) -> MemoEntry | None:
-        entry = super().lookup(key)
-        self.lookups.append((key, entry is not None))
-        return entry
+    def lookup(self, key: CanonicalStream) -> tuple[Carve, ...] | None:
+        carves = super().lookup(key)
+        self.lookups.append((key, carves is not None))
+        return carves
 
 
 def _cmd_canon(ns: argparse.Namespace) -> int:

@@ -92,22 +92,22 @@ def canonicalize(
     canon_tasks: list[CanonTask] = []
 
     for t in tasks:
-        if t.domain not in domain_idx:
-            domain_idx[t.domain] = len(domain_ranks)
+        d = domain_idx.setdefault(t.domain, len(domain_ranks))
+        if d == len(domain_ranks):
             domain_ranks.append(t.domain.rank)
         args = []
         for a in t.args:
-            if a.store not in store_idx:
-                store_idx[a.store] = len(store_bind)
+            s = store_idx.setdefault(a.store, len(store_bind))
+            if s == len(store_bind):
                 store_bind.append(a.store)
-            if a.partition not in part_idx:
-                part_idx[a.partition] = len(part_bind)
+            p = part_idx.setdefault(a.partition, len(part_bind))
+            if p == len(part_bind):
                 part_bind.append(a.partition)
-            args.append((store_idx[a.store], part_idx[a.partition], a.privilege.value))
+            args.append((s, p, a.privilege.value))
             fact = facts(stores[a.store], a.partition, t.domain)
             cls = class_idx.setdefault(fact[1], len(class_idx))
             fingerprint.append((fact[0], cls))
-        canon_tasks.append((t.kind, domain_idx[t.domain], tuple(args), len(t.scalars)))
+        canon_tasks.append((t.kind, d, tuple(args), len(t.scalars)))
 
     stream = CanonicalStream(
         tuple(canon_tasks),
@@ -142,15 +142,16 @@ def canon_text(stream: CanonicalStream) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Carve:
-    """One prefix carved off a memoized window, in that window's canonical
-    store and partition indices.
+    """One launch: a prefix of ``prefix_len`` buffered tasks and how it runs.
 
-    ``temp_arg_positions`` index the launched task's arguments; the demoted
-    stores are those arguments' stores. ``verdicts`` say why the prefix
-    stopped, with their task index counted from the carve's first task.
-    Every carve, a single task too, holds its shape-symbolic kernel (None
-    for a builtin) and the launched task's template: its kind and, per
-    argument, (store, partition, joined privilege).
+    A session makes carves in a window's store ids and partitions; the memo
+    keeps them in the window's canonical indices, and ``rebind`` maps one to
+    the other. ``kind`` and ``args`` are the launched task's, a single task's
+    too: per argument, (store, partition, joined privilege).
+    ``temp_arg_positions`` index ``args``; the demoted stores are those
+    arguments' stores. ``kernel`` is the shape-symbolic kernel, None for a
+    builtin. ``verdicts`` say why the prefix stopped, with their task index
+    counted from the carve's first task.
     """
 
     prefix_len: int
@@ -158,38 +159,47 @@ class Carve:
     kernel: Kernel | None = None
     verdicts: tuple[ConstraintVerdict, ...] = ()
     kind: str = ""
-    args: tuple[tuple[int, int, Privilege], ...] = ()
+    args: tuple[tuple[int, Partition | int, Privilege], ...] = ()
 
-
-@dataclass(frozen=True)
-class MemoEntry:
-    """Replayable analysis of a whole window, keyed by its CanonicalStream.
-
-    A window's key fixes the key of every remainder carved from it, so one
-    entry holds every carve from the window's first task to the end of its
-    flush, and a hit replays them all from one lookup.
-    """
-
-    carves: tuple[Carve, ...]
+    def rebind(self, store: Callable[[int], int], partition: Callable) -> Carve:
+        """This carve with every store and partition mapped, from ids to a
+        window's canonical indices or back."""
+        # tuple() of a list, not of a generator: a generator's tuple is
+        # resized, and on every hit that parks one more tuple in CPython's
+        # free lists, where tracemalloc still counts it as allocated.
+        return Carve(
+            self.prefix_len,
+            self.temp_arg_positions,
+            self.kernel,
+            tuple([v.rebind(store, partition) for v in self.verdicts]),
+            self.kind,
+            tuple([(store(s), partition(p), pr) for s, p, pr in self.args]),
+        )
 
 
 class MemoCache:
-    """Map from canonical streams to entries. Past ``MEMO_CAPACITY`` entries,
-    the least recently inserted or hit goes."""
+    """Map from a window's canonical stream to the carves of its flush, in
+    canonical indices.
+
+    A window's key fixes the key of every remainder carved from it, so one
+    entry holds every carve from the window's first task to the end of its
+    flush, and a hit replays them all from one lookup. Past
+    ``MEMO_CAPACITY`` entries, the least recently inserted or hit goes.
+    """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[CanonicalStream, MemoEntry] = OrderedDict()
+        self._entries: OrderedDict[CanonicalStream, tuple[Carve, ...]] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: CanonicalStream) -> MemoEntry | None:
-        entry = self._entries.get(key)
-        if entry is not None:
+    def lookup(self, key: CanonicalStream) -> tuple[Carve, ...] | None:
+        carves = self._entries.get(key)
+        if carves is not None:
             self._entries.move_to_end(key)
-        return entry
+        return carves
 
-    def insert(self, key: CanonicalStream, entry: MemoEntry) -> None:
-        self._entries.setdefault(key, entry)
+    def insert(self, key: CanonicalStream, carves: tuple[Carve, ...]) -> None:
+        self._entries.setdefault(key, carves)
         if len(self._entries) > MEMO_CAPACITY:
             self._entries.popitem(last=False)

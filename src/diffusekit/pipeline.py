@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import logging
 from weakref import WeakKeyDictionary
@@ -45,7 +45,7 @@ from .ir import (
 )
 from .kernels import Kernel, KernelRegistry, arg_name, compose, count_memory_traffic
 from .kernels import default_registry, optimize
-from .memo import Carve, CanonicalStream, MemoCache, MemoEntry, canonicalize, extent_class
+from .memo import Carve, CanonicalStream, MemoCache, canonicalize, extent_class
 from .oracle import DEFAULT_ORACLE_CAP, oracle_fusible
 from .temporaries import RefState, find_temporaries
 from . import trace as tracefmt
@@ -157,28 +157,6 @@ class Report:
         return "\n".join(lines)
 
 
-@dataclass(slots=True)
-class SegmentPlan:
-    """One carved prefix: the task to run, the kernel it runs (None for a
-    builtin), its argument positions demoted to task-local buffers, and the
-    verdicts that stopped it."""
-
-    f: int
-    task: IndexTask
-    kernel: Kernel | None
-    temp_positions: frozenset[int]
-    verdicts: Sequence[ConstraintVerdict] = ()
-
-    def carve(self, store_index: Callable[[int], int], part_index: Callable) -> Carve:
-        """This launch as a memo record, its stores and partitions mapped to
-        the canonical indices of a window that contains it."""
-        verdicts = tuple(v.rebind(store_index, part_index) for v in self.verdicts)
-        args = tuple(
-            (store_index(a.store), part_index(a.partition), a.privilege) for a in self.task.args
-        )
-        return Carve(self.f, self.temp_positions, self.kernel, verdicts, self.task.kind, args)
-
-
 class ArgFacts(NamedTuple):
     """What the analysis needs of one argument's partition."""
 
@@ -262,36 +240,38 @@ class Session:
     def _flush(self, explicit: bool) -> None:
         """Carve the buffer into launches and run them.
 
-        With the memo on, each remainder is looked up until one hits. A key
-        fixes every later carve of its window, so the hit's entry replays all
-        carves from there to the end of the flush with no further lookup, and
-        counts one memo hit per replayed carve. At the end, every key that
-        missed gets an entry holding the carves from its position on; no
-        ``drop_ref`` can happen in between, so liveness stays as keyed. The
-        buffer keeps every task not yet launched, so after a launch raises,
-        the next flush resumes with it; nothing is memoized then.
+        Every launch is a ``Carve`` in this window's store ids and
+        partitions. With the memo on, each remainder is looked up until one
+        hits. A key fixes every later carve of its window, so the hit's
+        carves, rebound to this window, run from there to the end of the
+        flush with no further lookup, and count one memo hit each. At the
+        end, every key that missed gets the carves from its position on,
+        rebound to its canonical indices; no ``drop_ref`` can happen in
+        between, so liveness stays as keyed. The buffer keeps every task not
+        yet launched, so after a launch raises, the next flush resumes with
+        it; nothing is memoized then.
         """
         if not self._buffer:
             return
         fr = FlushReport(explicit=explicit)
         steps0 = self.stats.constraint_steps
         memoize = self.config.fusion and self.config.memoize
-        plans: list[SegmentPlan] = []
+        carves: list[Carve] = []
         missed: list[tuple[int, CanonicalStream, list[int], list[Partition]]] = []
         try:
             while rem := self._buffer:
                 if memoize:
                     key, sbind, pbind = canonicalize(rem, self.stores, self.refs.app_live, self._facts)
-                    entry = self.memo.lookup(key)
-                    if entry is not None:
-                        for carve in entry.carves:
-                            plans.append(self._replay(self._buffer, carve, sbind, pbind))
-                            self._launch(plans[-1], fr)
+                    hit = self.memo.lookup(key)
+                    if hit is not None:
+                        for carve in hit:
+                            carves.append(carve.rebind(sbind.__getitem__, pbind.__getitem__))
+                            self._launch(carves[-1], fr)
                             fr.memo_hits += 1
                         break
-                    missed.append((len(plans), key, sbind, pbind))
-                plans.append(self._analyze(rem))
-                self._launch(plans[-1], fr)
+                    missed.append((len(carves), key, sbind, pbind))
+                carves.append(self._analyze(rem))
+                self._launch(carves[-1], fr)
         finally:
             fr.tasks_in = sum(fr.fused_prefixes)
             fr.memo_misses = len(missed)
@@ -300,8 +280,9 @@ class Session:
         for at, key, sbind, pbind in missed:
             sidx = {s: i for i, s in enumerate(sbind)}
             pidx = {p: i for i, p in enumerate(pbind)}
-            carves = tuple(p.carve(sidx.__getitem__, pidx.__getitem__) for p in plans[at:])
-            self.memo.insert(key, MemoEntry(carves))
+            self.memo.insert(
+                key, tuple(c.rebind(sidx.__getitem__, pidx.__getitem__) for c in carves[at:])
+            )
         if fr.tasks_in > 1 and fr.tasks_out == 1:
             self.window = min(self.window * 2, MAX_WINDOW)
         log.debug(
@@ -313,61 +294,53 @@ class Session:
             self.window,
         )
 
-    def _analyze(self, rem: list[IndexTask]) -> SegmentPlan:
-        """Analyse, compile and plan the longest fusible prefix of ``rem``."""
-        if not self.config.fusion:
-            return self._single(rem[0])
-        f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
+    def _analyze(self, rem: list[IndexTask]) -> Carve:
+        """Analyse and compile the longest fusible prefix of ``rem``, as a
+        carve in concrete ids. A task launched alone runs its generated
+        kernel, or a builtin when its kind has no generator."""
+        f, verdicts = 1, ()
+        if self.config.fusion:
+            f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
+        task, positions = rem[0], frozenset()
         if f == 1:
-            return self._single(rem[0], verdicts)
-        temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
-        fused = build_fused_task(rem, f, self.registry)
-        task = fused.fused_task
-        positions = frozenset(j for j, a in enumerate(task.args) if a.store in temps)
-        kernel = self._compile(rem[:f], fused, positions)
-        if self.config.oracle_check:
-            self._cross_check(rem[:f])
-        return SegmentPlan(f, task, kernel, positions, verdicts)
+            kernel = self.registry.generate(task) if self.registry.has(task.kind) else None
+        else:
+            temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
+            fused = build_fused_task(rem, f, self.registry)
+            task = fused.fused_task
+            positions = frozenset(j for j, a in enumerate(task.args) if a.store in temps)
+            kernel = self._compile(rem[:f], fused, positions)
+            if self.config.oracle_check:
+                self._cross_check(rem[:f])
+        args = tuple((a.store, a.partition, a.privilege) for a in task.args)
+        return Carve(f, positions, kernel, tuple(verdicts), task.kind, args)
 
-    def _replay(
-        self, rem: list[IndexTask], carve: Carve, sbind: list[int], pbind: list[Partition]
-    ) -> SegmentPlan:
-        """Plan a memoized carve over the head of ``rem``. The bindings map the
-        carve's canonical indices to the stores and partitions of the window
-        that was looked up; the launch domain and scalars come from ``rem``.
-        A single task is launched as buffered, since the template would
-        rebuild it unchanged."""
-        verdicts = [v.rebind(sbind.__getitem__, pbind.__getitem__) for v in carve.verdicts]
-        f = carve.prefix_len
-        prefix = rem[:f]
+    def _launch(self, carve: Carve, fr: FlushReport) -> None:
+        """Run and record ``carve``, then drop its tasks from the buffer's head.
+
+        A single task runs as buffered. A fused task is built from the
+        carve's kind and arguments, with the launch domain of the prefix's
+        first task and the scalars of all of them.
+        """
+        f, kernel, positions = carve.prefix_len, carve.kernel, carve.temp_arg_positions
+        prefix = self._buffer[:f]
         task = prefix[0]
         if f > 1:
-            args = tuple(StoreArg(sbind[s], pbind[p], pr) for s, p, pr in carve.args)
+            args = tuple(StoreArg(s, p, pr) for s, p, pr in carve.args)
             task = IndexTask(carve.kind, task.domain, args, fused_scalars(prefix))
-        return SegmentPlan(f, task, carve.kernel, carve.temp_arg_positions, verdicts)
-
-    def _single(self, task: IndexTask, verdicts: Sequence[ConstraintVerdict] = ()) -> SegmentPlan:
-        """A task launched alone runs its generated kernel, or a builtin when
-        its kind has no generator."""
-        kernel = self.registry.generate(task) if self.registry.has(task.kind) else None
-        return SegmentPlan(1, task, kernel, frozenset(), verdicts)
-
-    def _launch(self, plan: SegmentPlan, fr: FlushReport) -> None:
-        """Run and record ``plan``, then drop its tasks from the buffer's head."""
-        task, kernel, positions = plan.task, plan.kernel, plan.temp_positions
         if self.config.execute:
-            run = execute_isolated if plan.f > 1 and self.config.isolated else execute_task
+            run = execute_isolated if f > 1 and self.config.isolated else execute_task
             run(task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
-        fr.verdicts.extend(plan.verdicts)
-        fr.fused_prefixes.append(plan.f)
+        fr.verdicts.extend(carve.verdicts)
+        fr.fused_prefixes.append(f)
         fr.temporaries.extend(sorted({task.args[j].store for j in positions}))
         if kernel is not None:
             loads, stores = self._traffic(kernel, task, positions)
             fr.loads += loads
             fr.stores += stores
-            fr.kernel_stats.append((plan.f, len(kernel.nests), len(kernel.locals)))
-        done, self._buffer = self._buffer[: plan.f], self._buffer[plan.f :]
-        for t in done:
+            fr.kernel_stats.append((f, len(kernel.nests), len(kernel.locals)))
+        self._buffer = self._buffer[f:]
+        for t in prefix:
             for s in {a.store for a in t.args}:
                 self.refs.release_runtime(s)
                 self._maybe_free(s)

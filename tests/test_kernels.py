@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diffusekit import executor, kernels
+from diffusekit import executor, kernels, pipeline
 from diffusekit.executor import Heap, execute_sequential
 from diffusekit.fusion import build_fused_task
 from diffusekit.ir import Domain, NonePart, Privilege
@@ -40,7 +40,7 @@ from diffusekit.kernels import (
     scalarize_locals,
 )
 from diffusekit.pipeline import Session, SessionConfig, run_events
-from diffusekit.trace import gen_blackscholes_chain, gen_stencil
+from diffusekit.trace import gen_benchmark, gen_blackscholes_chain, gen_stencil
 from helpers import R, RD, RW, W, store_table, task, tasks_of, tiling
 
 REG = default_registry()
@@ -251,7 +251,7 @@ class TestComposeAndOptimize:
             session.drop_ref(0)
             report = session.finish()
             heaps.append(session.heap.digest([1]))
-            kernels.extend(c.kernel for e in session.memo._entries.values() for c in e.carves)
+            kernels.extend(c.kernel for e in session.memo._entries.values() for c in e)
         (fused,) = kernels
         assert report.fused_prefixes == [1, 1] and fused.locals == ("l0",)
         assert [s.buf for s in fused.nests[0].body] == ["l0", "a1"]
@@ -298,6 +298,102 @@ class TestComposeAndOptimize:
             interpret(optimized, data2, scalars)
             for name in data1:
                 assert (data1[name] == data2[name]).all()
+
+
+# generator -> the distinct fused kernels it launches at its default size and
+# window 10, in launch order, up to the first that scalarizes a temporary.
+_FUSED_GOLDEN = {
+    "stencil": [
+        "kernel(a0: R, a1: R, a3: R, a5: R, a7: R, a9: W) scalars(s4_0)\n"
+        "  for extents(a9):\n"
+        "    _v_l2 = (a0 + a1)\n"
+        "    _v_l4 = (_v_l2 + a3)\n"
+        "    _v_l6 = (_v_l4 + a5)\n"
+        "    _v_l8 = (_v_l6 + a7)\n"
+        "    a9 = (s4_0 * _v_l8)",
+    ],
+    "blackscholes_chain": [
+        "kernel(a0: R, a1: R, a11: W) scalars(s2_0, s4_0, s7_0, s9_0)\n"
+        "  for extents(a11):\n"
+        "    _v_l2 = (a0 + a1)\n"
+        "    _v_l3 = (-_v_l2)\n"
+        "    _v_l4 = (s2_0 * _v_l3)\n"
+        "    _v_l5 = _v_l4\n"
+        "    _v_l6 = (s4_0 * _v_l5)\n"
+        "    _v_l7 = (-_v_l6)\n"
+        "    _v_l8 = (-_v_l7)\n"
+        "    _v_l9 = (s7_0 * _v_l8)\n"
+        "    _v_l10 = _v_l9\n"
+        "    a11 = (s9_0 * _v_l10)",
+    ],
+    "jacobi": [
+        "kernel(a0: R, a1: R, a3: RW) scalars(s1_0)\n"
+        "  for extents(a3):\n"
+        "    _v_l2 = (a0 - a1)\n"
+        "    a3 = (a3 + (s1_0 * _v_l2))",
+    ],
+    "cg_like": [
+        "kernel(a0: R, a1: R, a2: Rd, a3: R, a4: Rd)\n"
+        "  for extents(a0):\n"
+        "    a2 += sum (a0 * a1)\n"
+        "    a4 += sum (a3 * a3)",
+        "kernel(a0: R, a1: RW, a2: R, a3: R, a4: R, a5: RW, a6: Rd)\n"
+        "  for extents(a1):\n"
+        "    a1 = (a1 + ((a2 / a3) * a0))\n"
+        "    a5 = (a5 - ((a2 / a3) * a4))\n"
+        "    a6 += sum (a5 * a5)",
+        "kernel(a0: R, a1: RW, a2: R, a3: R, a6: W) scalars(s3_0)\n"
+        "  for extents(a1):\n"
+        "    a1 = (a0 + ((a2 / a3) * a1))\n"
+        "    _v_l4 = a0\n"
+        "    _v_l5 = (-_v_l4)\n"
+        "    a6 = (s3_0 * _v_l5)",
+    ],
+}
+
+
+class TestFusedKernelText:
+    @staticmethod
+    def _launched(monkeypatch) -> list[str | None]:
+        """The kernel_text of every kernel the session executes, in order."""
+        texts = []
+        execute = pipeline.execute_task
+
+        def recording(t, heap, stores, registry, builtins, kernel, positions):
+            texts.append(kernel_text(kernel) if kernel is not None else None)
+            execute(t, heap, stores, registry, builtins, kernel, positions)
+
+        monkeypatch.setattr(pipeline, "execute_task", recording)
+        return texts
+
+    @pytest.mark.parametrize("name", sorted(_FUSED_GOLDEN))
+    def test_first_fused_kernels_match_golden(self, name, monkeypatch):
+        texts = self._launched(monkeypatch)
+        report = run_events(Session(SessionConfig(window=10)), gen_benchmark(name))
+        first: list[str] = []
+        for f, text in zip(report.fused_prefixes, texts):
+            if f > 1 and text not in first:
+                first.append(text)
+                if "_v_" in text:
+                    break
+        assert first == _FUSED_GOLDEN[name]
+
+    def test_fill_then_sum_keeps_its_local_buffer(self, monkeypatch):
+        texts = self._launched(monkeypatch)
+        session = Session(SessionConfig())
+        session.create_store(0, (8,))
+        session.create_store(1, ())
+        session.submit(task("FILL", (4,), [(0, _p(), W)], [("s", 3.0)]))
+        session.submit(task("SUM", (4,), [(0, _p(), R), (1, NonePart(), RD)]))
+        session.drop_ref(0)
+        assert session.finish().fused_prefixes == [2]
+        assert texts == [
+            "kernel(a1: Rd) scalars(s0_0)\n"
+            "  local l0\n"
+            "  for extents(l0):\n"
+            "    l0 = s0_0\n"
+            "    a1 += sum l0"
+        ]
 
 
 class TestTraffic:
@@ -616,7 +712,7 @@ class TestNestPlans:
         assert sorted(generated) == ["ADD"] * 4 + ["COPY", "MULT"]
         distinct = list({id(k): k for k in interpreted}.values())
         assert sorted(map(id, compiled)) == sorted(id(n) for k in distinct for n in k.nests)
-        hits = [c.kernel for e in session.memo._entries.values() for c in e.carves if c.kernel]
+        hits = [c.kernel for e in session.memo._entries.values() for c in e if c.kernel]
         assert hits and session.report.memo_hits
         for k in hits:
             assert interpreted.count(k) > 1

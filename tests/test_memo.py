@@ -13,7 +13,6 @@ from diffusekit.memo import (
     CanonicalStream,
     Carve,
     MemoCache,
-    MemoEntry,
     canon_text,
     canonicalize,
     extent_class,
@@ -141,17 +140,17 @@ class TestMemoCache:
         cache = MemoCache()
         key, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
         assert cache.lookup(key) is None
-        cache.insert(key, MemoEntry((Carve(2),)))
+        cache.insert(key, (Carve(2),))
         entry = cache.lookup(key)
-        assert entry is not None and entry.carves[0].prefix_len == 2
+        assert entry is not None and entry[0].prefix_len == 2
         assert len(cache) == 1
 
     def test_insert_is_idempotent(self):
         cache = MemoCache()
         key, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
-        cache.insert(key, MemoEntry((Carve(2),)))
-        cache.insert(key, MemoEntry((Carve(4),)))
-        assert cache.lookup(key).carves[0].prefix_len == 2
+        cache.insert(key, (Carve(2),))
+        cache.insert(key, (Carve(4),))
+        assert cache.lookup(key)[0].prefix_len == 2
 
     def test_isomorphic_window_hits(self):
         cache = MemoCache()
@@ -160,7 +159,7 @@ class TestMemoCache:
         k3, _, _ = canonicalize(
             _swap_stream_variant(0, 1, 2), _stores([0, 1, 2]), set()
         )
-        cache.insert(k1, MemoEntry((Carve(4),)))
+        cache.insert(k1, (Carve(4),))
         assert cache.lookup(k2) is not None
         assert cache.lookup(k3) is None
 
@@ -169,40 +168,58 @@ class TestReplayEqualsFreshAnalysis:
     """A memo hit replays every carve of its flush; the results must be those
     of analysing every window afresh."""
 
+    @pytest.fixture
+    def launches(self, monkeypatch):
+        """Every kernel launch, as its task's kind, domain, arguments and
+        scalars and its kernel_text; analysis-only runs launch too."""
+        recorded = []
+        traffic = Session._traffic
+
+        def recording(self, kernel, task, positions):
+            recorded.append((task.kind, task.domain, task.args, task.scalars, kernel_text(kernel)))
+            return traffic(self, kernel, task, positions)
+
+        monkeypatch.setattr(Session, "_traffic", recording)
+        return recorded
+
     @staticmethod
-    def _outcome(session, live_ids):
+    def _outcome(session, live_ids, launches):
         report = session.report
-        return (
+        outcome = (
             report.fused_prefixes,
             report.temporaries_eliminated,
             report.to_json()["verdicts"],
             [fr.kernel_stats for fr in report.per_flush],
             (report.loads, report.stores),
             session.heap.digest(live_ids) if session.config.execute else None,
+            launches[:],
         )
+        launches.clear()
+        return outcome
 
     @pytest.mark.parametrize("execute", [False, True])
     @pytest.mark.parametrize("window", [2, 10, 67])
     @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-    def test_benchmarks(self, name, window, execute):
+    def test_benchmarks(self, name, window, execute, launches):
         events = gen_benchmark(name, iters=4)
         outcomes, hits = [], []
         for memoize in (True, False):
             session = Session(SessionConfig(window=window, memoize=memoize, execute=execute))
             hits.append(run_events(session, events).memo_hits)
-            outcomes.append(self._outcome(session, session.live_store_ids()))
+            outcomes.append(self._outcome(session, session.live_store_ids(), launches))
         assert hits[0] > 0 and hits[1] == 0
+        assert outcomes[0][-1]
         assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("window", [2, 10])
-    def test_fuzz_corpus(self, window):
+    def test_fuzz_corpus(self, window, launches):
         hits = 0
         for stream in corpus(200):
             outcomes = []
             for memoize in (True, False):
                 session = run_stream(stream, SessionConfig(window=window, memoize=memoize))
                 hits += session.report.memo_hits
-                outcomes.append(self._outcome(session, stream.live_ids))
+                outcomes.append(self._outcome(session, stream.live_ids, launches))
             assert outcomes[0] == outcomes[1], f"stream seed {stream.seed}"
         # a stream of 3 to 7 tasks repeats a window only when windows are short
         assert hits > 0 if window == 2 else hits == 0
@@ -242,10 +259,10 @@ def test_memo_evicts_the_least_recently_used_entry(monkeypatch):
     monkeypatch.setattr(memo, "MEMO_CAPACITY", 2)
     cache = MemoCache()
     a, b, c = (CanonicalStream((), (rank,), (), ()) for rank in range(3))
-    cache.insert(a, MemoEntry((Carve(1),)))
-    cache.insert(b, MemoEntry((Carve(2),)))
+    cache.insert(a, (Carve(1),))
+    cache.insert(b, (Carve(2),))
     assert cache.lookup(a) is not None  # a is now more recent than b
-    cache.insert(c, MemoEntry((Carve(3),)))
+    cache.insert(c, (Carve(3),))
     assert len(cache) == 2 and cache.lookup(b) is None
-    assert cache.lookup(a).carves[0].prefix_len == 1
-    assert cache.lookup(c).carves[0].prefix_len == 3
+    assert cache.lookup(a)[0].prefix_len == 1
+    assert cache.lookup(c)[0].prefix_len == 3
