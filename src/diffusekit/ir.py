@@ -183,12 +183,8 @@ class IndexTask:
     def __post_init__(self) -> None:
         if not self.args:
             raise ValueError("index task needs at least one store argument")
-        effectful = [
-            (a.store, a.partition)
-            for a in self.args
-            if a.privilege.is_write or a.privilege.is_reduce
-        ]
-        if len(effectful) != len(set(effectful)):
+        effectful = [(a.store, a.partition) for a in self.args if a.privilege is not Privilege.READ]
+        if len(effectful) > 1 and len(effectful) != len(set(effectful)):
             raise ValueError("duplicate (store, partition) among W/RW/Rd arguments")
 
 

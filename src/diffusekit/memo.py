@@ -70,16 +70,18 @@ def canonicalize(
     stores: StoreTable,
     live_stores: frozenset[int] | set[int],
     facts: Facts = _key_facts,
-) -> tuple[CanonicalStream, list[int], list[Partition]]:
-    """Canonical form plus the bindings from canonical indices back to ids.
+) -> tuple[CanonicalStream, list[int], list[Partition], dict[tuple[int, int, int], tuple]]:
+    """Canonical form, the bindings from canonical indices back to ids, and
+    the facts of every argument.
 
     The liveness flags and the coverage/extent fingerprint are part of the
     form because both temporariness and the compiled kernel depend on them.
     The form of any suffix of ``tasks`` follows from this one, so a key fixes
     the remainders that carving leaves and one entry can hold a whole flush.
     ``facts`` gives an argument's coverage and extent class; a session
-    passes its cache of them, so each distinct (store shape, partition,
-    launch domain) is worked out once rather than once per window.
+    passes its cache of them. It is called once per distinct (store index,
+    partition index, domain index) of the window, and the fourth value
+    returned maps each such triple to what ``facts`` gave for it.
     """
     store_bind: list[int] = []
     store_idx: dict[int, int] = {}
@@ -88,6 +90,8 @@ def canonicalize(
     domain_idx: dict[Domain, int] = {}
     domain_ranks: list[int] = []
     class_idx: dict[object, int] = {}
+    found: dict[tuple[int, int, int], tuple] = {}
+    marks: dict[tuple[int, int, int], tuple[bool, int]] = {}
     fingerprint: list[tuple[bool, int]] = []
     canon_tasks: list[CanonTask] = []
 
@@ -104,18 +108,20 @@ def canonicalize(
             if p == len(part_bind):
                 part_bind.append(a.partition)
             args.append((s, p, a.privilege.value))
-            fact = facts(stores[a.store], a.partition, t.domain)
-            cls = class_idx.setdefault(fact[1], len(class_idx))
-            fingerprint.append((fact[0], cls))
+            mark = marks.get((s, p, d))
+            if mark is None:
+                fact = found[s, p, d] = facts(stores[a.store], a.partition, t.domain)
+                mark = marks[s, p, d] = (fact[0], class_idx.setdefault(fact[1], len(class_idx)))
+            fingerprint.append(mark)
         canon_tasks.append((t.kind, d, tuple(args), len(t.scalars)))
 
     stream = CanonicalStream(
         tuple(canon_tasks),
         tuple(domain_ranks),
-        tuple(s in live_stores for s in store_bind),
+        tuple([s in live_stores for s in store_bind]),
         tuple(fingerprint),
     )
-    return stream, store_bind, part_bind
+    return stream, store_bind, part_bind, found
 
 
 def canon_text(stream: CanonicalStream) -> str:

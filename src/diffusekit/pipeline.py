@@ -173,10 +173,15 @@ class Session:
         builtins: Mapping[str, Builtin] | None = None,
     ) -> None:
         self.config = config or SessionConfig()
+        if not 1 <= self.config.window <= MAX_WINDOW:
+            raise ValueError(f"window must be in 1..{MAX_WINDOW}, got {self.config.window}")
         self.registry = registry or default_registry()
         self.builtins = dict(builtins) if builtins is not None else default_builtins()
         self.stores: dict[int, Store] = {}
         self.partitions: dict[int, Partition] = {}
+        # one object per distinct partition value, and per distinct launch extents
+        self._interned: dict[Partition, Partition] = {}
+        self._domains: dict[tuple[int, ...], Domain] = {}
         self.refs = RefState()
         self.heap = Heap(self.stores, self.config.seed)
         self.memo = MemoCache()
@@ -201,7 +206,7 @@ class Session:
     def create_partition(self, part_id: int, part: Partition) -> None:
         if part_id in self.partitions:
             raise ValueError(f"partition id {part_id} already exists")
-        self.partitions[part_id] = part
+        self.partitions[part_id] = self._interned.setdefault(part, part)
 
     def submit(self, task: IndexTask) -> None:
         """Buffer ``task``. A full buffer is flushed first, so the capacity
@@ -244,12 +249,14 @@ class Session:
         partitions. With the memo on, each remainder is looked up until one
         hits. A key fixes every later carve of its window, so the hit's
         carves, rebound to this window, run from there to the end of the
-        flush with no further lookup, and count one memo hit each. At the
-        end, every key that missed gets the carves from its position on,
-        rebound to its canonical indices; no ``drop_ref`` can happen in
-        between, so liveness stays as keyed. The buffer keeps every task not
-        yet launched, so after a launch raises, the next flush resumes with
-        it; nothing is memoized then.
+        flush with no further lookup, and count one memo hit each. Their
+        argument shapes are the facts ``canonicalize`` found, at the carve's
+        canonical indices and its first task's domain, so a hit looks up
+        each distinct argument once. At the end, every key that missed gets
+        the carves from its position on, rebound to its canonical indices;
+        no ``drop_ref`` can happen in between, so liveness stays as keyed.
+        The buffer keeps every task not yet launched, so after a launch
+        raises, the next flush resumes with it; nothing is memoized then.
         """
         if not self._buffer:
             return
@@ -261,13 +268,19 @@ class Session:
         try:
             while rem := self._buffer:
                 if memoize:
-                    key, sbind, pbind = canonicalize(rem, self.stores, self.refs.app_live, self._facts)
+                    key, sbind, pbind, facts = canonicalize(
+                        rem, self.stores, self.refs.app_live, self._facts
+                    )
                     hit = self.memo.lookup(key)
                     if hit is not None:
+                        at = 0
                         for carve in hit:
+                            d = key.tasks[at][1]
+                            shapes = [facts[s, p, d].extents for s, p, _ in carve.args]
                             carves.append(carve.rebind(sbind.__getitem__, pbind.__getitem__))
-                            self._launch(carves[-1], fr)
+                            self._launch(carves[-1], fr, shapes)
                             fr.memo_hits += 1
+                            at += carve.prefix_len
                         break
                     missed.append((len(carves), key, sbind, pbind))
                 carves.append(self._analyze(rem))
@@ -315,27 +328,31 @@ class Session:
         args = tuple((a.store, a.partition, a.privilege) for a in task.args)
         return Carve(f, positions, kernel, tuple(verdicts), task.kind, args)
 
-    def _launch(self, carve: Carve, fr: FlushReport) -> None:
+    def _launch(
+        self, carve: Carve, fr: FlushReport, shapes: list[tuple[int, ...]] | None = None
+    ) -> None:
         """Run and record ``carve``, then drop its tasks from the buffer's head.
 
-        A single task runs as buffered. A fused task is built from the
-        carve's kind and arguments, with the launch domain of the prefix's
-        first task and the scalars of all of them.
+        The launch domain is that of the prefix's first task. Only an
+        executing session builds a task: a single task runs as buffered, a
+        fused one is built from the carve's kind and arguments with the
+        scalars of the whole prefix. ``shapes`` go to ``_traffic``.
         """
         f, kernel, positions = carve.prefix_len, carve.kernel, carve.temp_arg_positions
         prefix = self._buffer[:f]
-        task = prefix[0]
-        if f > 1:
-            args = tuple(StoreArg(s, p, pr) for s, p, pr in carve.args)
-            task = IndexTask(carve.kind, task.domain, args, fused_scalars(prefix))
+        domain = prefix[0].domain
         if self.config.execute:
+            task = prefix[0]
+            if f > 1:
+                args = tuple([StoreArg(s, p, pr) for s, p, pr in carve.args])
+                task = IndexTask(carve.kind, domain, args, fused_scalars(prefix))
             run = execute_isolated if f > 1 and self.config.isolated else execute_task
             run(task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
         fr.verdicts.extend(carve.verdicts)
         fr.fused_prefixes.append(f)
-        fr.temporaries.extend(sorted({task.args[j].store for j in positions}))
+        fr.temporaries.extend(sorted({carve.args[j][0] for j in positions}))
         if kernel is not None:
-            loads, stores = self._traffic(kernel, task, positions)
+            loads, stores = self._traffic(carve, domain, shapes)
             fr.loads += loads
             fr.stores += stores
             fr.kernel_stats.append((f, len(kernel.nests), len(kernel.locals)))
@@ -382,23 +399,28 @@ class Session:
             )
 
     def _traffic(
-        self, kernel: Kernel, task: IndexTask, temp_positions: frozenset[int]
+        self, carve: Carve, domain: Domain, shapes: list[tuple[int, ...]] | None
     ) -> tuple[int, int]:
-        """Static whole-launch element traffic, using the first point's extents.
+        """Static whole-launch element traffic of ``carve`` over ``domain``,
+        using the first point's extents.
 
-        Edge tiles of clamped partitions may differ; the count is exact for
-        uniform tilings and an approximation otherwise. The per-point count is
-        worked out once per kernel and tuple of argument shapes.
+        ``shapes`` holds those extents per argument, or None to look them
+        up. Edge tiles of clamped partitions may differ; the count is exact
+        for uniform tilings and an approximation otherwise. The per-point
+        count is worked out once per kernel and tuple of argument shapes.
         """
-        shapes = tuple(
-            self._facts(self.stores[a.store], a.partition, task.domain).extents for a in task.args
-        )
-        by_shapes = self._traffic_counts.setdefault(kernel, {})
-        counts = by_shapes.get(shapes)
+        if shapes is None:
+            shapes = [self._facts(self.stores[s], p, domain).extents for s, p, _ in carve.args]
+        key = tuple(shapes)
+        by_shapes = self._traffic_counts.get(carve.kernel)
+        if by_shapes is None:
+            by_shapes = self._traffic_counts[carve.kernel] = {}
+        counts = by_shapes.get(key)
         if counts is None:
-            named = {arg_name(j, j in temp_positions): e for j, e in enumerate(shapes)}
-            counts = by_shapes[shapes] = count_memory_traffic(kernel, named)
-        vol = task.domain.volume
+            positions = carve.temp_arg_positions
+            named = {arg_name(j, j in positions): e for j, e in enumerate(key)}
+            counts = by_shapes[key] = count_memory_traffic(carve.kernel, named)
+        vol = domain.volume
         return counts[0] * vol, counts[1] * vol
 
     def _maybe_free(self, store_id: int) -> None:
@@ -406,11 +428,16 @@ class Session:
             self.heap.free(store_id)
 
 
+_PRIVILEGES = {p.value: p for p in Privilege}
+
+
 def task_from_event(session: Session, ev: tracefmt.TaskEvent) -> IndexTask:
-    args = tuple(
-        StoreArg(s, session.partitions[p], Privilege(pr)) for s, p, pr in ev.args
-    )
-    return IndexTask(ev.kind, Domain(ev.domain), args, ev.scalars)
+    parts = session.partitions
+    args = tuple([StoreArg(s, parts[p], _PRIVILEGES[pr]) for s, p, pr in ev.args])
+    domain = session._domains.get(ev.domain)
+    if domain is None:
+        domain = session._domains[ev.domain] = Domain(ev.domain)
+    return IndexTask(ev.kind, domain, args, ev.scalars)
 
 
 def apply_event(session: Session, ev: tracefmt.Event) -> None:

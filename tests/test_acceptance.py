@@ -95,9 +95,9 @@ def test_5_memoization():
     ok = len(report.per_flush) == 3
     for fr in report.per_flush[1:]:
         ok &= fr.memo_hits == 2 and fr.memo_misses == 0 and fr.constraint_steps == 0
-    left, _, _ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
-    middle, _, _ = canonicalize(_swap_stream(5, 6, 7), _stores([5, 6, 7]), {5, 6, 7})
-    right, _, _ = canonicalize(_swap_stream_variant(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
+    left, *_ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
+    middle, *_ = canonicalize(_swap_stream(5, 6, 7), _stores([5, 6, 7]), {5, 6, 7})
+    right, *_ = canonicalize(_swap_stream_variant(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
     ok &= left == middle and left != right
     _verdict("5 memoization (iterations 2-3 hit with 0 constraint steps)", ok)
 

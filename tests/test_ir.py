@@ -205,10 +205,25 @@ class TestPrivileges:
         with pytest.raises(ValueError):
             join_privileges(RD, R)
 
-    def test_duplicate_effectful_args_rejected(self):
+    @pytest.mark.parametrize(
+        "first, second",
+        [(W, W), (W, RW), (RW, RW), (W, RD), (RW, RD), (RD, RD)],
+        ids=lambda pr: pr.value,
+    )
+    def test_duplicate_effectful_args_rejected(self, first, second):
+        # equal partitions that are distinct objects still name one sub-store
+        with pytest.raises(ValueError, match="duplicate"):
+            task("K", (2,), [(0, tiling((2,)), first), (1, NonePart(), R), (0, tiling((2,)), second)])
+
+    @pytest.mark.parametrize("effect", [W, RW, RD], ids=lambda pr: pr.value)
+    def test_read_beside_one_effectful_arg_allowed(self, effect):
         p = tiling((2,))
-        with pytest.raises(ValueError):
-            task("K", (2,), [(0, p, W), (0, p, W)])
+        t = task("K", (2,), [(0, p, R), (0, p, effect)])
+        assert [a.privilege for a in t.args] == [R, effect]
+
+    def test_effects_through_different_partitions_allowed(self):
+        t = task("K", (2,), [(0, tiling((2,)), W), (0, tiling((2,), (1,)), RW)])
+        assert len(t.args) == 2
 
     def test_duplicate_read_args_allowed(self):
         p = tiling((2,))

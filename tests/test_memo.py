@@ -7,7 +7,8 @@ import random
 import pytest
 
 from diffusekit import memo, pipeline
-from diffusekit.ir import Domain, NonePart, ProjectionFn, Store
+from diffusekit.fusion import fused_scalars
+from diffusekit.ir import Domain, NonePart, ProjectionFn, Store, StoreArg
 from diffusekit.kernels import Kernel, kernel_text
 from diffusekit.memo import (
     CanonicalStream,
@@ -47,14 +48,14 @@ def _stores(ids, shape=(4,)):
 
 class TestCanonicalize:
     def test_isomorphic_streams_share_canonical_form(self):
-        left, _, _ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
-        middle, _, _ = canonicalize(_swap_stream(5, 6, 7), _stores([5, 6, 7]), {5, 6, 7})
+        left, *_ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
+        middle, *_ = canonicalize(_swap_stream(5, 6, 7), _stores([5, 6, 7]), {5, 6, 7})
         assert left == middle
         assert canon_text(left) == canon_text(middle)
 
     def test_differing_access_pattern_changes_the_form(self):
-        left, _, _ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
-        right, _, _ = canonicalize(
+        left, *_ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
+        right, *_ = canonicalize(
             _swap_stream_variant(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3}
         )
         assert left != right
@@ -63,24 +64,24 @@ class TestCanonicalize:
 
     def test_invariant_under_random_renaming(self):
         rng = random.Random(7)
-        base, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), {0, 1, 2})
+        base, *_ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), {0, 1, 2})
         for _ in range(20):
             ids = rng.sample(range(100), 3)
-            renamed, _, _ = canonicalize(
+            renamed, *_ = canonicalize(
                 _swap_stream(*ids), _stores(ids), set(ids)
             )
             assert renamed == base
 
     def test_bindings_recover_concrete_ids(self):
-        stream, store_bind, part_bind = canonicalize(
+        stream, store_bind, part_bind, _ = canonicalize(
             _swap_stream(5, 6, 7), _stores([5, 6, 7]), {5, 6, 7}
         )
         assert store_bind == [5, 6, 7]
         assert part_bind == [NonePart()]
 
     def test_liveness_is_part_of_the_form(self):
-        live, _, _ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
-        dead, _, _ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 3})
+        live, *_ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
+        dead, *_ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 3})
         assert live != dead
 
     def test_scalar_values_do_not_enter_the_key(self):
@@ -90,10 +91,10 @@ class TestCanonicalize:
         def stream(value):
             return [task("MULT", (2,), [(0, p, R), (1, p, W)], [("s", value)])]
 
-        a, _, _ = canonicalize(stream(0.2), stores, set())
-        b, _, _ = canonicalize(stream(0.5), stores, set())
+        a, *_ = canonicalize(stream(0.2), stores, set())
+        b, *_ = canonicalize(stream(0.5), stores, set())
         assert a == b
-        c, _, _ = canonicalize([task("COPY", (2,), [(0, p, R), (1, p, W)])], stores, set())
+        c, *_ = canonicalize([task("COPY", (2,), [(0, p, R), (1, p, W)])], stores, set())
         assert a != c  # scalar arity and kind still count
 
     def test_scale_does_not_enter_the_key(self):
@@ -116,7 +117,7 @@ class TestCanonicalize:
         assert stream(4) != stream(6)  # the larger source is not covered
 
     def test_empty_window(self):
-        stream, store_bind, part_bind = canonicalize([], {}, set())
+        stream, store_bind, part_bind, _ = canonicalize([], {}, set())
         assert stream.tasks == () and store_bind == [] and part_bind == []
 
 
@@ -138,7 +139,7 @@ class TestExtentClass:
 class TestMemoCache:
     def test_lookup_counts_hits_and_misses(self):
         cache = MemoCache()
-        key, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
+        key, *_ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
         assert cache.lookup(key) is None
         cache.insert(key, (Carve(2),))
         entry = cache.lookup(key)
@@ -147,16 +148,16 @@ class TestMemoCache:
 
     def test_insert_is_idempotent(self):
         cache = MemoCache()
-        key, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
+        key, *_ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
         cache.insert(key, (Carve(2),))
         cache.insert(key, (Carve(4),))
         assert cache.lookup(key)[0].prefix_len == 2
 
     def test_isomorphic_window_hits(self):
         cache = MemoCache()
-        k1, _, _ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
-        k2, _, _ = canonicalize(_swap_stream(9, 4, 6), _stores([9, 4, 6]), set())
-        k3, _, _ = canonicalize(
+        k1, *_ = canonicalize(_swap_stream(0, 1, 2), _stores([0, 1, 2]), set())
+        k2, *_ = canonicalize(_swap_stream(9, 4, 6), _stores([9, 4, 6]), set())
+        k3, *_ = canonicalize(
             _swap_stream_variant(0, 1, 2), _stores([0, 1, 2]), set()
         )
         cache.insert(k1, (Carve(4),))
@@ -170,14 +171,16 @@ class TestReplayEqualsFreshAnalysis:
 
     @pytest.fixture
     def launches(self, monkeypatch):
-        """Every kernel launch, as its task's kind, domain, arguments and
-        scalars and its kernel_text; analysis-only runs launch too."""
+        """Every kernel launch, as its task's kind, launch domain, arguments
+        and scalars and its kernel_text; analysis-only runs launch too."""
         recorded = []
         traffic = Session._traffic
 
-        def recording(self, kernel, task, positions):
-            recorded.append((task.kind, task.domain, task.args, task.scalars, kernel_text(kernel)))
-            return traffic(self, kernel, task, positions)
+        def recording(self, carve, domain, shapes):
+            args = tuple([StoreArg(s, p, pr) for s, p, pr in carve.args])
+            scalars = fused_scalars(self._buffer[: carve.prefix_len])
+            recorded.append((carve.kind, domain, args, scalars, kernel_text(carve.kernel)))
+            return traffic(self, carve, domain, shapes)
 
         monkeypatch.setattr(Session, "_traffic", recording)
         return recorded

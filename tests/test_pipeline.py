@@ -9,6 +9,8 @@ import pytest
 
 from diffusekit import memo, pipeline
 from diffusekit.executor import UnknownTaskKindError, default_builtins, heap_diff
+from diffusekit.fusion import fused_scalars
+from diffusekit.ir import IndexTask, StoreArg
 from diffusekit.kernels import KernelRegistry
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
 from diffusekit.trace import gen_benchmark
@@ -162,8 +164,91 @@ class TestAnalysisCost:
         sizes = [len(self._counted(monkeypatch, n)[0]._arg_facts) for n in (50, 200)]
         assert sizes[0] == sizes[1] > 0
 
+    def test_a_hit_looks_up_each_distinct_argument_once(self, monkeypatch):
+        calls = Counter()  # flush index -> Session._facts calls
+        windows = {}  # flush index -> distinct (store, partition, launch domain)
+        facts, flush = Session._facts, Session._flush
+
+        def counted(session, *args):
+            calls[len(session.report.per_flush)] += 1
+            return facts(session, *args)
+
+        def snapshot(session, explicit):
+            windows[len(session.report.per_flush)] = {
+                (a.store, a.partition, t.domain) for t in session._buffer for a in t.args
+            }
+            flush(session, explicit)
+
+        monkeypatch.setattr(Session, "_facts", counted)
+        monkeypatch.setattr(Session, "_flush", snapshot)
+        report = self._counted(monkeypatch, 40)[1]
+        hits = [i for i, fr in enumerate(report.per_flush) if fr.memo_hits and not fr.memo_misses]
+        assert len(hits) == len(report.per_flush) - 3
+        for i in hits:
+            assert 0 < calls[i] <= len(windows[i])
+
+    def test_analysis_only_builds_no_task_to_launch(self, monkeypatch):
+        built = []
+        post_init = IndexTask.__post_init__
+
+        def counted(t):
+            built.append(t.kind)
+            post_init(t)
+
+        monkeypatch.setattr(IndexTask, "__post_init__", counted)
+        _, report, _, _, builds, _ = self._counted(monkeypatch, 40)
+        # the submitted tasks, and the fused task of each missed prefix
+        assert len(built) == report.tasks_in + len(builds)
+        assert report.memo_hits > 10 * len(builds) > 0
+
+    def test_executed_fused_launch_runs_the_carves_task(self, monkeypatch):
+        expected, executed = [], []
+        launch, execute = Session._launch, pipeline.execute_task
+
+        def recording_launch(session, carve, fr, *rest):
+            prefix = session._buffer[: carve.prefix_len]
+            args = tuple([StoreArg(s, p, pr) for s, p, pr in carve.args])
+            scalars = fused_scalars(prefix) if len(prefix) > 1 else prefix[0].scalars
+            expected.append((carve.kind, prefix[0].domain, args, scalars))
+            launch(session, carve, fr, *rest)
+
+        def recording_execute(t, *args):
+            executed.append(t)
+            execute(t, *args)
+
+        monkeypatch.setattr(Session, "_launch", recording_launch)
+        monkeypatch.setattr(pipeline, "execute_task", recording_execute)
+        report = run_events(Session(SessionConfig()), gen_benchmark("cg_like", iters=6))
+        assert report.memo_hits > 0 and max(report.fused_prefixes) > 1
+        assert all(isinstance(t, IndexTask) for t in executed)
+        assert [(t.kind, t.domain, t.args, t.scalars) for t in executed] == expected
+
 
 class TestSessionLifecycle:
+    @pytest.mark.parametrize("window", [0, -3, MAX_WINDOW + 1])
+    def test_window_out_of_range_rejected(self, window):
+        with pytest.raises(ValueError, match=f"got {window}"):
+            Session(SessionConfig(window=window))
+        assert Session(SessionConfig(window=1)).window == 1
+        assert Session(SessionConfig(window=MAX_WINDOW)).window == MAX_WINDOW
+
+    def test_equal_partitions_are_one_object(self):
+        session = Session(SessionConfig())
+        session.create_partition(0, tiling((2,)))
+        session.create_partition(1, tiling((2,)))
+        session.create_partition(2, tiling((2,), (1,)))
+        assert session.partitions[0] is session.partitions[1]
+        assert session.partitions[2] is not session.partitions[0]
+        with pytest.raises(ValueError):
+            session.create_partition(1, tiling((2,), (1,)))
+        assert session.partitions[1] == tiling((2,))
+
+    def test_a_long_stream_keeps_one_object_per_partition_value(self):
+        session = Session(SessionConfig(execute=False))
+        run_events(session, gen_benchmark("cg_like", iters=300))
+        assert len(session.partitions) > 2000
+        assert len({id(p) for p in session.partitions.values()}) == 2
+
     def test_duplicate_store_id_rejected(self):
         session = Session(SessionConfig())
         session.create_store(0, (4,))

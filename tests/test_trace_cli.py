@@ -123,6 +123,12 @@ class TestCli:
         assert "tasks: 60 -> 20" in out
         assert "heaps identical" in out
 
+    def test_window_out_of_range_is_an_error(self, stencil_trace, capsys):
+        assert main(["analyze", stencil_trace, "--window", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "got -3" in captured.err
+
     def test_run_diff_engine_flags(self, stencil_trace, capsys):
         for flags in ([], ["--no-temp-elim"], ["--no-memo"], ["--window", "3"]):
             assert main(["run", stencil_trace, "--diff", *flags]) == 0
