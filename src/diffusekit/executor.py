@@ -13,14 +13,16 @@ up as an arena violation or a heap mismatch.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .ir import (
     IndexTask,
     NonePart,
+    Partition,
     Point,
     Privilege,
     Rect,
@@ -142,6 +144,10 @@ def _region(arr: np.ndarray, rect: Rect) -> np.ndarray:
     return arr[sl] if sl else arr
 
 
+# An argument's region: the slices that cut it out of its store, and its extents.
+Region = tuple[tuple[slice, ...], tuple[int, ...]]
+
+
 def _scalar_env(kernel: Kernel, task: IndexTask) -> dict[str, float]:
     if len(kernel.scalar_params) != len(task.scalars):
         raise ExecutionError(
@@ -152,21 +158,26 @@ def _scalar_env(kernel: Kernel, task: IndexTask) -> dict[str, float]:
 
 
 def _bindings(
-    task: IndexTask, rects: Sequence[Rect], heap: Heap, temp_positions: frozenset[int]
+    task: IndexTask, regions: Sequence[Region], heap: Heap, temp_positions: frozenset[int]
 ) -> tuple[dict[str, np.ndarray], dict[str, tuple[int, ...]]]:
-    """Heap views of each argument's rectangle; temp positions get local shapes."""
+    """Heap views of each argument's region; temp positions get local shapes."""
     bufs: dict[str, np.ndarray] = {}
     local_shapes: dict[str, tuple[int, ...]] = {}
-    for j, (a, rect) in enumerate(zip(task.args, rects)):
+    for j, (a, (sl, extents)) in enumerate(zip(task.args, regions)):
         if j in temp_positions:
-            local_shapes[arg_name(j, local=True)] = rect.extents
+            local_shapes[arg_name(j, local=True)] = extents
         else:
-            bufs[arg_name(j)] = _region(heap.get(a.store), rect)
+            arr = heap.get(a.store)
+            bufs[arg_name(j)] = arr[sl] if sl else arr
     return bufs, local_shapes
 
 
-def _point_rects(task: IndexTask, p: Point, stores: StoreTable) -> list[Rect]:
-    return [sub_store_bounds(stores[a.store], a.partition, p).bounds for a in task.args]
+def _point_regions(task: IndexTask, p: Point, stores: StoreTable) -> list[Region]:
+    regions = []
+    for a in task.args:
+        rect = sub_store_bounds(stores[a.store], a.partition, p).bounds
+        regions.append((rect.slices(), rect.extents))
+    return regions
 
 
 def _select_kernel(
@@ -216,10 +227,57 @@ def _launch_images(task: IndexTask, stores: StoreTable) -> list[Rect] | None:
         if any(o < 0 for o in part.offset) or any(h > s for h, s in zip(hi, store.shape.extents)):
             return None
         rects.append(Rect(part.offset, hi))
-    for w in {a.store for a in task.args if a.privilege.is_write}:
-        if len({a.partition for a in task.args if a.store == w}) > 1:
-            return None
+    parts: dict[int, set[Partition]] = {}
+    for a in task.args:
+        parts.setdefault(a.store, set()).add(a.partition)
+    if any(len(parts[a.store]) > 1 for a in task.args if a.privilege.is_write):
+        return None
     return rects
+
+
+class LaunchPlan(NamedTuple):
+    """What a launch's partition descriptors decide, whatever the heap holds.
+
+    ``regions`` holds each argument's whole-launch region when one kernel
+    call over them computes what the point-by-point loop computes, else None.
+    ``fill_candidates`` are the positions through which the launch may write
+    a store whole before reading it: privilege W (not RW), the only argument
+    naming that store, through a partition that covers the store. Whether
+    such a store skips its fill also depends on the heap and the kernel, and
+    is decided per launch.
+    """
+
+    regions: tuple[Region, ...] | None
+    fill_candidates: tuple[int, ...]
+
+
+POINT_BY_POINT = LaunchPlan(None, ())  # every point in order, every store filled
+
+
+def plan_key(task: IndexTask, stores: StoreTable) -> tuple:
+    """Everything ``launch_plan`` reads: the launch extents and, per argument,
+    its store's extents, partition, privilege and the first position naming
+    the same store."""
+    first: dict[int, int] = {}
+    return task.domain.extents, tuple([
+        (stores[a.store].shape.extents, a.partition, a.privilege, first.setdefault(a.store, j))
+        for j, a in enumerate(task.args)
+    ])
+
+
+def launch_plan(task: IndexTask, stores: StoreTable) -> LaunchPlan:
+    """The plan of ``task``: it depends on nothing but ``plan_key``."""
+    rects = _launch_images(task, stores)
+    regions = None if rects is None else tuple((r.slices(), r.extents) for r in rects)
+    named = Counter(a.store for a in task.args)
+    candidates = tuple(
+        j
+        for j, a in enumerate(task.args)
+        if a.privilege is Privilege.WRITE
+        and named[a.store] == 1
+        and covers(stores[a.store], a.partition, task.domain)
+    )
+    return LaunchPlan(regions, candidates)
 
 
 # --- execution ---------------------------------------------------------------
@@ -233,6 +291,7 @@ def execute_task(
     builtins: Mapping[str, Builtin],
     kernel: Kernel | None = None,
     temp_positions: frozenset[int] = frozenset(),
+    plan: LaunchPlan | None = None,
 ) -> None:
     """Run one index task: as one kernel call over the whole launch when
     ``_launch_images`` allows it, else point by point in lexicographic order.
@@ -241,9 +300,12 @@ def execute_task(
     without one it is generated here. Argument j binds to buffer param a{j},
     or, for a position in ``temp_positions``, to a task-local buffer l{j}
     instead of a heap region. A store this launch overwrites whole before
-    reading it is allocated unfilled (``_overwritten``).
+    reading it is allocated unfilled: one of the plan's fill candidates that
+    is not demoted, not yet materialized and not loaded by the kernel.
+    ``plan`` is ``launch_plan(task, stores)``, or any plan made for an equal
+    ``plan_key``; without one it is worked out here.
     """
-    _run(task, heap, stores, registry, builtins, kernel, temp_positions, whole_launch=True)
+    _run(task, heap, stores, registry, builtins, kernel, temp_positions, plan)
 
 
 def execute_sequential(
@@ -256,7 +318,7 @@ def execute_sequential(
     """The semantic reference: tasks in program order, each point by point,
     every store filled with its documented contents when first touched."""
     for t in tasks:
-        _run(t, heap, stores, registry, builtins, None, frozenset(), whole_launch=False)
+        _run(t, heap, stores, registry, builtins, None, frozenset(), POINT_BY_POINT)
 
 
 def _run(
@@ -267,7 +329,7 @@ def _run(
     builtins: Mapping[str, Builtin],
     kernel: Kernel | None,
     temp_positions: frozenset[int],
-    whole_launch: bool,
+    plan: LaunchPlan | None,
 ) -> None:
     kernel = _select_kernel(task, registry, kernel)
     if kernel is None:
@@ -275,40 +337,29 @@ def _run(
         if fn is None:
             raise UnknownTaskKindError(f"no generator or builtin for task kind {task.kind!r}")
         for p in task.domain.points():
-            bufs, _ = _bindings(task, _point_rects(task, p, stores), heap, frozenset())
+            bufs, _ = _bindings(task, _point_regions(task, p, stores), heap, frozenset())
             fn(task, bufs)
         return
 
     scalars = _scalar_env(kernel, task)
-    whole = _launch_images(task, stores) if whole_launch else None
-    if whole is not None:
-        launches: Iterable[list[Rect]] = (whole,)
+    if plan is None:
+        plan = launch_plan(task, stores)
+    if plan.regions is not None:
+        launches: Iterable[Sequence[Region]] = (plan.regions,)
     else:
-        launches = (_point_rects(task, p, stores) for p in task.domain.points())
-    unfilled = _overwritten(task, kernel, heap, stores, temp_positions) if whole_launch else ()
-    with heap.overwriting(unfilled):
-        for rects in launches:
-            bufs, local_shapes = _bindings(task, rects, heap, temp_positions)
-            interpret(kernel, bufs, scalars, local_shapes)
-
-
-def _overwritten(
-    task: IndexTask, kernel: Kernel, heap: Heap, stores: StoreTable, temp_positions: frozenset[int]
-) -> list[int]:
-    """The heap stores a kernel launch writes whole before reading: not yet
-    materialized, named through exactly one argument, with privilege W (not
-    RW) through a partition that covers the store, and neither loaded nor
-    reduced into by the kernel."""
-    return [
-        a.store
-        for j, a in enumerate(task.args)
+        launches = (_point_regions(task, p, stores) for p in task.domain.points())
+    args = task.args
+    unfilled = [
+        args[j].store
+        for j in plan.fill_candidates
         if j not in temp_positions
-        and a.store not in heap.arrays
-        and a.privilege is Privilege.WRITE
-        and sum(b.store == a.store for b in task.args) == 1
-        and covers(stores[a.store], a.partition, task.domain)
+        and args[j].store not in heap.arrays
         and arg_name(j) not in kernel.loaded
     ]
+    with heap.overwriting(unfilled):
+        for regions in launches:
+            bufs, local_shapes = _bindings(task, regions, heap, temp_positions)
+            interpret(kernel, bufs, scalars, local_shapes)
 
 
 def execute_isolated(

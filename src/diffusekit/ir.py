@@ -8,7 +8,7 @@ so every query here runs in time independent of the launch-domain volume.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping
 
@@ -68,11 +68,13 @@ class ProjectionFn:
     """Integer affine map ``p -> A @ p + b`` applied to launch points.
 
     Covers identity, dimension dropping, broadcast and permutation; equality is
-    structural on (A, b), which keeps partition comparison constant-time.
+    structural on (A, b), which keeps partition comparison constant-time. The
+    hash, that of (A, b), is worked out once, at construction.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     offset: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.matrix) != len(self.offset):
@@ -80,6 +82,10 @@ class ProjectionFn:
         widths = {len(row) for row in self.matrix}
         if len(widths) > 1:
             raise MalformedPartitionError("ragged projection matrix")
+        object.__setattr__(self, "_hash", hash((self.matrix, self.offset)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def out_rank(self) -> int:
@@ -117,15 +123,22 @@ class NonePart:
 
 @dataclass(frozen=True)
 class Tiling:
-    """Affine tiling: point p covers ``[proj(p)*tile, proj(p+1)*tile) + offset``."""
+    """Affine tiling: point p covers ``[proj(p)*tile, proj(p+1)*tile) + offset``.
+
+    Hashed once, at construction, as the tuple of its fields."""
 
     tile: tuple[int, ...]
     offset: tuple[int, ...]
     proj: ProjectionFn
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (len(self.tile) == len(self.offset) == self.proj.out_rank):
             raise MalformedPartitionError("tile, offset and projection output rank must agree")
+        object.__setattr__(self, "_hash", hash((self.tile, self.offset, self.proj)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 Partition = NonePart | Tiling

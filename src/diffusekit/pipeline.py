@@ -21,9 +21,12 @@ from weakref import WeakKeyDictionary
 from .executor import (
     Builtin,
     Heap,
+    LaunchPlan,
     default_builtins,
     execute_isolated,
     execute_task,
+    launch_plan,
+    plan_key,
 )
 from .fusion import (
     AnalysisStats,
@@ -175,6 +178,8 @@ class Session:
         self.config = config or SessionConfig()
         if not 1 <= self.config.window <= MAX_WINDOW:
             raise ValueError(f"window must be in 1..{MAX_WINDOW}, got {self.config.window}")
+        if self.config.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.config.seed}")
         self.registry = registry or default_registry()
         self.builtins = dict(builtins) if builtins is not None else default_builtins()
         self.stores: dict[int, Store] = {}
@@ -189,6 +194,7 @@ class Session:
         self.window = self.config.window
         self.report = Report()
         self._arg_facts: dict[tuple[tuple, Partition, tuple], ArgFacts] = {}
+        self._launch_plans: dict[tuple, LaunchPlan] = {}
         # per kernel, kept while the kernel lives: argument shapes -> traffic
         self._traffic_counts: WeakKeyDictionary[Kernel, dict] = WeakKeyDictionary()
         self._buffer: list[IndexTask] = []
@@ -336,7 +342,8 @@ class Session:
         The launch domain is that of the prefix's first task. Only an
         executing session builds a task: a single task runs as buffered, a
         fused one is built from the carve's kind and arguments with the
-        scalars of the whole prefix. ``shapes`` go to ``_traffic``.
+        scalars of the whole prefix, and runs with its cached launch plan
+        unless isolated. ``shapes`` go to ``_traffic``.
         """
         f, kernel, positions = carve.prefix_len, carve.kernel, carve.temp_arg_positions
         prefix = self._buffer[:f]
@@ -346,8 +353,11 @@ class Session:
             if f > 1:
                 args = tuple([StoreArg(s, p, pr) for s, p, pr in carve.args])
                 task = IndexTask(carve.kind, domain, args, fused_scalars(prefix))
-            run = execute_isolated if f > 1 and self.config.isolated else execute_task
-            run(task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
+            call = (task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
+            if f > 1 and self.config.isolated:
+                execute_isolated(*call)
+            else:
+                execute_task(*call, self._plan(task))
         fr.verdicts.extend(carve.verdicts)
         fr.fused_prefixes.append(f)
         fr.temporaries.extend(sorted({carve.args[j][0] for j in positions}))
@@ -376,6 +386,15 @@ class Session:
             )
             self._arg_facts[key] = facts
         return facts
+
+    def _plan(self, task: IndexTask) -> LaunchPlan:
+        """The launch plan of ``task``, worked out once per distinct
+        ``plan_key``: the heap and the kernel stay per-launch checks."""
+        key = plan_key(task, self.stores)
+        plan = self._launch_plans.get(key)
+        if plan is None:
+            plan = self._launch_plans[key] = launch_plan(task, self.stores)
+        return plan
 
     def _compile(
         self, prefix: Sequence[IndexTask], plan0: FusedTaskPlan, temp_positions: frozenset[int]

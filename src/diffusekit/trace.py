@@ -239,13 +239,26 @@ class _Builder:
         self.events.append(Flush())
 
 
+def _check_counts(size: int, nodes: int, iters: int) -> None:
+    """Reject generator arguments that give no valid trace."""
+    if size <= 0:
+        raise ValueError(f"size must be positive, got {size}")
+    if nodes <= 0:
+        raise ValueError(f"nodes must be positive, got {nodes}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+
+
 def gen_stencil(size: int = 34, nodes: int = 2, iters: int = 10) -> list[Event]:
     """Five-point averaging stencil over aliased interior views of one grid.
 
     Per iteration: four ADDs chaining the neighbor views, one scalar MULT into
     the work array, and a COPY of work back into the grid's center view.
     """
+    _check_counts(size, nodes, iters)
     m = size - 2
+    if m < 1:
+        raise ValueError(f"stencil size {size} leaves no interior: it must be at least 3")
     if m % nodes:
         raise ValueError(f"interior size {m} must be divisible by nodes {nodes}")
     t = m // nodes
@@ -284,6 +297,7 @@ def gen_blackscholes_chain(size: int = 1024, nodes: int = 4, iters: int = 4) -> 
     keeps every element exactly representable and bounded, so fused and
     unfused runs compare bit for bit.
     """
+    _check_counts(size, nodes, iters)
     if size % nodes:
         raise ValueError(f"size {size} must be divisible by nodes {nodes}")
     t = size // nodes
@@ -323,6 +337,7 @@ def gen_jacobi(size: int = 16, nodes: int = 4, iters: int = 5) -> list[Event]:
     The MATVEC reads the iterate through replication, so only the two
     elementwise tasks fuse.
     """
+    _check_counts(size, nodes, iters)
     if size % nodes:
         raise ValueError(f"size {size} must be divisible by nodes {nodes}")
     t = size // nodes
@@ -353,6 +368,7 @@ def gen_cg_like(size: int = 16, nodes: int = 4, iters: int = 5) -> list[Event]:
     """Conjugate-gradient-shaped iteration: 12 tasks mixing an opaque SPMV,
     dot-product reductions into rank-0 stores, ratio updates reading those
     scalars through replication, and an elementwise tail."""
+    _check_counts(size, nodes, iters)
     if size % nodes:
         raise ValueError(f"size {size} must be divisible by nodes {nodes}")
     t = size // nodes

@@ -526,3 +526,78 @@ class TestFirstTouch:
             execute_task(task("COPY", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores, REG, BUILTINS)
         assert heap.materialized(0) and not heap.materialized(1)
         assert (heap.get(1) == _documented(stores, 1)).all()
+
+
+class TestLaunchPlanCache:
+    """A session works each launch plan out once per distinct descriptor.
+    Each case fails against a cache keyed by less than ``plan_key``."""
+
+    @staticmethod
+    def _session(tasks, shapes, log):
+        """Runs each task in its own window and checks the heap against the
+        sequential reference; returns the session and ``log`` as it stood
+        before the reference ran."""
+        session = Session(SessionConfig())
+        for sid, shape in enumerate(shapes):
+            session.create_store(sid, shape)
+        for t in tasks:
+            session.submit(t)
+            session.flush()
+        session.finish()
+        got = list(log)
+        ref = Heap(session.stores, 0)
+        execute_sequential(tasks, ref, session.stores, REG, BUILTINS)
+        assert heap_diff(session.heap, ref, range(len(shapes))) == []
+        return session, got
+
+    @pytest.mark.parametrize("iters", [3, 30])
+    def test_launch_descriptors_decided_once_per_plan(self, monkeypatch, iters):
+        calls = []
+        images = executor._launch_images
+
+        def counted(*args):
+            calls.append(args)
+            return images(*args)
+
+        monkeypatch.setattr(executor, "_launch_images", counted)
+        session = Session(SessionConfig())
+        report = run_events(session, tracefmt.gen_benchmark("stencil", iters=iters))
+        assert report.tasks_out == 2 * iters
+        assert len(calls) == len(session._launch_plans) == 2
+
+    def test_launch_extents_decide_whole_launch_under_one_memo_key(self, interpret_calls):
+        # the offset tiling is "clamped" for both launches, so the memo key,
+        # which then omits launch extents, is the same; [1, 7) fits a store
+        # of 8, [1, 9) does not
+        shifted = tiling((2,), (1,))
+        tasks = [
+            task("NEG", (3,), [(0, shifted, R), (1, shifted, W)]),
+            task("NEG", (4,), [(2, shifted, R), (3, shifted, W)]),
+        ]
+        session, calls = self._session(tasks, [(8,)] * 4, interpret_calls)
+        assert session.report.memo_hits == 1
+        plans = list(session._launch_plans.values())
+        assert [p.regions is not None for p in plans] == [True, False]
+        assert len(calls) == 1 + 4
+
+    def test_a_shared_plan_still_fills_a_store_its_kernel_loads(self, filled):
+        # AXPY given W loads its second argument; COPY does not
+        p = tiling((2,))
+        tasks = [
+            task("COPY", (4,), [(0, p, R), (1, p, W)]),
+            task("AXPY", (4,), [(2, p, R), (3, p, W)], [("s", 2.0)]),
+        ]
+        session, got = self._session(tasks, [(8,)] * 4, filled)
+        assert len(session._launch_plans) == 1
+        assert got == [0, 2, 3]
+
+    def test_a_written_store_named_twice_gets_its_own_plan(self, filled):
+        p = tiling((2,))
+        tasks = [
+            task("COPY", (4,), [(0, p, R), (1, p, W)]),
+            task("COPY", (4,), [(2, p, R), (2, p, W)]),
+        ]
+        session, got = self._session(tasks, [(8,)] * 3, filled)
+        plans = list(session._launch_plans.values())
+        assert [p.fill_candidates for p in plans] == [(1,), ()]
+        assert got == [0, 2]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pickle
 
@@ -189,6 +190,27 @@ class TestPartitionEq:
     def test_replication_never_equals_a_tiling(self):
         # Both cover a 4x4 store, but unequal reads as "may alias".
         assert not partition_eq(NonePart(), tiling((4, 4)))
+
+    def test_partitions_built_apart_hash_and_compare_equal(self):
+        a = Tiling((2, 2), (1, 1), ProjectionFn(((1, 0), (0, 1)), (0, 0)))
+        b = Tiling((2, 2), (1, 1), ProjectionFn.identity(2))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.proj is not b.proj and a.proj == b.proj and hash(a.proj) == hash(b.proj)
+        assert len({a, b, tiling((2, 2), (1, 1))}) == 1
+
+    def test_replace_hashes_the_new_value(self):
+        t = tiling((2,))
+        moved = dataclasses.replace(t, offset=(1,))
+        assert moved != t and moved == tiling((2,), (1,))
+        assert hash(moved) == hash(tiling((2,), (1,))) != hash(t)
+        shifted = dataclasses.replace(t.proj, offset=(3,))
+        assert hash(shifted) == hash(ProjectionFn(((1,),), (3,))) != hash(t.proj)
+
+    def test_repr_shows_only_the_fields(self):
+        assert repr(tiling((16, 16), (0, 1))) == (
+            "Tiling(tile=(16, 16), offset=(0, 1), "
+            "proj=ProjectionFn(matrix=((1, 0), (0, 1)), offset=(0, 0)))"
+        )
 
     def test_equal_partitions_have_equal_bounds(self):
         store = Store(0, Domain((6, 6)))

@@ -359,9 +359,9 @@ class TestFusedKernelText:
         texts = []
         execute = pipeline.execute_task
 
-        def recording(t, heap, stores, registry, builtins, kernel, positions):
+        def recording(t, heap, stores, registry, builtins, kernel, positions, *rest):
             texts.append(kernel_text(kernel) if kernel is not None else None)
-            execute(t, heap, stores, registry, builtins, kernel, positions)
+            execute(t, heap, stores, registry, builtins, kernel, positions, *rest)
 
         monkeypatch.setattr(pipeline, "execute_task", recording)
         return texts

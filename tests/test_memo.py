@@ -235,9 +235,9 @@ class TestReplayEqualsFreshAnalysis:
         texts = []
         execute = pipeline.execute_task
 
-        def recording(t, heap, stores, registry, builtins, kernel, positions):
+        def recording(t, heap, stores, registry, builtins, kernel, positions, *rest):
             texts.append(kernel_text(kernel))
-            execute(t, heap, stores, registry, builtins, kernel, positions)
+            execute(t, heap, stores, registry, builtins, kernel, positions, *rest)
 
         monkeypatch.setattr(pipeline, "execute_task", recording)
         square = tiling((2, 2), (1, 1))

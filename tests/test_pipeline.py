@@ -232,6 +232,11 @@ class TestSessionLifecycle:
         assert Session(SessionConfig(window=1)).window == 1
         assert Session(SessionConfig(window=MAX_WINDOW)).window == MAX_WINDOW
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            Session(SessionConfig(seed=-1))
+        Session(SessionConfig(seed=0))
+
     def test_equal_partitions_are_one_object(self):
         session = Session(SessionConfig())
         session.create_partition(0, tiling((2,)))

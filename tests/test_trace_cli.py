@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from diffusekit.cli import bench_report, main
 from diffusekit.pipeline import Report, Session, SessionConfig, run_events
 from diffusekit.trace import (
+    BENCHMARKS,
     TraceError,
     gen_benchmark,
     parse_trace,
@@ -24,6 +29,13 @@ class TestTraceFormat:
     def test_round_trip(self, name):
         events = gen_benchmark(name, iters=2)
         assert parse_trace(print_trace(events)) == events
+
+    def test_partition_lines_keep_their_text(self):
+        lines = print_trace(gen_benchmark("stencil", iters=1)).splitlines()
+        assert lines[3] == (
+            '{"event": "create_partition", "id": 1, "store": 0, "kind": "tiling", '
+            '"tile": [16, 16], "offset": [0, 1], "proj": {"A": [[1, 0], [0, 1]], "b": [0, 0]}}'
+        )
 
     def test_empty_input(self):
         assert parse_trace("") == []
@@ -81,6 +93,32 @@ class TestTraceFormat:
         with pytest.raises(ValueError):
             gen_benchmark("nonsense")
 
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(size=0), "size must be positive, got 0"),
+            (dict(size=-4), "size must be positive, got -4"),
+            (dict(nodes=0), "nodes must be positive, got 0"),
+            (dict(nodes=-2), "nodes must be positive, got -2"),
+            (dict(iters=-1), "iters must be >= 0, got -1"),
+        ],
+    )
+    def test_generator_rejects_counts_that_give_no_trace(self, name, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            gen_benchmark(name, **kwargs)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_stencil_without_an_interior_rejected(self, size):
+        with pytest.raises(ValueError, match=f"stencil size {size} leaves no interior"):
+            gen_benchmark("stencil", size=size, nodes=1)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_smallest_accepted_counts_give_a_valid_trace(self, name):
+        size = 3 if name == "stencil" else 1
+        events = gen_benchmark(name, size=size, nodes=1, iters=0)
+        assert parse_trace(print_trace(events)) == events
+
 
 @pytest.fixture()
 def stencil_trace(tmp_path):
@@ -115,6 +153,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "AntiDep" in out
 
+    def test_verdict_line_names_partitions_by_their_fields(self):
+        session = Session(SessionConfig(window=5, execute=False))
+        summary = run_events(session, gen_benchmark("stencil", iters=2)).summary()
+        assert summary.splitlines()[-1] == (
+            "flush 2: stopped by AntiDep at task 5 on store 0 partitions "
+            "Tiling(tile=(16, 16), offset=(0, 1), "
+            "proj=ProjectionFn(matrix=((1, 0), (0, 1)), offset=(0, 0))) vs "
+            "Tiling(tile=(16, 16), offset=(1, 1), "
+            "proj=ProjectionFn(matrix=((1, 0), (0, 1)), offset=(0, 0)))"
+        )
+
     def test_run_diff_reports_identical_heaps(self, tmp_path, capsys):
         path = tmp_path / "t.trace"
         path.write_text(print_trace(gen_benchmark("stencil", iters=10)))
@@ -128,6 +177,36 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "got -3" in captured.err
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    @pytest.mark.parametrize("flags", [["--nodes", "0"], ["--size", "0"], ["--iters", "-1"]])
+    def test_gen_with_counts_that_give_no_trace_is_an_error(self, name, flags, capsys):
+        assert main(["gen", name, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("size", ["1", "2"])
+    def test_gen_stencil_without_an_interior_is_an_error(self, size, capsys):
+        assert main(["gen", "stencil", "--size", size]) == 2
+        assert capsys.readouterr().err.startswith("error: stencil size")
+
+    @pytest.mark.parametrize("command", ["analyze", "run"])
+    def test_negative_seed_is_an_error(self, stencil_trace, command, capsys):
+        assert main([command, stencil_trace, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
+
+    def test_python_dash_m_runs_the_command_line(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "diffusekit", "gen", "stencil", "--iters", "1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert parse_trace(done.stdout) == gen_benchmark("stencil", iters=1)
 
     def test_run_diff_engine_flags(self, stencil_trace, capsys):
         for flags in ([], ["--no-temp-elim"], ["--no-memo"], ["--window", "3"]):
