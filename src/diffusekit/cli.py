@@ -27,8 +27,14 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=10, help="initial task-window size")
+    p.add_argument("--seed", type=int, default=0, help="seed for deterministic store contents")
+    p.add_argument("--json-report", metavar="PATH", help="write the machine-readable report here")
+
+
+def _add_engine_flags(p: argparse.ArgumentParser) -> None:
+    _add_common_flags(p)
     p.add_argument("--no-fusion", action="store_true", help="run every task unfused")
     p.add_argument("--no-memo", action="store_true", help="disable the analysis memo cache")
     p.add_argument("--no-temp-elim", action="store_true", help="keep temporaries as stores")
@@ -37,8 +43,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="cross-check every fused prefix against the brute-force dependence oracle",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for deterministic store contents")
-    p.add_argument("--json-report", metavar="PATH", help="write the machine-readable report here")
 
 
 def _config(ns: argparse.Namespace, execute: bool) -> SessionConfig:
@@ -205,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int)
     p.add_argument("--nodes", type=int)
     p.add_argument("--iters", type=int)
-    _add_engine_flags(p)
+    _add_common_flags(p)  # bench compares fused with unfused; engine flags would not apply
     p.set_defaults(fn=_cmd_bench)
 
     p = sub.add_parser("gen", help="emit a benchmark trace to stdout")

@@ -10,7 +10,7 @@ touches individual launch-domain points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -48,8 +48,8 @@ class ConstraintVerdict:
         from the canonical indices of a memoized window."""
         if self.store is None:  # names neither a store nor partitions
             return self
-        parts = self.partitions and tuple(map(partition, self.partitions))
-        return replace(self, store=store(self.store), partitions=parts)
+        parts = self.partitions and (partition(self.partitions[0]), partition(self.partitions[1]))
+        return ConstraintVerdict(self.constraint, self.blocking_task_index, store(self.store), parts)
 
     def describe(self) -> str:
         msg = f"{self.constraint.value} at task {self.blocking_task_index}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 Point = tuple[int, ...]
 
@@ -48,7 +48,7 @@ class Domain:
         return itertools.product(*(range(e) for e in self.extents))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Store:
     """Distributed array descriptor: unique id plus a fixed rectangular shape."""
 
@@ -69,12 +69,14 @@ class ProjectionFn:
 
     Covers identity, dimension dropping, broadcast and permutation; equality is
     structural on (A, b), which keeps partition comparison constant-time. The
-    hash, that of (A, b), is worked out once, at construction.
+    hash, that of (A, b), and ``is_identity`` are worked out once, at
+    construction.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     offset: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.matrix) != len(self.offset):
@@ -83,6 +85,12 @@ class ProjectionFn:
         if len(widths) > 1:
             raise MalformedPartitionError("ragged projection matrix")
         object.__setattr__(self, "_hash", hash((self.matrix, self.offset)))
+        identity = (
+            self.in_rank == self.out_rank
+            and not any(self.offset)
+            and all(a == (i == j) for i, row in enumerate(self.matrix) for j, a in enumerate(row))
+        )
+        object.__setattr__(self, "is_identity", identity)
 
     def __hash__(self) -> int:
         return self._hash
@@ -99,14 +107,6 @@ class ProjectionFn:
     def identity(cls, rank: int) -> "ProjectionFn":
         rows = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
         return cls(rows, (0,) * rank)
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.in_rank == self.out_rank
-            and not any(self.offset)
-            and all(a == (i == j) for i, row in enumerate(self.matrix) for j, a in enumerate(row))
-        )
 
     def apply(self, p: Point) -> Point:
         if len(p) != self.in_rank:
@@ -150,10 +150,17 @@ def partition_eq(a: Partition, b: Partition) -> bool:
 
 
 class Privilege(Enum):
+    """An access mode; its value is its code in traces and memo keys.
+
+    Members hash by identity, which is C-level where ``Enum.__hash__`` is
+    Python-level: every member is a singleton, so equality is identity."""
+
     READ = "R"
     WRITE = "W"
     REDUCE = "Rd"  # combine operator fixed to sum
     READ_WRITE = "RW"
+
+    __hash__ = object.__hash__
 
     @property
     def is_read(self) -> bool:
@@ -177,28 +184,53 @@ def join_privileges(a: Privilege, b: Privilege) -> Privilege:
     return Privilege.READ_WRITE
 
 
-@dataclass(frozen=True)
-class StoreArg:
+class StoreArg(NamedTuple):
     store: int
     partition: Partition
     privilege: Privilege
 
 
-@dataclass(frozen=True)
-class IndexTask:
-    """A group of parallel point tasks over a rectangular launch domain."""
+_READ = Privilege.READ
 
+
+class _TaskFields(NamedTuple):
     kind: str
     domain: Domain
     args: tuple[StoreArg, ...]
     scalars: tuple[tuple[str, float], ...] = ()
 
+
+class IndexTask(_TaskFields):
+    """A group of parallel point tasks over a rectangular launch domain.
+
+    A tuple, like ``StoreArg``: building one costs a C-level tuple and the
+    checks of ``__post_init__``, where a frozen dataclass would add one
+    ``object.__setattr__`` per field."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        domain: Domain,
+        args: tuple[StoreArg, ...],
+        scalars: tuple[tuple[str, float], ...] = (),
+    ) -> "IndexTask":
+        task = tuple.__new__(cls, (kind, domain, args, scalars))
+        task.__post_init__()
+        return task
+
     def __post_init__(self) -> None:
         if not self.args:
             raise ValueError("index task needs at least one store argument")
-        effectful = [(a.store, a.partition) for a in self.args if a.privilege is not Privilege.READ]
-        if len(effectful) > 1 and len(effectful) != len(set(effectful)):
-            raise ValueError("duplicate (store, partition) among W/RW/Rd arguments")
+        effectful = 0
+        for a in self.args:
+            if a[2] is not _READ:
+                effectful += 1
+        if effectful > 1:  # a task rarely has two, so the set is rarely built
+            pairs = {a[:2] for a in self.args if a[2] is not _READ}
+            if len(pairs) != effectful:
+                raise ValueError("duplicate (store, partition) among W/RW/Rd arguments")
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,12 @@ class Kernel:
         """The buffers the kernel reads: by a load, or by reducing into them."""
         return frozenset().union(*(plan.reads for plan in self.plans))
 
+    @cached_property
+    def traffic(self) -> dict[tuple[tuple[int, ...], ...], tuple[int, int]]:
+        """Per-point (loads, stores) by argument shapes, filled in by the
+        sessions that launch the kernel and kept while it lives."""
+        return {}
+
 
 # --- expression / statement walking ----------------------------------------
 

@@ -10,18 +10,18 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .fusion import ConstraintVerdict
-from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreTable, covers
+from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreArg, StoreTable, covers
 from .kernels import Kernel
 
 CanonTask = tuple[str, int, tuple[tuple[int, int, str], ...], int]
+_CODES = {p: p.value for p in Privilege}  # read per argument: no enum descriptor
 MEMO_CAPACITY = 1024  # entries a MemoCache keeps; steady-state cg_like needs 9
 
 
-@dataclass(frozen=True)
-class CanonicalStream:
+class CanonicalStream(NamedTuple):
     """Alpha-equivalence class of a task window.
 
     ``tasks`` holds (kind, domain index, ((store idx, partition idx, priv), ...),
@@ -30,6 +30,7 @@ class CanonicalStream:
     ``fingerprint``, which captures per-argument coverage and the grouping of
     iteration-extent classes. Two windows with equal canonical streams are
     guaranteed to admit the same prefix length, temporaries and kernel shape.
+    A tuple, so the memo hashes and compares it without a Python-level call.
     """
 
     tasks: tuple[CanonTask, ...]
@@ -87,30 +88,35 @@ def canonicalize(
     store_idx: dict[int, int] = {}
     part_bind: list[Partition] = []
     part_idx: dict[Partition, int] = {}
-    domain_idx: dict[Domain, int] = {}
+    domain_idx: dict[tuple[int, ...], int] = {}
     domain_ranks: list[int] = []
     class_idx: dict[object, int] = {}
     found: dict[tuple[int, int, int], tuple] = {}
     marks: dict[tuple[int, int, int], tuple[bool, int]] = {}
     fingerprint: list[tuple[bool, int]] = []
     canon_tasks: list[CanonTask] = []
+    codes = _CODES
 
     for t in tasks:
-        d = domain_idx.setdefault(t.domain, len(domain_ranks))
-        if d == len(domain_ranks):
-            domain_ranks.append(t.domain.rank)
+        domain = t.domain
+        d = domain_idx.get(domain.extents)
+        if d is None:
+            d = domain_idx[domain.extents] = len(domain_ranks)
+            domain_ranks.append(len(domain.extents))
         args = []
-        for a in t.args:
-            s = store_idx.setdefault(a.store, len(store_bind))
-            if s == len(store_bind):
-                store_bind.append(a.store)
-            p = part_idx.setdefault(a.partition, len(part_bind))
-            if p == len(part_bind):
-                part_bind.append(a.partition)
-            args.append((s, p, a.privilege.value))
+        for store, part, priv in t.args:
+            s = store_idx.get(store)
+            if s is None:
+                s = store_idx[store] = len(store_bind)
+                store_bind.append(store)
+            p = part_idx.get(part)
+            if p is None:
+                p = part_idx[part] = len(part_bind)
+                part_bind.append(part)
+            args.append((s, p, codes[priv]))
             mark = marks.get((s, p, d))
             if mark is None:
-                fact = found[s, p, d] = facts(stores[a.store], a.partition, t.domain)
+                fact = found[s, p, d] = facts(stores[store], part, domain)
                 mark = marks[s, p, d] = (fact[0], class_idx.setdefault(fact[1], len(class_idx)))
             fingerprint.append(mark)
         canon_tasks.append((t.kind, d, tuple(args), len(t.scalars)))
@@ -153,7 +159,8 @@ class Carve:
     A session makes carves in a window's store ids and partitions; the memo
     keeps them in the window's canonical indices, and ``rebind`` maps one to
     the other. ``kind`` and ``args`` are the launched task's, a single task's
-    too: per argument, (store, partition, joined privilege).
+    too: per argument a ``StoreArg`` of store, partition and joined
+    privilege, the very tuple a launched task holds.
     ``temp_arg_positions`` index ``args``; the demoted stores are those
     arguments' stores. ``kernel`` is the shape-symbolic kernel, None for a
     builtin. ``verdicts`` say why the prefix stopped, with their task index
@@ -165,7 +172,7 @@ class Carve:
     kernel: Kernel | None = None
     verdicts: tuple[ConstraintVerdict, ...] = ()
     kind: str = ""
-    args: tuple[tuple[int, Partition | int, Privilege], ...] = ()
+    args: tuple[StoreArg, ...] = ()
 
     def rebind(self, store: Callable[[int], int], partition: Callable) -> Carve:
         """This carve with every store and partition mapped, from ids to a
@@ -179,7 +186,7 @@ class Carve:
             self.kernel,
             tuple([v.rebind(store, partition) for v in self.verdicts]),
             self.kind,
-            tuple([(store(s), partition(p), pr) for s, p, pr in self.args]),
+            tuple([StoreArg(store(s), partition(p), pr) for s, p, pr in self.args]),
         )
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import logging
-from weakref import WeakKeyDictionary
 
 from .executor import (
     Builtin,
@@ -184,8 +184,10 @@ class Session:
         self.builtins = dict(builtins) if builtins is not None else default_builtins()
         self.stores: dict[int, Store] = {}
         self.partitions: dict[int, Partition] = {}
-        # one object per distinct partition value, and per distinct launch extents
+        # one object per distinct partition value, per distinct partition
+        # event (kind, tile, offset, proj), and per distinct extents
         self._interned: dict[Partition, Partition] = {}
+        self._event_parts: dict[tuple, Partition] = {}
         self._domains: dict[tuple[int, ...], Domain] = {}
         self.refs = RefState()
         self.heap = Heap(self.stores, self.config.seed)
@@ -195,16 +197,15 @@ class Session:
         self.report = Report()
         self._arg_facts: dict[tuple[tuple, Partition, tuple], ArgFacts] = {}
         self._launch_plans: dict[tuple, LaunchPlan] = {}
-        # per kernel, kept while the kernel lives: argument shapes -> traffic
-        self._traffic_counts: WeakKeyDictionary[Kernel, dict] = WeakKeyDictionary()
         self._buffer: list[IndexTask] = []
+        self._held: list[set[int]] = []  # per buffered task, the stores it names
 
     # --- stream-facing API ---------------------------------------------------
 
     def create_store(self, store_id: int, extents: Sequence[int]) -> Store:
         if store_id in self.stores:
             raise ValueError(f"store id {store_id} already exists")
-        store = Store(store_id, Domain(tuple(extents)))
+        store = Store(store_id, self._domain(tuple(extents)))
         self.stores[store_id] = store
         self.refs.create(store_id)
         return store
@@ -215,24 +216,26 @@ class Session:
         self.partitions[part_id] = self._interned.setdefault(part, part)
 
     def submit(self, task: IndexTask) -> None:
-        """Buffer ``task``. A full buffer is flushed first, so the capacity
-        flush of a window fires at the next task, after the ``drop_ref``s that
-        follow the window's last task. The task is buffered even if that
-        flush raises."""
-        for a in task.args:
-            if a.store not in self.stores:
-                raise ValueError(f"task {task.kind} names unknown store {a.store}")
+        """Buffer ``task``, which holds one runtime reference to each store
+        it names. A full buffer is flushed first, so the capacity flush of a
+        window fires at the next task, after the ``drop_ref``s that follow
+        the window's last task. The task is buffered even if that flush
+        raises."""
+        held = {a.store for a in task.args}
+        if not self.stores.keys() >= held:
+            unknown = next(a.store for a in task.args if a.store not in self.stores)
+            raise ValueError(f"task {task.kind} names unknown store {unknown}")
         try:
             if len(self._buffer) >= self.window:
                 self._flush(explicit=False)
         finally:
             self._buffer.append(task)
-            for s in {a.store for a in task.args}:
-                self.refs.acquire_runtime(s)
+            self._held.append(held)
+            self.refs.acquire_runtime(*held)
 
     def drop_ref(self, store_id: int) -> None:
-        self.refs.drop_app_ref(store_id)
-        self._maybe_free(store_id)
+        if self.refs.drop_app_ref(store_id):
+            self.heap.free(store_id)
 
     def flush(self) -> None:
         self._flush(explicit=True)
@@ -261,6 +264,9 @@ class Session:
         each distinct argument once. At the end, every key that missed gets
         the carves from its position on, rebound to its canonical indices;
         no ``drop_ref`` can happen in between, so liveness stays as keyed.
+        An analysis-only hit with no such key runs its carves as the memo
+        holds them, and maps only what the report names: verdicts and
+        demoted stores.
         The buffer keeps every task not yet launched, so after a launch
         raises, the next flush resumes with it; nothing is memoized then.
         """
@@ -279,12 +285,19 @@ class Session:
                     )
                     hit = self.memo.lookup(key)
                     if hit is not None:
+                        # only an executed launch, or a key that missed
+                        # before, needs the carve in this window's ids
+                        bind = None if self.config.execute or missed else (sbind, pbind)
                         at = 0
                         for carve in hit:
-                            d = key.tasks[at][1]
-                            shapes = [facts[s, p, d].extents for s, p, _ in carve.args]
-                            carves.append(carve.rebind(sbind.__getitem__, pbind.__getitem__))
-                            self._launch(carves[-1], fr, shapes)
+                            shapes = None
+                            if carve.kernel is not None:  # a builtin counts no traffic
+                                d = key.tasks[at][1]
+                                shapes = [facts[s, p, d].extents for s, p, _ in carve.args]
+                            if bind is None:
+                                carve = carve.rebind(sbind.__getitem__, pbind.__getitem__)
+                                carves.append(carve)
+                            self._launch(carve, fr, shapes, bind)
                             fr.memo_hits += 1
                             at += carve.prefix_len
                         break
@@ -331,11 +344,14 @@ class Session:
             kernel = self._compile(rem[:f], fused, positions)
             if self.config.oracle_check:
                 self._cross_check(rem[:f])
-        args = tuple((a.store, a.partition, a.privilege) for a in task.args)
-        return Carve(f, positions, kernel, tuple(verdicts), task.kind, args)
+        return Carve(f, positions, kernel, tuple(verdicts), task.kind, task.args)
 
     def _launch(
-        self, carve: Carve, fr: FlushReport, shapes: list[tuple[int, ...]] | None = None
+        self,
+        carve: Carve,
+        fr: FlushReport,
+        shapes: list[tuple[int, ...]] | None = None,
+        bind: tuple[list[int], list[Partition]] | None = None,
     ) -> None:
         """Run and record ``carve``, then drop its tasks from the buffer's head.
 
@@ -343,34 +359,43 @@ class Session:
         executing session builds a task: a single task runs as buffered, a
         fused one is built from the carve's kind and arguments with the
         scalars of the whole prefix, and runs with its cached launch plan
-        unless isolated. ``shapes`` go to ``_traffic``.
+        unless isolated. ``shapes`` go to ``_traffic``. ``bind``, given only
+        when nothing executes, holds a window's store ids and partitions by
+        canonical index: ``carve`` is then in canonical indices, and only its
+        verdicts and demoted stores are mapped. A store is freed when the
+        last runtime reference goes and the application holds none.
         """
         f, kernel, positions = carve.prefix_len, carve.kernel, carve.temp_arg_positions
-        prefix = self._buffer[:f]
-        domain = prefix[0].domain
+        buffer = self._buffer
+        domain = buffer[0].domain
         if self.config.execute:
-            task = prefix[0]
+            task = buffer[0]
             if f > 1:
-                args = tuple([StoreArg(s, p, pr) for s, p, pr in carve.args])
-                task = IndexTask(carve.kind, domain, args, fused_scalars(prefix))
+                task = IndexTask(carve.kind, domain, carve.args, fused_scalars(buffer[:f]))
             call = (task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
             if f > 1 and self.config.isolated:
                 execute_isolated(*call)
             else:
                 execute_task(*call, self._plan(task))
-        fr.verdicts.extend(carve.verdicts)
+        verdicts = carve.verdicts
+        temps = {carve.args[j].store for j in positions} if positions else ()
+        if bind is not None and (verdicts or temps):
+            store, partition = bind[0].__getitem__, bind[1].__getitem__
+            verdicts = [v.rebind(store, partition) for v in verdicts]
+            temps = set(map(store, temps))
+        fr.verdicts.extend(verdicts)
         fr.fused_prefixes.append(f)
-        fr.temporaries.extend(sorted({carve.args[j][0] for j in positions}))
+        if temps:
+            fr.temporaries.extend(sorted(temps))
         if kernel is not None:
             loads, stores = self._traffic(carve, domain, shapes)
             fr.loads += loads
             fr.stores += stores
             fr.kernel_stats.append((f, len(kernel.nests), len(kernel.locals)))
-        self._buffer = self._buffer[f:]
-        for t in prefix:
-            for s in {a.store for a in t.args}:
-                self.refs.release_runtime(s)
-                self._maybe_free(s)
+        held = self._held[:f]
+        self._buffer, self._held = buffer[f:], self._held[f:]
+        for s in self.refs.release_runtime(*chain.from_iterable(held)):
+            self.heap.free(s)
 
     def _facts(self, store: Store, part: Partition, launch: Domain) -> ArgFacts:
         """One argument's coverage, extent class and point-0 sub-store extents,
@@ -426,14 +451,13 @@ class Session:
         ``shapes`` holds those extents per argument, or None to look them
         up. Edge tiles of clamped partitions may differ; the count is exact
         for uniform tilings and an approximation otherwise. The per-point
-        count is worked out once per kernel and tuple of argument shapes.
+        count is worked out once per kernel and tuple of argument shapes, and
+        kept in ``Kernel.traffic``.
         """
         if shapes is None:
             shapes = [self._facts(self.stores[s], p, domain).extents for s, p, _ in carve.args]
         key = tuple(shapes)
-        by_shapes = self._traffic_counts.get(carve.kernel)
-        if by_shapes is None:
-            by_shapes = self._traffic_counts[carve.kernel] = {}
+        by_shapes = carve.kernel.traffic
         counts = by_shapes.get(key)
         if counts is None:
             positions = carve.temp_arg_positions
@@ -442,34 +466,45 @@ class Session:
         vol = domain.volume
         return counts[0] * vol, counts[1] * vol
 
-    def _maybe_free(self, store_id: int) -> None:
-        if not self.refs.live(store_id):
-            self.heap.free(store_id)
+    def _domain(self, extents: tuple[int, ...]) -> Domain:
+        """The one ``Domain`` of ``extents``, stores' shapes and launch
+        domains alike."""
+        domain = self._domains.get(extents)
+        if domain is None:
+            domain = self._domains[extents] = Domain(extents)
+        return domain
 
 
 _PRIVILEGES = {p.value: p for p in Privilege}
+_new = tuple.__new__  # builds a StoreArg without its Python-level __new__
 
 
 def task_from_event(session: Session, ev: tracefmt.TaskEvent) -> IndexTask:
     parts = session.partitions
-    args = tuple([StoreArg(s, parts[p], _PRIVILEGES[pr]) for s, p, pr in ev.args])
+    args = tuple([_new(StoreArg, (s, parts[p], _PRIVILEGES[pr])) for s, p, pr in ev.args])
     domain = session._domains.get(ev.domain)
     if domain is None:
-        domain = session._domains[ev.domain] = Domain(ev.domain)
+        domain = session._domain(ev.domain)
     return IndexTask(ev.kind, domain, args, ev.scalars)
 
 
 def apply_event(session: Session, ev: tracefmt.Event) -> None:
-    """Apply one parsed trace event to a session."""
-    if isinstance(ev, tracefmt.CreateStore):
-        session.create_store(ev.id, ev.shape)
-    elif isinstance(ev, tracefmt.CreatePartition):
-        session.create_partition(ev.id, tracefmt.partition_from_event(ev))
-    elif isinstance(ev, tracefmt.TaskEvent):
+    """Apply one parsed trace event to a session. Equal partition events
+    share one partition, built from the first."""
+    kind = type(ev)  # the event classes are final, so no isinstance chain
+    if kind is tracefmt.TaskEvent:
         session.submit(task_from_event(session, ev))
-    elif isinstance(ev, tracefmt.DropRef):
+    elif kind is tracefmt.CreateStore:
+        session.create_store(ev.id, ev.shape)
+    elif kind is tracefmt.CreatePartition:
+        key = (ev.kind, ev.tile, ev.offset, ev.proj)
+        part = session._event_parts.get(key)
+        if part is None:
+            part = session._event_parts[key] = tracefmt.partition_from_event(ev)
+        session.create_partition(ev.id, part)
+    elif kind is tracefmt.DropRef:
         session.drop_ref(ev.store)
-    elif isinstance(ev, tracefmt.Flush):
+    elif kind is tracefmt.Flush:
         session.flush()
     else:
         raise TypeError(f"unknown event {ev!r}")

@@ -40,25 +40,43 @@ class RefState:
         self.app_refs[store_id] = self.app_refs.get(store_id, 0) + 1
         self.app_live.add(store_id)
 
-    def drop_app_ref(self, store_id: int) -> None:
+    def drop_app_ref(self, store_id: int) -> bool:
+        """Drop one application reference; returns whether no reference of
+        either kind holds the store any more."""
         n = self.app_refs.get(store_id, 0)
         if n <= 0:
             raise RefUnderflowError(f"application reference underflow on store {store_id}")
         self.app_refs[store_id] = n - 1
         if n == 1:
             self.app_live.discard(store_id)
+            return store_id not in self.runtime_refs
+        return False
 
-    def acquire_runtime(self, store_id: int) -> None:
-        self.runtime_refs[store_id] = self.runtime_refs.get(store_id, 0) + 1
+    def acquire_runtime(self, *store_ids: int) -> None:
+        """One more runtime reference to each of ``store_ids``."""
+        refs = self.runtime_refs
+        for s in store_ids:
+            refs[s] = refs.get(s, 0) + 1
 
-    def release_runtime(self, store_id: int) -> None:
-        n = self.runtime_refs.get(store_id, 0)
-        if n <= 0:
-            raise RefUnderflowError(f"runtime reference underflow on store {store_id}")
-        self.runtime_refs[store_id] = n - 1
+    def release_runtime(self, *store_ids: int) -> list[int]:
+        """One runtime reference fewer to each of ``store_ids``; returns
+        those that no reference holds any more, each once. A count that
+        reaches zero leaves ``runtime_refs``, so it holds only held stores."""
+        refs, dead = self.runtime_refs, []
+        for s in store_ids:
+            n = refs.get(s, 0)
+            if n > 1:
+                refs[s] = n - 1
+            elif n == 1:
+                del refs[s]
+                if s not in self.app_live:
+                    dead.append(s)
+            else:
+                raise RefUnderflowError(f"runtime reference underflow on store {s}")
+        return dead
 
     def live(self, store_id: int) -> bool:
-        return store_id in self.app_live or self.runtime_refs.get(store_id, 0) > 0
+        return store_id in self.app_live or store_id in self.runtime_refs
 
 
 def find_temporaries(

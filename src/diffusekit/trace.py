@@ -22,13 +22,13 @@ class TraceError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreateStore:
     id: int
     shape: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreatePartition:
     id: int
     store: int
@@ -38,7 +38,7 @@ class CreatePartition:
     proj: tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None = None  # (A, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskEvent:
     kind: str
     domain: tuple[int, ...]
@@ -46,12 +46,12 @@ class TaskEvent:
     scalars: tuple[tuple[str, float], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DropRef:
     store: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Flush:
     pass
 
@@ -103,17 +103,25 @@ def print_trace(events: Iterable[Event]) -> str:
     return "\n".join(json.dumps(event_to_json(ev)) for ev in events) + "\n"
 
 
-def _require(cond: bool, line: int, msg: str) -> None:
-    if not cond:
-        raise TraceError(line, msg)
-
-
 def _int_tuple(value: object, line: int, what: str) -> tuple[int, ...]:
-    _require(isinstance(value, list) and all(isinstance(v, int) for v in value), line, f"{what} must be a list of integers")
-    return tuple(value)  # type: ignore[arg-type]
+    """``value`` as a tuple of JSON integers; a bool or a float is no integer."""
+    if type(value) is not list or not all(type(v) is int for v in value):  # type: ignore[union-attr]
+        raise TraceError(line, f"{what} must be a list of integers")
+    return tuple(value)
+
+
+def _scalar(name: str, value: object, line: int) -> tuple[str, float]:
+    if type(value) is not int and type(value) is not float:
+        raise TraceError(line, f"scalar {name!r} must be a number, got {value!r}")
+    try:
+        return name, float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise TraceError(line, f"scalar {name!r} is out of range") from None
 
 
 def parse_trace(source: str | Iterable[str]) -> list[Event]:
+    """Events of a JSON-lines trace. Every check raises a TraceError naming
+    its line; a message is formatted only when its check fails."""
     lines: Iterator[str] = iter(source.splitlines() if isinstance(source, str) else source)
     events: list[Event] = []
     stores: dict[int, tuple[int, ...]] = {}
@@ -127,63 +135,86 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise TraceError(lineno, f"invalid JSON: {exc}") from exc
-        _require(isinstance(obj, dict) and "event" in obj, lineno, "expected an object with an 'event' field")
+        if not isinstance(obj, dict) or "event" not in obj:
+            raise TraceError(lineno, "expected an object with an 'event' field")
         tag = obj["event"]
-        if tag == "create_store":
+        if tag == "index_task":
+            kind = obj.get("kind")
+            if not isinstance(kind, str) or kind == "":
+                raise TraceError(lineno, "task kind must be a nonempty string")
+            domain = _int_tuple(obj.get("domain"), lineno, "domain")
+            if not domain or not all(e > 0 for e in domain):
+                raise TraceError(lineno, "domain extents must be positive")
+            raw_args = obj.get("args")
+            if not isinstance(raw_args, list) or not raw_args:
+                raise TraceError(lineno, "args must be a nonempty list")
+            args = []
+            for a in raw_args:
+                if not isinstance(a, dict):
+                    raise TraceError(lineno, "each arg must be an object")
+                s, p, pr = a.get("store"), a.get("part"), a.get("priv")
+                if type(s) is not int or s not in stores:
+                    raise TraceError(lineno, f"unknown store {s}")
+                if type(p) is not int or p not in parts:
+                    raise TraceError(lineno, f"unknown partition {p}")
+                if parts[p] != s:
+                    raise TraceError(lineno, f"partition {p} belongs to store {parts[p]}, not {s}")
+                if pr not in _PRIVS:
+                    raise TraceError(lineno, f"malformed privilege {pr!r}")
+                args.append((s, p, pr))
+            raw_scalars = obj.get("scalars", {})
+            if not isinstance(raw_scalars, dict):
+                raise TraceError(lineno, "scalars must be an object")
+            scalars = tuple(_scalar(k, v, lineno) for k, v in raw_scalars.items())
+            events.append(TaskEvent(kind, domain, tuple(args), scalars))
+        elif tag == "create_store":
             sid = obj.get("id")
-            _require(isinstance(sid, int) and sid >= 0, lineno, "store id must be a non-negative integer")
-            _require(sid not in stores, lineno, f"store id {sid} already defined")
+            if type(sid) is not int or sid < 0:
+                raise TraceError(lineno, "store id must be a non-negative integer")
+            if sid in stores:
+                raise TraceError(lineno, f"store id {sid} already defined")
             shape = _int_tuple(obj.get("shape"), lineno, "shape")
-            _require(all(e > 0 for e in shape), lineno, "shape extents must be positive")
+            if not all(e > 0 for e in shape):
+                raise TraceError(lineno, "shape extents must be positive")
             stores[sid] = shape
             refcounts[sid] = 1
             events.append(CreateStore(sid, shape))
         elif tag == "create_partition":
             pid, sid, kind = obj.get("id"), obj.get("store"), obj.get("kind")
-            _require(isinstance(pid, int), lineno, "partition id must be an integer")
-            _require(pid not in parts, lineno, f"partition id {pid} already defined")
-            _require(sid in stores, lineno, f"unknown store {sid}")
+            if type(pid) is not int:
+                raise TraceError(lineno, "partition id must be an integer")
+            if pid in parts:
+                raise TraceError(lineno, f"partition id {pid} already defined")
+            if type(sid) is not int or sid not in stores:
+                raise TraceError(lineno, f"unknown store {sid}")
             if kind == "none":
                 events.append(CreatePartition(pid, sid, "none"))
             elif kind == "tiling":
                 tile = _int_tuple(obj.get("tile"), lineno, "tile")
                 offset = _int_tuple(obj.get("offset"), lineno, "offset")
                 proj = obj.get("proj")
-                _require(isinstance(proj, dict) and "A" in proj and "b" in proj, lineno, "tiling needs proj {A, b}")
+                if not isinstance(proj, dict) or "A" not in proj or "b" not in proj:
+                    raise TraceError(lineno, "tiling needs proj {A, b}")
+                if type(proj["A"]) is not list:
+                    raise TraceError(lineno, "proj.A must be a list of rows")
                 matrix = tuple(_int_tuple(row, lineno, "proj.A row") for row in proj["A"])
                 b = _int_tuple(proj["b"], lineno, "proj.b")
                 rank = len(stores[sid])
-                _require(len(tile) == len(offset) == len(matrix) == len(b) == rank, lineno, f"tiling rank must match store rank {rank}")
-                _require(all(t > 0 for t in tile), lineno, "tile extents must be positive")
+                if not len(tile) == len(offset) == len(matrix) == len(b) == rank:
+                    raise TraceError(lineno, f"tiling rank must match store rank {rank}")
+                if not all(t > 0 for t in tile):
+                    raise TraceError(lineno, "tile extents must be positive")
                 events.append(CreatePartition(pid, sid, "tiling", tile, offset, (matrix, b)))
             else:
                 raise TraceError(lineno, f"unknown partition kind {kind!r}")
             parts[pid] = sid
-        elif tag == "index_task":
-            kind = obj.get("kind")
-            _require(isinstance(kind, str) and kind != "", lineno, "task kind must be a nonempty string")
-            domain = _int_tuple(obj.get("domain"), lineno, "domain")
-            _require(len(domain) >= 1 and all(e > 0 for e in domain), lineno, "domain extents must be positive")
-            raw_args = obj.get("args")
-            _require(isinstance(raw_args, list) and raw_args, lineno, "args must be a nonempty list")
-            args = []
-            for a in raw_args:
-                _require(isinstance(a, dict), lineno, "each arg must be an object")
-                s, p, pr = a.get("store"), a.get("part"), a.get("priv")
-                _require(s in stores, lineno, f"unknown store {s}")
-                _require(p in parts, lineno, f"unknown partition {p}")
-                _require(parts[p] == s, lineno, f"partition {p} belongs to store {parts[p]}, not {s}")
-                _require(pr in _PRIVS, lineno, f"malformed privilege {pr!r}")
-                args.append((s, p, pr))
-            raw_scalars = obj.get("scalars", {})
-            _require(isinstance(raw_scalars, dict), lineno, "scalars must be an object")
-            scalars = tuple((k, float(v)) for k, v in raw_scalars.items())
-            events.append(TaskEvent(kind, domain, tuple(args), scalars))
         elif tag == "drop_ref":
             sid = obj.get("store")
-            _require(sid in stores, lineno, f"unknown store {sid}")
+            if type(sid) is not int or sid not in stores:
+                raise TraceError(lineno, f"unknown store {sid}")
             refcounts[sid] -= 1
-            _require(refcounts[sid] >= 0, lineno, f"reference underflow on store {sid}")
+            if refcounts[sid] < 0:
+                raise TraceError(lineno, f"reference underflow on store {sid}")
             events.append(DropRef(sid))
         elif tag == "flush":
             events.append(Flush())

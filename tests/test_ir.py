@@ -83,6 +83,21 @@ class TestProjection:
     def test_is_identity_agrees_with_identity_equality(self, p):
         assert p.is_identity == (p == ProjectionFn.identity(p.out_rank))
 
+    @pytest.mark.parametrize(
+        "p, identity",
+        [
+            (ProjectionFn.identity(2), True),
+            (ProjectionFn(((0, 1), (1, 0)), (0, 0)), False),  # permuted
+            (ProjectionFn(((1,), (0,)), (0, 0)), False),  # broadcast into a rank-2 store
+            (ProjectionFn(((1, 0), (0, 1)), (0, 1)), False),  # offset
+        ],
+    )
+    def test_is_identity_is_worked_out_at_construction(self, p, identity):
+        assert vars(p)["is_identity"] is identity  # a stored flag, not a property
+        assert repr(p) == f"ProjectionFn(matrix={p.matrix!r}, offset={p.offset!r})"
+        twin = ProjectionFn(p.matrix, p.offset)
+        assert p == twin and hash(p) == hash(twin) == hash((p.matrix, p.offset))
+
     def test_affine_offset(self):
         p = ProjectionFn(((1,),), (5,))
         assert p.apply((2,)) == (7,)

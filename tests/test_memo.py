@@ -172,17 +172,22 @@ class TestReplayEqualsFreshAnalysis:
     @pytest.fixture
     def launches(self, monkeypatch):
         """Every kernel launch, as its task's kind, launch domain, arguments
-        and scalars and its kernel_text; analysis-only runs launch too."""
+        and scalars and its kernel_text; analysis-only runs launch too. An
+        analysis-only hit launches the memo's carve with the window's
+        bindings, which map it to the concrete arguments recorded here."""
         recorded = []
-        traffic = Session._traffic
+        launch = Session._launch
 
-        def recording(self, carve, domain, shapes):
-            args = tuple([StoreArg(s, p, pr) for s, p, pr in carve.args])
-            scalars = fused_scalars(self._buffer[: carve.prefix_len])
-            recorded.append((carve.kind, domain, args, scalars, kernel_text(carve.kernel)))
-            return traffic(self, carve, domain, shapes)
+        def recording(self, carve, fr, shapes=None, bind=None):
+            if carve.kernel is not None:
+                concrete = carve if bind is None else carve.rebind(*(b.__getitem__ for b in bind))
+                args = tuple([StoreArg(s, p, pr) for s, p, pr in concrete.args])
+                scalars = fused_scalars(self._buffer[: carve.prefix_len])
+                domain = self._buffer[0].domain
+                recorded.append((carve.kind, domain, args, scalars, kernel_text(carve.kernel)))
+            return launch(self, carve, fr, shapes, bind)
 
-        monkeypatch.setattr(Session, "_traffic", recording)
+        monkeypatch.setattr(Session, "_launch", recording)
         return recorded
 
     @staticmethod

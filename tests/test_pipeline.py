@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diffusekit import memo, pipeline
+from diffusekit import memo, pipeline, trace as tracefmt
 from diffusekit.executor import UnknownTaskKindError, default_builtins, heap_diff
 from diffusekit.fusion import fused_scalars
 from diffusekit.ir import IndexTask, StoreArg
@@ -201,6 +201,49 @@ class TestAnalysisCost:
         assert len(built) == report.tasks_in + len(builds)
         assert report.memo_hits > 10 * len(builds) > 0
 
+    def test_partition_built_once_per_distinct_value(self, monkeypatch):
+        events = gen_benchmark("cg_like", iters=40)
+        parts = [e for e in events if isinstance(e, tracefmt.CreatePartition)]
+        values = {tracefmt.partition_from_event(e) for e in parts}
+        built = []
+        build = tracefmt.partition_from_event
+
+        def counted(ev):
+            built.append(ev)
+            return build(ev)
+
+        monkeypatch.setattr(tracefmt, "partition_from_event", counted)
+        session = Session(SessionConfig(execute=False))
+        run_events(session, events)
+        assert len(built) == len(values) == 2 < len(parts)
+        assert {id(p) for p in session.partitions.values()} == {id(p) for p in session._interned}
+
+    # executed cg_like overflows to NaN long before 40 iterations
+    @pytest.mark.parametrize("execute, iters", [(False, 40), (True, 6)])
+    def test_a_hit_only_flush_rebuilds_no_argument_tuple(self, monkeypatch, execute, iters):
+        calls, rebinds = [0], []  # Carve.rebind calls, in all and per flush
+        rebind, flush = memo.Carve.rebind, Session._flush
+
+        def counted(carve, *args):
+            calls[0] += 1
+            return rebind(carve, *args)
+
+        def per_flush(session, explicit):
+            before = calls[0]
+            flush(session, explicit)
+            rebinds.append(calls[0] - before)
+
+        monkeypatch.setattr(memo.Carve, "rebind", counted)
+        monkeypatch.setattr(Session, "_flush", per_flush)
+        session = Session(SessionConfig(execute=execute))
+        report = run_events(session, gen_benchmark("cg_like", iters=iters))
+        hit_only = [i for i, fr in enumerate(report.per_flush) if fr.memo_hits and not fr.memo_misses]
+        assert len(hit_only) == len(report.per_flush) - 3
+        # executed, each hit carve is rebound to run; analysis-only, none is
+        assert [rebinds[i] for i in hit_only] == [
+            report.per_flush[i].memo_hits if execute else 0 for i in hit_only
+        ]
+
     def test_executed_fused_launch_runs_the_carves_task(self, monkeypatch):
         expected, executed = [], []
         launch, execute = Session._launch, pipeline.execute_task
@@ -271,6 +314,28 @@ class TestSessionLifecycle:
         session.heap.get(0)
         session.drop_ref(0)
         assert not session.heap.materialized(0)
+
+    # executed cg_like overflows to NaN long before 40 iterations
+    @pytest.mark.parametrize("execute, iters", [(False, 40), (True, 6)])
+    @pytest.mark.parametrize("name", ["cg_like", "stencil"])
+    def test_explicit_flush_releases_every_runtime_reference(self, name, execute, iters):
+        freed = Counter()
+        checked = []
+
+        class Checked(Session):
+            def flush(self):
+                super().flush()
+                assert not any(self.refs.runtime_refs.values())
+                dead = {s for s in self.stores if not self.refs.live(s)}
+                assert set(freed) == dead  # freed when the last reference went
+                assert set(freed.values()) <= {1}  # and only then
+                checked.append(len(dead))
+
+        session = Checked(SessionConfig(execute=execute))
+        free = session.heap.free
+        session.heap.free = lambda s: (freed.update([s]), free(s))
+        run_events(session, gen_benchmark(name, iters=iters))
+        assert len(checked) == iters and checked[-1] > checked[0] > 0
 
     def test_buffered_task_keeps_dropped_store_alive(self):
         session = Session(SessionConfig(window=50))

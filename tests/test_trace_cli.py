@@ -89,6 +89,61 @@ class TestTraceFormat:
         with pytest.raises(TraceError, match="rank"):
             parse_trace(text)
 
+    _STORE_AND_PART = (
+        '{"event": "create_store", "id": 0, "shape": [4]}\n'
+        '{"event": "create_partition", "id": 0, "store": 0, "kind": "none"}\n'
+    )
+    _BAD_THIRD_LINES = {
+        "unhashable arg store": (
+            '{"event": "index_task", "kind": "K", "domain": [2],'
+            ' "args": [{"store": [0], "part": 0, "priv": "R"}]}',
+            "unknown store",
+        ),
+        "unhashable arg partition": (
+            '{"event": "index_task", "kind": "K", "domain": [2],'
+            ' "args": [{"store": 0, "part": {"p": 0}, "priv": "R"}]}',
+            "unknown partition",
+        ),
+        "unhashable dropped store": ('{"event": "drop_ref", "store": [0]}', "unknown store"),
+        "unhashable partitioned store": (
+            '{"event": "create_partition", "id": 1, "store": [0], "kind": "none"}',
+            "unknown store",
+        ),
+        "list scalar": (
+            '{"event": "index_task", "kind": "K", "domain": [2],'
+            ' "args": [{"store": 0, "part": 0, "priv": "R"}], "scalars": {"s": [1]}}',
+            "scalar 's' must be a number",
+        ),
+        "string scalar": (
+            '{"event": "index_task", "kind": "K", "domain": [2],'
+            ' "args": [{"store": 0, "part": 0, "priv": "R"}], "scalars": {"s": "x"}}',
+            "scalar 's' must be a number",
+        ),
+        "huge integer scalar": (
+            '{"event": "index_task", "kind": "K", "domain": [2],'
+            ' "args": [{"store": 0, "part": 0, "priv": "R"}], "scalars": {"s": 1' + "0" * 400 + "}}",
+            "scalar 's' is out of range",
+        ),
+        "bool store id": ('{"event": "create_store", "id": true, "shape": [4]}', "store id"),
+        "bool extent": ('{"event": "create_store", "id": 1, "shape": [true]}', "shape"),
+        "bool task extent": (
+            '{"event": "index_task", "kind": "K", "domain": [true],'
+            ' "args": [{"store": 0, "part": 0, "priv": "R"}]}',
+            "domain",
+        ),
+        "bool arg store": (
+            '{"event": "index_task", "kind": "K", "domain": [2],'
+            ' "args": [{"store": false, "part": 0, "priv": "R"}]}',
+            "unknown store",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_BAD_THIRD_LINES))
+    def test_bad_value_is_a_trace_error_naming_its_line(self, case):
+        line, message = self._BAD_THIRD_LINES[case]
+        with pytest.raises(TraceError, match=f"line 3: {message}"):
+            parse_trace(self._STORE_AND_PART + line + "\n")
+
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ValueError):
             gen_benchmark("nonsense")
@@ -322,6 +377,28 @@ class TestCli:
         assert main(["bench", "stencil", "--iters", "2"]) == 0
         out = capsys.readouterr().out
         assert "6 -> 2" in out
+
+    @pytest.mark.parametrize("case", sorted(TestTraceFormat._BAD_THIRD_LINES))
+    def test_analyze_reports_a_bad_value_with_its_line(self, case, tmp_path, capsys):
+        line, message = TestTraceFormat._BAD_THIRD_LINES[case]
+        path = tmp_path / "bad.trace"
+        path.write_text(TestTraceFormat._STORE_AND_PART + line + "\n")
+        assert main(["analyze", str(path)]) == 2
+        assert f"trace error: line 3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--no-fusion", "--no-memo", "--no-temp-elim", "--oracle"])
+    def test_bench_rejects_engine_flags_it_would_ignore(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "cg_like", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_bench_takes_window_seed_and_json_report(self, tmp_path, capsys):
+        path = tmp_path / "bench.json"
+        args = ["bench", "cg_like", "--window", "4", "--seed", "3", "--json-report", str(path)]
+        assert main(args) == 0
+        assert "cg_like: tasks/iteration 12 -> " in capsys.readouterr().out
+        assert json.loads(path.read_text())["name"] == "cg_like"
 
     def test_trace_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"
