@@ -9,7 +9,8 @@ import os
 import sys
 from typing import Sequence
 
-from .executor import heap_diff
+from .executor import ExecutionError, heap_diff
+from .kernels import KernelError
 from .memo import CanonicalStream, Carve, MemoCache, canon_text
 from .pipeline import Report, Session, SessionConfig, run_events
 from .trace import (
@@ -231,7 +232,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TraceError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, KernelError, ExecutionError) as exc:
+        # a trace the engine rejects; a SoundnessError, an engine fault,
+        # keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

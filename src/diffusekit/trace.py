@@ -1,8 +1,11 @@
 """JSON-lines stream format and benchmark stream generators.
 
 One event per line: create_store, create_partition, index_task, drop_ref,
-flush. The format round-trips through parse_trace/print_trace exactly, and
-parsing validates ids, ranks and reference counts with line-numbered errors.
+flush. print_trace writes each line as ``json.dumps`` would write the event's
+object, and the format round-trips through parse_trace/print_trace exactly.
+Parsing validates ids, ranks, projections (rows of one width, projecting from
+the rank of the launch that uses them) and reference counts, with
+line-numbered errors.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from typing import Iterable, Iterator, Sequence
 
 from .ir import NonePart, Partition, ProjectionFn, Tiling
 
-_PRIVS = ("R", "W", "Rd", "RW")
+_PRIVS = frozenset(("R", "W", "Rd", "RW"))
+_INF = float("inf")
+_ABSENT = object()  # a key missing from a JSON object, which null is not
+_encode_string = json.encoder.encode_basestring_ascii
 
 
 class TraceError(ValueError):
@@ -70,44 +76,80 @@ def partition_from_event(ev: CreatePartition) -> Partition:
 # --- serialization -----------------------------------------------------------
 
 
-def event_to_json(ev: Event) -> dict:
-    if isinstance(ev, CreateStore):
-        return {"event": "create_store", "id": ev.id, "shape": list(ev.shape)}
-    if isinstance(ev, CreatePartition):
-        out: dict = {
-            "event": "create_partition",
-            "id": ev.id,
-            "store": ev.store,
-            "kind": ev.kind,
-        }
-        if ev.kind == "tiling":
-            out["tile"] = list(ev.tile or ())
-            out["offset"] = list(ev.offset or ())
-            matrix, b = ev.proj or ((), ())
-            out["proj"] = {"A": [list(row) for row in matrix], "b": list(b)}
-        return out
-    if isinstance(ev, TaskEvent):
-        return {
-            "event": "index_task",
-            "kind": ev.kind,
-            "domain": list(ev.domain),
-            "args": [{"store": s, "part": p, "priv": pr} for s, p, pr in ev.args],
-            "scalars": {name: value for name, value in ev.scalars},
-        }
-    if isinstance(ev, DropRef):
-        return {"event": "drop_ref", "store": ev.store}
-    return {"event": "flush"}
+class _Quoted(dict):
+    """JSON text of each string, encoded once, on first use."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = _encode_string(s)
+        return text
+
+
+def _number(value: object) -> str:
+    """A scalar value as ``json.dumps`` writes it."""
+    if type(value) is float:
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def print_trace(events: Iterable[Event]) -> str:
-    return "\n".join(json.dumps(event_to_json(ev)) for ev in events) + "\n"
+    """One JSON object per event and line, as ``json.dumps`` writes it: keys
+    in a fixed order per event, ``", "`` and ``": "`` separators, strings
+    ASCII-escaped, and ``"scalars"`` on every task."""
+    quoted = _Quoted()
+    lines = []
+    append = lines.append
+    for ev in events:
+        cls = type(ev)
+        if cls is TaskEvent:
+            args = ", ".join(
+                [f'{{"store": {s}, "part": {p}, "priv": {quoted[pr]}}}' for s, p, pr in ev.args]
+            )
+            # a dict, as json.dumps saw it: a repeated name keeps its first
+            # place and its last value
+            scalars = ", ".join(
+                [f"{quoted[name]}: {_number(v)}" for name, v in dict(ev.scalars).items()]
+            )
+            append(
+                f'{{"event": "index_task", "kind": {quoted[ev.kind]}, "domain": {list(ev.domain)}, '
+                f'"args": [{args}], "scalars": {{{scalars}}}}}'
+            )
+        elif cls is CreateStore:
+            append(f'{{"event": "create_store", "id": {ev.id}, "shape": {list(ev.shape)}}}')
+        elif cls is CreatePartition:
+            head = (
+                f'{{"event": "create_partition", "id": {ev.id}, "store": {ev.store}, '
+                f'"kind": {quoted[ev.kind]}'
+            )
+            if ev.kind == "tiling":
+                matrix, b = ev.proj or ((), ())
+                append(
+                    f'{head}, "tile": {list(ev.tile or ())}, "offset": {list(ev.offset or ())}, '
+                    f'"proj": {{"A": {[list(row) for row in matrix]}, "b": {list(b)}}}}}'
+                )
+            else:
+                append(head + "}")
+        elif cls is DropRef:
+            append(f'{{"event": "drop_ref", "store": {ev.store}}}')
+        else:
+            append('{"event": "flush"}')
+    return "\n".join(lines) + "\n"
 
 
 def _int_tuple(value: object, line: int, what: str) -> tuple[int, ...]:
     """``value`` as a tuple of JSON integers; a bool or a float is no integer."""
-    if type(value) is not list or not all(type(v) is int for v in value):  # type: ignore[union-attr]
-        raise TraceError(line, f"{what} must be a list of integers")
-    return tuple(value)
+    if type(value) is list:
+        for v in value:
+            if type(v) is not int:
+                break
+        else:
+            return tuple(value)
+    raise TraceError(line, f"{what} must be a list of integers")
 
 
 def _scalar(name: str, value: object, line: int) -> tuple[str, float]:
@@ -121,103 +163,137 @@ def _scalar(name: str, value: object, line: int) -> tuple[str, float]:
 
 def parse_trace(source: str | Iterable[str]) -> list[Event]:
     """Events of a JSON-lines trace. Every check raises a TraceError naming
-    its line; a message is formatted only when its check fails."""
+    its line; a message is formatted only when its check fails. The checks
+    on projection widths and ranks run after every other check of a line."""
     lines: Iterator[str] = iter(source.splitlines() if isinstance(source, str) else source)
+    scan = json.JSONDecoder().scan_once
     events: list[Event] = []
-    stores: dict[int, tuple[int, ...]] = {}
-    parts: dict[int, int] = {}  # partition id -> store id
+    append = events.append
+    store_ranks: dict[int, int] = {}
+    # partition id -> (store id, rank of the launch points a tiling projects
+    # from; None for a "none" partition, which takes any launch)
+    parts: dict[int, tuple[int, int | None]] = {}
     refcounts: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
             continue
         try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise TraceError(lineno, f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or "event" not in obj:
+            obj, end = scan(raw, 0)
+        except (StopIteration, ValueError, TypeError):
+            end = -1
+        if end != len(raw):
+            # json.loads reports the failure as it always did (and decodes a
+            # line given as bytes)
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise TraceError(lineno, f"invalid JSON: {exc}") from exc
+        if type(obj) is not dict:
             raise TraceError(lineno, "expected an object with an 'event' field")
-        tag = obj["event"]
+        tag = obj.get("event")
         if tag == "index_task":
             kind = obj.get("kind")
-            if not isinstance(kind, str) or kind == "":
+            if type(kind) is not str or not kind:
                 raise TraceError(lineno, "task kind must be a nonempty string")
             domain = _int_tuple(obj.get("domain"), lineno, "domain")
-            if not domain or not all(e > 0 for e in domain):
+            if not domain or min(domain) <= 0:
                 raise TraceError(lineno, "domain extents must be positive")
             raw_args = obj.get("args")
-            if not isinstance(raw_args, list) or not raw_args:
+            if type(raw_args) is not list or not raw_args:
                 raise TraceError(lineno, "args must be a nonempty list")
+            launch_rank = len(domain)
+            misprojected = None
             args = []
             for a in raw_args:
-                if not isinstance(a, dict):
+                if type(a) is not dict:
                     raise TraceError(lineno, "each arg must be an object")
                 s, p, pr = a.get("store"), a.get("part"), a.get("priv")
-                if type(s) is not int or s not in stores:
+                if type(s) is not int or s not in store_ranks:
                     raise TraceError(lineno, f"unknown store {s}")
-                if type(p) is not int or p not in parts:
+                part = parts.get(p) if type(p) is int else None
+                if part is None:
                     raise TraceError(lineno, f"unknown partition {p}")
-                if parts[p] != s:
-                    raise TraceError(lineno, f"partition {p} belongs to store {parts[p]}, not {s}")
-                if pr not in _PRIVS:
+                owner, in_rank = part
+                if owner != s:
+                    raise TraceError(lineno, f"partition {p} belongs to store {owner}, not {s}")
+                if type(pr) is not str or pr not in _PRIVS:
                     raise TraceError(lineno, f"malformed privilege {pr!r}")
+                if in_rank is not None and in_rank != launch_rank and misprojected is None:
+                    misprojected = p
                 args.append((s, p, pr))
             raw_scalars = obj.get("scalars", {})
-            if not isinstance(raw_scalars, dict):
+            if type(raw_scalars) is not dict:
                 raise TraceError(lineno, "scalars must be an object")
-            scalars = tuple(_scalar(k, v, lineno) for k, v in raw_scalars.items())
-            events.append(TaskEvent(kind, domain, tuple(args), scalars))
+            scalars = tuple([_scalar(k, v, lineno) for k, v in raw_scalars.items()])
+            if misprojected is not None:
+                raise TraceError(
+                    lineno,
+                    f"partition {misprojected} projects from rank {parts[misprojected][1]}, "
+                    f"not the launch rank {launch_rank}",
+                )
+            append(TaskEvent(kind, domain, tuple(args), scalars))
         elif tag == "create_store":
             sid = obj.get("id")
             if type(sid) is not int or sid < 0:
                 raise TraceError(lineno, "store id must be a non-negative integer")
-            if sid in stores:
+            if sid in store_ranks:
                 raise TraceError(lineno, f"store id {sid} already defined")
             shape = _int_tuple(obj.get("shape"), lineno, "shape")
-            if not all(e > 0 for e in shape):
+            if shape and min(shape) <= 0:
                 raise TraceError(lineno, "shape extents must be positive")
-            stores[sid] = shape
+            store_ranks[sid] = len(shape)
             refcounts[sid] = 1
-            events.append(CreateStore(sid, shape))
+            append(CreateStore(sid, shape))
         elif tag == "create_partition":
             pid, sid, kind = obj.get("id"), obj.get("store"), obj.get("kind")
             if type(pid) is not int:
                 raise TraceError(lineno, "partition id must be an integer")
             if pid in parts:
                 raise TraceError(lineno, f"partition id {pid} already defined")
-            if type(sid) is not int or sid not in stores:
+            rank = store_ranks.get(sid) if type(sid) is int else None
+            if rank is None:
                 raise TraceError(lineno, f"unknown store {sid}")
             if kind == "none":
-                events.append(CreatePartition(pid, sid, "none"))
+                append(CreatePartition(pid, sid, "none"))
+                parts[pid] = (sid, None)
             elif kind == "tiling":
                 tile = _int_tuple(obj.get("tile"), lineno, "tile")
                 offset = _int_tuple(obj.get("offset"), lineno, "offset")
                 proj = obj.get("proj")
-                if not isinstance(proj, dict) or "A" not in proj or "b" not in proj:
+                rows = b = _ABSENT
+                if type(proj) is dict:
+                    rows, b = proj.get("A", _ABSENT), proj.get("b", _ABSENT)
+                if rows is _ABSENT or b is _ABSENT:
                     raise TraceError(lineno, "tiling needs proj {A, b}")
-                if type(proj["A"]) is not list:
+                if type(rows) is not list:
                     raise TraceError(lineno, "proj.A must be a list of rows")
-                matrix = tuple(_int_tuple(row, lineno, "proj.A row") for row in proj["A"])
-                b = _int_tuple(proj["b"], lineno, "proj.b")
-                rank = len(stores[sid])
+                matrix = tuple([_int_tuple(row, lineno, "proj.A row") for row in rows])
+                b = _int_tuple(b, lineno, "proj.b")
                 if not len(tile) == len(offset) == len(matrix) == len(b) == rank:
                     raise TraceError(lineno, f"tiling rank must match store rank {rank}")
-                if not all(t > 0 for t in tile):
+                if tile and min(tile) <= 0:
                     raise TraceError(lineno, "tile extents must be positive")
-                events.append(CreatePartition(pid, sid, "tiling", tile, offset, (matrix, b)))
+                widths = {len(row) for row in matrix}
+                if len(widths) > 1:
+                    raise TraceError(lineno, f"proj.A rows differ in length: {sorted(widths)}")
+                append(CreatePartition(pid, sid, "tiling", tile, offset, (matrix, b)))
+                parts[pid] = (sid, widths.pop() if widths else 0)
             else:
                 raise TraceError(lineno, f"unknown partition kind {kind!r}")
-            parts[pid] = sid
         elif tag == "drop_ref":
             sid = obj.get("store")
-            if type(sid) is not int or sid not in stores:
+            if type(sid) is not int or sid not in refcounts:
                 raise TraceError(lineno, f"unknown store {sid}")
-            refcounts[sid] -= 1
-            if refcounts[sid] < 0:
+            count = refcounts[sid] - 1
+            if count < 0:
                 raise TraceError(lineno, f"reference underflow on store {sid}")
-            events.append(DropRef(sid))
+            refcounts[sid] = count
+            append(DropRef(sid))
         elif tag == "flush":
-            events.append(Flush())
+            append(Flush())
+        elif tag is None and "event" not in obj:
+            raise TraceError(lineno, "expected an object with an 'event' field")
         else:
             raise TraceError(lineno, f"unknown event {tag!r}")
     return events
@@ -238,6 +314,7 @@ class _Builder:
         self.events: list[Event] = []
         self._next_store = 0
         self._next_part = 0
+        self._identity: dict[int, tuple] = {}  # rank -> one shared identity projection
 
     def store(self, shape: Sequence[int]) -> int:
         sid = self._next_store
@@ -255,9 +332,10 @@ class _Builder:
         pid = self._next_part
         self._next_part += 1
         rank = len(tile)
-        self.events.append(
-            CreatePartition(pid, store, "tiling", tuple(tile), tuple(offset), _identity_proj(rank))
-        )
+        proj = self._identity.get(rank)
+        if proj is None:
+            proj = self._identity[rank] = _identity_proj(rank)
+        self.events.append(CreatePartition(pid, store, "tiling", tuple(tile), tuple(offset), proj))
         return pid
 
     def task(self, kind, domain, args, scalars=()) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -15,11 +17,20 @@ from diffusekit.cli import bench_report, main
 from diffusekit.pipeline import Report, Session, SessionConfig, run_events
 from diffusekit.trace import (
     BENCHMARKS,
+    CreatePartition,
+    CreateStore,
+    DropRef,
+    Flush,
+    TaskEvent,
     TraceError,
     gen_benchmark,
     parse_trace,
     print_trace,
 )
+
+# a string that JSON must escape: a quote, a backslash, control characters,
+# and non-ASCII characters inside and beyond the Basic Multilingual Plane
+_ODD = 'q"b\\s/\t\n\x7f\u00e9\u2603\U0001f600'
 
 
 class TestTraceFormat:
@@ -36,6 +47,86 @@ class TestTraceFormat:
             '{"event": "create_partition", "id": 1, "store": 0, "kind": "tiling", '
             '"tile": [16, 16], "offset": [0, 1], "proj": {"A": [[1, 0], [0, 1]], "b": [0, 0]}}'
         )
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_printed_lines_are_json_dumps_of_their_value(self, name):
+        for line in print_trace(gen_benchmark(name, iters=2)).splitlines():
+            assert line == json.dumps(json.loads(line))
+
+    # sha256 of the text that json.dumps wrote for each event, line by line
+    _DIGESTS = {
+        ("stencil", None, None, 2): "93f51b5e3f1e7b9268f7969c6e973aecfc6b75d3f4a4f0c16019c3ecd5b28447",
+        ("blackscholes_chain", None, None, 2): "b6e03f7dc6a6ab189b0bef4b444824f648a74331458255845198b520f605af81",
+        ("jacobi", None, None, 2): "15fd6886750c3f032dd1a8bd20e8efe776165c24babe18d7adf7add209df9dcb",
+        ("cg_like", None, None, 2): "13cdad5d3324a5549741fce3c3b85a68b2ea8dc953059820782cb2667b7d7706",
+        ("cg_like", 4096, 1024, 300): "ce2caced79b33a5c7aa2d874de1632acd10639255bca7e8d306318c76f1d0243",
+    }
+
+    @pytest.mark.parametrize("args", sorted(_DIGESTS, key=str))
+    def test_printed_text_is_unchanged(self, args):
+        text = print_trace(gen_benchmark(*args))
+        assert hashlib.sha256(text.encode()).hexdigest() == self._DIGESTS[args]
+
+    def test_hand_built_events_print_as_json_dumps(self):
+        values = [0.1, -0.0, 1e300, 5e-324, float("inf"), float("-inf")]
+        scalars = tuple((f"{_ODD}{i}", v) for i, v in enumerate(values))
+        events = [
+            CreateStore(0, (4,)),
+            CreateStore(1, ()),
+            CreatePartition(0, 0, "tiling", (2,), (0,), (((1,),), (0,))),
+            CreatePartition(1, 1, "none"),
+            TaskEvent(_ODD, (2,), ((0, 0, "R"), (1, 1, "Rd")), scalars),
+            TaskEvent("K", (2,), ((0, 0, "RW"),)),
+            DropRef(1),
+            Flush(),
+        ]
+        expected = [
+            {"event": "create_store", "id": 0, "shape": [4]},
+            {"event": "create_store", "id": 1, "shape": []},
+            {
+                "event": "create_partition", "id": 0, "store": 0, "kind": "tiling",
+                "tile": [2], "offset": [0], "proj": {"A": [[1]], "b": [0]},
+            },
+            {"event": "create_partition", "id": 1, "store": 1, "kind": "none"},
+            {
+                "event": "index_task", "kind": _ODD, "domain": [2],
+                "args": [
+                    {"store": 0, "part": 0, "priv": "R"},
+                    {"store": 1, "part": 1, "priv": "Rd"},
+                ],
+                "scalars": dict(scalars),
+            },
+            {
+                "event": "index_task", "kind": "K", "domain": [2],
+                "args": [{"store": 0, "part": 0, "priv": "RW"}], "scalars": {},
+            },
+            {"event": "drop_ref", "store": 1},
+            {"event": "flush"},
+        ]
+        text = print_trace(events)
+        assert text.splitlines() == [json.dumps(obj) for obj in expected]
+        assert text.isascii()
+        assert parse_trace(text) == events
+
+    def test_integer_and_nan_scalars_print_as_json_dumps(self):
+        head = [CreateStore(0, (4,)), CreatePartition(0, 0, "none")]
+        args = ((0, 0, "R"),)
+        task = TaskEvent("K", (1,), args, (("n", 3), ("nan", float("nan"))))
+        text = print_trace([*head, task])
+        assert text.splitlines()[-1] == json.dumps(
+            {
+                "event": "index_task", "kind": "K", "domain": [1],
+                "args": [{"store": 0, "part": 0, "priv": "R"}],
+                "scalars": {"n": 3, "nan": float("nan")},
+            }
+        )
+        # the integer comes back as a float; NaN equals nothing, so compare text
+        parsed = parse_trace(text)
+        assert parsed[-1].scalars[0] == ("n", 3.0)
+        assert print_trace(parsed) == text.replace('"n": 3,', '"n": 3.0,')
+
+    def test_empty_trace_prints_one_newline(self):
+        assert print_trace([]) == "\n"
 
     def test_empty_input(self):
         assert parse_trace("") == []
@@ -138,6 +229,51 @@ class TestTraceFormat:
         ),
     }
 
+    _TWO_BY_TWO = (
+        '{"event": "create_store", "id": 0, "shape": [4, 4]}\n'
+        '{"event": "create_store", "id": 1, "shape": [4, 4]}\n'
+    )
+    _TILE_2D = '"kind": "tiling", "tile": [2, 2], "offset": [0, 0], "proj": {"A": %s, "b": [0, 0]}}\n'
+    # projections that analysis could not apply; parsing rejects them at their line
+    _MISFIT_PROJECTIONS = {
+        "ragged matrix": (
+            _TWO_BY_TWO
+            + '{"event": "create_partition", "id": 0, "store": 0, ' + _TILE_2D % "[[1], [0, 1]]",
+            "line 3: proj.A rows differ in length: [1, 2]",
+        ),
+        "task launched at another rank": (
+            _TWO_BY_TWO
+            + '{"event": "create_partition", "id": 0, "store": 0, ' + _TILE_2D % "[[1, 0], [0, 1]]"
+            + '{"event": "create_partition", "id": 1, "store": 1, "kind": "none"}\n'
+            + '{"event": "index_task", "kind": "COPY", "domain": [2],'
+            ' "args": [{"store": 1, "part": 1, "priv": "R"}, {"store": 0, "part": 0, "priv": "W"}]}\n',
+            "line 5: partition 0 projects from rank 2, not the launch rank 1",
+        ),
+        "rank-0 tiling in a launch": (
+            '{"event": "create_store", "id": 0, "shape": []}\n'
+            '{"event": "create_partition", "id": 0, "store": 0, "kind": "tiling",'
+            ' "tile": [], "offset": [], "proj": {"A": [], "b": []}}\n'
+            '{"event": "index_task", "kind": "K", "domain": [1],'
+            ' "args": [{"store": 0, "part": 0, "priv": "R"}]}\n',
+            "line 3: partition 0 projects from rank 0, not the launch rank 1",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_MISFIT_PROJECTIONS))
+    def test_misfit_projection_is_a_trace_error_naming_its_line(self, case):
+        text, message = self._MISFIT_PROJECTIONS[case]
+        with pytest.raises(TraceError) as exc:
+            parse_trace(text)
+        assert str(exc.value) == message
+
+    def test_projection_rank_is_checked_after_the_older_checks(self):
+        # a task with a misprojected argument and a bad privilege later on
+        # still reports the privilege, as it did before the rank check
+        text, _ = self._MISFIT_PROJECTIONS["task launched at another rank"]
+        text = text.replace('"priv": "W"', '"priv": "X"')
+        with pytest.raises(TraceError, match="line 5: malformed privilege 'X'"):
+            parse_trace(text)
+
     @pytest.mark.parametrize("case", sorted(_BAD_THIRD_LINES))
     def test_bad_value_is_a_trace_error_naming_its_line(self, case):
         line, message = self._BAD_THIRD_LINES[case]
@@ -173,6 +309,70 @@ class TestTraceFormat:
         size = 3 if name == "stencil" else 1
         events = gen_benchmark(name, size=size, nodes=1, iters=0)
         assert parse_trace(print_trace(events)) == events
+
+
+_STENCIL_LINES = print_trace(gen_benchmark("stencil", iters=1)).splitlines()
+_OTHER_VALUES = {
+    "string": "x", "list": [1], "object": {"k": 1}, "bool": True, "float": 1.5, "negative int": -3,
+}
+_DROP = object()
+
+
+def _paths(value, path=()):
+    """Every key or index path into the objects and lists of a decoded line."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _edited(obj, path, new):
+    obj = copy.deepcopy(obj)
+    *head, last = path
+    target = obj
+    for key in head:
+        target = target[key]
+    if new is _DROP:
+        del target[last]
+    else:
+        target[last] = new
+    return obj
+
+
+def _changed_lines(change):
+    """(line index, new text) for each way ``change`` applies to each line."""
+    for i, line in enumerate(_STENCIL_LINES):
+        if change == "truncate":
+            for cut in range(0, len(line), 5):
+                yield i, line[:cut]
+        elif change == "bom":
+            yield i, "\ufeff" + line
+        else:
+            obj = json.loads(line)
+            new = _DROP if change == "drop" else _OTHER_VALUES[change]
+            for path in _paths(obj):
+                yield i, json.dumps(_edited(obj, path, new))
+
+
+@pytest.mark.parametrize("change", ["drop", "truncate", "bom", *_OTHER_VALUES])
+def test_one_changed_line_parses_or_fails_at_or_after_it(change):
+    """A stencil trace with one line changed parses, or raises a TraceError
+    no earlier than that line; no other exception escapes."""
+    tried = 0
+    for i, text in _changed_lines(change):
+        lines = list(_STENCIL_LINES)
+        lines[i] = text
+        try:
+            parse_trace("\n".join(lines))
+        except TraceError as exc:
+            assert exc.line >= i + 1, (text, str(exc))
+        tried += 1
+    assert tried >= len(_STENCIL_LINES)
 
 
 @pytest.fixture()
@@ -385,6 +585,37 @@ class TestCli:
         path.write_text(TestTraceFormat._STORE_AND_PART + line + "\n")
         assert main(["analyze", str(path)]) == 2
         assert f"trace error: line 3: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(TestTraceFormat._MISFIT_PROJECTIONS))
+    def test_analyze_reports_a_misfit_projection_with_its_line(self, case, tmp_path, capsys):
+        text, message = TestTraceFormat._MISFIT_PROJECTIONS[case]
+        path = tmp_path / "bad.trace"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"trace error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, kind, nargs, message",
+        [
+            ("analyze", "COPY", 1, "error: COPY: expected 2 store args, got 1\n"),
+            ("run", "FOO", 2, "error: no generator or builtin for task kind 'FOO'\n"),
+        ],
+    )
+    def test_trace_the_engine_rejects_is_an_error(self, command, kind, nargs, message, tmp_path, capsys):
+        lines = []
+        for i in range(nargs):
+            lines.append({"event": "create_store", "id": i, "shape": [4]})
+            lines.append({"event": "create_partition", "id": i, "store": i, "kind": "none"})
+        privs = ["R", "W"][:nargs]
+        args = [{"store": i, "part": i, "priv": pr} for i, pr in enumerate(privs)]
+        lines.append({"event": "index_task", "kind": kind, "domain": [1], "args": args})
+        lines.append({"event": "flush"})
+        path = tmp_path / "rejected.trace"
+        path.write_text("".join(json.dumps(l) + "\n" for l in lines))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
 
     @pytest.mark.parametrize("flag", ["--no-fusion", "--no-memo", "--no-temp-elim", "--oracle"])
     def test_bench_rejects_engine_flags_it_would_ignore(self, flag, capsys):
