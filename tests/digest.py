@@ -7,8 +7,10 @@ windows 2, 10 and 67, analysis-only and executed, it prints per flush the
 fused prefixes, demoted temporaries, memo hits and misses, constraint steps,
 loads and stores, ``kernel_stats`` and verdict text; then ``final_window``,
 the sorted ``kernel_text`` of every memoized kernel, and a sha256 of every
-heap array. A change that only makes the engine faster leaves the output
-byte-identical; ``test_digest.py`` compares it with the committed golden.
+heap array. It then prints every run again with the memo off
+(``memoize=False``), where every flush analyses its window afresh. A change
+that only makes the engine faster leaves the output byte-identical;
+``test_digest.py`` compares it with the committed golden.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ ITERS = 6
 WINDOWS = (2, 10, 67)
 
 
-def digest_run(name: str, window: int, execute: bool) -> Iterator[str]:
-    session = Session(SessionConfig(window=window, execute=execute))
+def digest_run(name: str, window: int, execute: bool, memoize: bool = True) -> Iterator[str]:
+    session = Session(SessionConfig(window=window, execute=execute, memoize=memoize))
     report = run_events(session, gen_benchmark(name, iters=ITERS))
-    yield f"== {name} window={window} execute={execute}"
+    yield f"== {name} window={window} execute={execute}" + ("" if memoize else " memoize=False")
     for i, fr in enumerate(report.per_flush):
         yield (
             f"flush {i} explicit={fr.explicit} prefixes={fr.fused_prefixes} "
@@ -52,10 +54,11 @@ def digest_run(name: str, window: int, execute: bool) -> Iterator[str]:
 
 
 def digest() -> Iterator[str]:
-    for name in BENCHMARKS:
-        for window in WINDOWS:
-            for execute in (False, True):
-                yield from digest_run(name, window, execute)
+    for memoize in (True, False):
+        for name in BENCHMARKS:
+            for window in WINDOWS:
+                for execute in (False, True):
+                    yield from digest_run(name, window, execute, memoize)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """The digest of ``digest.py`` matches the committed golden, byte for byte.
 
-The golden was recorded before the memo hit path was cut down, so this test
-shows that fused prefixes, temporaries, memo decisions, verdict text,
-``kernel_text`` and heap bytes stayed the same. Regenerate it only for a
+The golden was recorded before the memo hit path was cut down, and its
+memo-off runs before fresh analysis was cut down, so this test shows that
+fused prefixes, temporaries, memo decisions, verdict text, ``kernel_text``
+and heap bytes stayed the same. Regenerate it only for a
 change meant to alter results:
 
     PYTHONPATH=src python tests/digest.py > tests/digest_golden.txt
