@@ -21,13 +21,11 @@ from .ir import (
     SubStore,
     Tiling,
     covers,
-    partition_eq,
     sub_store_bounds,
 )
 from .fusion import (
     AnalysisStats,
     ConstraintVerdict,
-    FusedTaskPlan,
     FusionConstraint,
     build_fused_task,
     longest_fusible_prefix,
@@ -46,7 +44,6 @@ __all__ = [
     "CanonicalStream",
     "ConstraintVerdict",
     "Domain",
-    "FusedTaskPlan",
     "FusionConstraint",
     "IndexTask",
     "Kernel",
@@ -75,7 +72,6 @@ __all__ = [
     "optimize",
     "oracle_fusible",
     "parse_trace",
-    "partition_eq",
     "print_trace",
     "run_events",
     "sub_store_bounds",

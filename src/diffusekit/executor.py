@@ -14,8 +14,7 @@ up as an arena violation or a heap mismatch.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,7 +51,7 @@ class Heap:
     integers derived from (seed, store id); allocation order therefore never
     affects contents, and stores demoted to task-local buffers simply never
     appear here. The one exception is a store whose first touch overwrites
-    it whole (see ``overwriting``): it is allocated unfilled, and every cell
+    it whole: ``get(..., fill=False)`` allocates it unfilled, and every cell
     holds what that launch wrote.
     """
 
@@ -60,36 +59,21 @@ class Heap:
         self._stores = stores
         self._seed = seed
         self.arrays: dict[int, np.ndarray] = {}
-        self._unfilled: Collection[int] = ()
 
-    def get(self, store_id: int) -> np.ndarray:
+    def get(self, store_id: int, fill: bool = True) -> np.ndarray:
+        """The store's array. One not yet materialized is allocated filled
+        with its documented contents, or, given ``fill=False``, unfilled:
+        the caller then writes every cell before reading any."""
         arr = self.arrays.get(store_id)
         if arr is None:
             shape = self._stores[store_id].shape.extents
-            if store_id in self._unfilled:
-                arr = np.empty(shape, dtype=np.float64)
-            else:
+            if fill:
                 rng = np.random.default_rng([self._seed, store_id])
                 arr = rng.integers(1, 10, size=shape).astype(np.float64)
+            else:
+                arr = np.empty(shape, dtype=np.float64)
             self.arrays[store_id] = arr
         return arr
-
-    @contextmanager
-    def overwriting(self, store_ids: Collection[int]) -> Iterator[None]:
-        """Within, the first ``get`` of a listed store that is not yet
-        materialized allocates it unfilled: the caller writes every cell
-        before reading any. If the block raises, those stores are dropped
-        again, so their next touch fills them."""
-        fresh = [s for s in store_ids if s not in self.arrays]
-        self._unfilled = fresh
-        try:
-            yield
-        except BaseException:
-            for s in fresh:
-                self.arrays.pop(s, None)
-            raise
-        finally:
-            self._unfilled = ()
 
     def materialized(self, store_id: int) -> bool:
         return store_id in self.arrays
@@ -158,16 +142,21 @@ def _scalar_env(kernel: Kernel, task: IndexTask) -> dict[str, float]:
 
 
 def _bindings(
-    task: IndexTask, regions: Sequence[Region], heap: Heap, temp_positions: frozenset[int]
+    task: IndexTask,
+    regions: Sequence[Region],
+    heap: Heap,
+    temp_positions: frozenset[int],
+    unfilled: Collection[int] = (),
 ) -> tuple[dict[str, np.ndarray], dict[str, tuple[int, ...]]]:
-    """Heap views of each argument's region; temp positions get local shapes."""
+    """Heap views of each argument's region; temp positions get local shapes.
+    A store in ``unfilled`` is allocated unfilled if not yet materialized."""
     bufs: dict[str, np.ndarray] = {}
     local_shapes: dict[str, tuple[int, ...]] = {}
     for j, (a, (sl, extents)) in enumerate(zip(task.args, regions)):
         if j in temp_positions:
             local_shapes[arg_name(j, local=True)] = extents
         else:
-            arr = heap.get(a.store)
+            arr = heap.get(a.store, fill=a.store not in unfilled)
             bufs[arg_name(j)] = arr[sl] if sl else arr
     return bufs, local_shapes
 
@@ -303,34 +292,10 @@ def execute_task(
     reading it is allocated unfilled: one of the plan's fill candidates that
     is not demoted, not yet materialized and not loaded by the kernel.
     ``plan`` is ``launch_plan(task, stores)``, or any plan made for an equal
-    ``plan_key``; without one it is worked out here.
+    ``plan_key``; without one it is worked out here. If the launch raises,
+    the stores it allocated unfilled are freed, so their next touch fills
+    them.
     """
-    _run(task, heap, stores, registry, builtins, kernel, temp_positions, plan)
-
-
-def execute_sequential(
-    tasks: Sequence[IndexTask],
-    heap: Heap,
-    stores: StoreTable,
-    registry: KernelRegistry,
-    builtins: Mapping[str, Builtin],
-) -> None:
-    """The semantic reference: tasks in program order, each point by point,
-    every store filled with its documented contents when first touched."""
-    for t in tasks:
-        _run(t, heap, stores, registry, builtins, None, frozenset(), POINT_BY_POINT)
-
-
-def _run(
-    task: IndexTask,
-    heap: Heap,
-    stores: StoreTable,
-    registry: KernelRegistry,
-    builtins: Mapping[str, Builtin],
-    kernel: Kernel | None,
-    temp_positions: frozenset[int],
-    plan: LaunchPlan | None,
-) -> None:
     kernel = _select_kernel(task, registry, kernel)
     if kernel is None:
         fn = builtins.get(task.kind)
@@ -356,10 +321,27 @@ def _run(
         and args[j].store not in heap.arrays
         and arg_name(j) not in kernel.loaded
     ]
-    with heap.overwriting(unfilled):
+    try:
         for regions in launches:
-            bufs, local_shapes = _bindings(task, regions, heap, temp_positions)
+            bufs, local_shapes = _bindings(task, regions, heap, temp_positions, unfilled)
             interpret(kernel, bufs, scalars, local_shapes)
+    except BaseException:
+        for s in unfilled:
+            heap.free(s)
+        raise
+
+
+def execute_sequential(
+    tasks: Sequence[IndexTask],
+    heap: Heap,
+    stores: StoreTable,
+    registry: KernelRegistry,
+    builtins: Mapping[str, Builtin],
+) -> None:
+    """The semantic reference: tasks in program order, each point by point,
+    every store filled with its documented contents when first touched."""
+    for t in tasks:
+        execute_task(t, heap, stores, registry, builtins, plan=POINT_BY_POINT)
 
 
 def execute_isolated(

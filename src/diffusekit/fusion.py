@@ -5,7 +5,8 @@ equal launch domains, no write followed by a differently-partitioned read or
 write of the same store, no read followed by a differently-partitioned write,
 and no store that is both reduced and read/written by distinct tasks. The
 true/anti checks are a forward dataflow pass over the window; no check ever
-touches individual launch-domain points.
+touches individual launch-domain points. A fused prefix's arguments are the
+union of its (store, partition) pairs, each with its privileges joined once.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from .ir import (
-    Domain,
-    IndexTask,
-    Partition,
-    Privilege,
-    StoreArg,
-    join_privileges,
-    partition_eq,
-)
+from .ir import Domain, IndexTask, Partition, Privilege, StoreArg, join_privileges
 from .kernels import KernelRegistry
 
 
@@ -91,7 +84,7 @@ class PrefixTracker:
             if arg.privilege.is_read or arg.privilege.is_write:
                 for p in self.written.get(s, ()):
                     stats.constraint_steps += 1
-                    if not partition_eq(p, arg.partition):
+                    if p != arg.partition:
                         return ConstraintVerdict(
                             FusionConstraint.TRUE_DEP, index, s, (p, arg.partition)
                         )
@@ -100,7 +93,7 @@ class PrefixTracker:
             if arg.privilege.is_write:
                 for p in self.read.get(s, ()):
                     stats.constraint_steps += 1
-                    if not partition_eq(p, arg.partition):
+                    if p != arg.partition:
                         return ConstraintVerdict(
                             FusionConstraint.ANTI_DEP, index, s, (p, arg.partition)
                         )
@@ -111,11 +104,11 @@ class PrefixTracker:
             s = arg.store
             if arg.privilege.is_write:
                 parts = self.written.setdefault(s, [])
-                if not any(partition_eq(p, arg.partition) for p in parts):
+                if arg.partition not in parts:
                     parts.append(arg.partition)
             if arg.privilege.is_read:
                 parts = self.read.setdefault(s, [])
-                if not any(partition_eq(p, arg.partition) for p in parts):
+                if arg.partition not in parts:
                     parts.append(arg.partition)
             if arg.privilege.is_read or arg.privilege.is_write:
                 self.read_or_written.add(s)
@@ -157,15 +150,6 @@ def longest_fusible_prefix(
     return f, verdicts
 
 
-@dataclass
-class FusedTaskPlan:
-    """Recipe for replacing tasks[:prefix_len] with one fused index task."""
-
-    prefix_len: int
-    fused_task: IndexTask
-    arg_map: tuple[tuple[int, ...], ...]  # per original task: arg position -> fused position
-
-
 def fused_kind_name(kinds: Sequence[str]) -> str:
     seen: list[str] = []
     for k in kinds:
@@ -181,12 +165,13 @@ def fused_scalars(prefix: Sequence[IndexTask]) -> tuple[tuple[str, float], ...]:
     )
 
 
-def build_fused_task(tasks: Sequence[IndexTask], f: int, registry: KernelRegistry) -> FusedTaskPlan:
-    """Union the prefix's (store, partition) arguments with joined privileges."""
+def build_fused_task(
+    tasks: Sequence[IndexTask], f: int, registry: KernelRegistry
+) -> tuple[str, tuple[StoreArg, ...], tuple[tuple[int, ...], ...]]:
+    """The fusion of tasks[:f], f >= 2: its kind, its arguments (the prefix's
+    (store, partition) pairs with joined privileges) and, per task, the fused
+    position of each of its arguments."""
     prefix = tasks[:f]
-    if f == 1:
-        t = prefix[0]
-        return FusedTaskPlan(1, t, (tuple(range(len(t.args))),))
     for t in prefix:
         if not registry.has(t.kind):
             raise ValueError(f"internal error: task kind {t.kind!r} has no generator")
@@ -202,11 +187,5 @@ def build_fused_task(tasks: Sequence[IndexTask], f: int, registry: KernelRegistr
             args[key] = (j, a.privilege if priv is None else join_privileges(priv, a.privilege))
             positions.append(j)
         arg_map.append(tuple(positions))
-
-    fused = IndexTask(
-        fused_kind_name([t.kind for t in prefix]),
-        prefix[0].domain,
-        tuple(StoreArg(s, p, priv) for (s, p), (_, priv) in args.items()),
-        fused_scalars(prefix),
-    )
-    return FusedTaskPlan(f, fused, tuple(arg_map))
+    fused_args = tuple(StoreArg(s, p, priv) for (s, p), (_, priv) in args.items())
+    return fused_kind_name([t.kind for t in prefix]), fused_args, tuple(arg_map)

@@ -144,11 +144,6 @@ class Tiling:
 Partition = NonePart | Tiling
 
 
-def partition_eq(a: Partition, b: Partition) -> bool:
-    """Structural partition equality; inequality is read as "may alias"."""
-    return a == b
-
-
 class Privilege(Enum):
     """An access mode; its value is its code in traces and memo keys.
 
@@ -241,23 +236,12 @@ class Rect:
     hi: tuple[int, ...]
 
     @property
-    def rank(self) -> int:
-        return len(self.lo)
-
-    @property
     def is_empty(self) -> bool:
         return any(h <= l for l, h in zip(self.lo, self.hi))
 
     @property
     def extents(self) -> tuple[int, ...]:
         return tuple(max(0, h - l) for l, h in zip(self.lo, self.hi))
-
-    @property
-    def volume(self) -> int:
-        v = 1
-        for e in self.extents:
-            v *= e
-        return v
 
     def intersect(self, other: "Rect") -> "Rect":
         return Rect(
@@ -272,9 +256,6 @@ class Rect:
 
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
-
-    def points(self) -> Iterator[Point]:
-        return itertools.product(*(range(l, h) for l, h in zip(self.lo, self.hi)))
 
     @classmethod
     def full(cls, shape: Domain) -> "Rect":

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ir import IndexTask, Privilege, join_privileges
+from .ir import IndexTask, Privilege, StoreArg
 
 
 class KernelError(Exception):
@@ -205,9 +205,6 @@ class KernelRegistry:
     def __init__(self) -> None:
         self._gens: dict[str, Generator] = {}
 
-    def register(self, kind: str, fn: Generator) -> None:
-        self._gens[kind] = fn
-
     def has(self, kind: str) -> bool:
         return kind in self._gens
 
@@ -302,43 +299,34 @@ def default_registry() -> KernelRegistry:
 def compose(
     kernels: Sequence[Kernel],
     arg_maps: Sequence[Sequence[int]],
+    args: Sequence[StoreArg],
     temp_arg_indices: frozenset[int],
     shape_classes: Mapping[int, object],
-    n_fused_args: int,
 ) -> Kernel:
     """Concatenate kernel bodies with parameters unified per fused argument.
 
     Fused argument j becomes buffer ``arg_name(j)``, ``a{j}`` as in a
-    generated kernel, or local ``l{j}`` when j is a demoted temporary.
-    Scalars of kernel i become ``s{i}_{k}``.
+    generated kernel, with the privilege of ``args[j]``, or local ``l{j}``
+    when j is a demoted temporary. Scalars of kernel i become ``s{i}_{k}``.
     """
-    buf_name = {j: arg_name(j, j in temp_arg_indices) for j in range(n_fused_args)}
+    buf_name = [arg_name(j, j in temp_arg_indices) for j in range(len(args))]
     nests: list[LoopNest] = []
-    params: dict[int, BufParam] = {}
     scalar_params: list[ScalarParam] = []
-    locals_: set[int] = set()
     for i, (kernel, amap) in enumerate(zip(kernels, arg_maps)):
-        bmap: dict[str, str] = {}
-        for k, p in enumerate(kernel.buf_params):
-            j = amap[k]
-            bmap[p.name] = buf_name[j]
-            if j in temp_arg_indices:
-                locals_.add(j)
-            else:
-                prev = params.get(j)
-                priv = p.privilege
-                if prev is not None:
-                    priv = join_privileges(prev.privilege, priv)
-                params[j] = BufParam(buf_name[j], priv)
+        bmap = {p.name: buf_name[j] for p, j in zip(kernel.buf_params, amap)}
         smap = {sp.name: f"s{i}_{k}" for k, sp in enumerate(kernel.scalar_params)}
         scalar_params.extend(ScalarParam(v) for v in smap.values())
         for nest in kernel.nests:
             nests.append(LoopNest(bmap[nest.domain], tuple(_rename_stmt(s, bmap, smap) for s in nest.body)))
-    shape_class = {buf_name[j]: shape_classes[j] for j in range(n_fused_args) if j in shape_classes}
+    shape_class = {buf_name[j]: shape_classes[j] for j in range(len(args)) if j in shape_classes}
     return Kernel(
-        tuple(params[j] for j in sorted(params)),
+        tuple(
+            BufParam(buf_name[j], a.privilege)
+            for j, a in enumerate(args)
+            if j not in temp_arg_indices
+        ),
         tuple(scalar_params),
-        tuple(buf_name[j] for j in sorted(locals_)),
+        tuple(name for j, name in enumerate(buf_name) if j in temp_arg_indices),
         tuple(nests),
         shape_class,
     )

@@ -32,7 +32,6 @@ from .fusion import (
     AnalysisStats,
     ConstraintVerdict,
     build_fused_task,
-    FusedTaskPlan,
     fused_scalars,
     longest_fusible_prefix,
 )
@@ -46,7 +45,7 @@ from .ir import (
     covers,
     sub_store_bounds,
 )
-from .kernels import Kernel, KernelRegistry, arg_name, compose, count_memory_traffic
+from .kernels import KernelRegistry, arg_name, compose, count_memory_traffic
 from .kernels import default_registry, optimize
 from .memo import Carve, CanonicalStream, MemoCache, canonicalize, extent_class
 from .oracle import DEFAULT_ORACLE_CAP, oracle_fusible
@@ -329,22 +328,28 @@ class Session:
     def _analyze(self, rem: list[IndexTask]) -> Carve:
         """Analyse and compile the longest fusible prefix of ``rem``, as a
         carve in concrete ids. A task launched alone runs its generated
-        kernel, or a builtin when its kind has no generator."""
+        kernel, or a builtin when its kind has no generator. A fused kernel's
+        buffers are in the extent classes of their arguments' facts."""
         f, verdicts = 1, ()
         if self.config.fusion:
             f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
-        task, positions = rem[0], frozenset()
         if f == 1:
+            task = rem[0]
             kernel = self.registry.generate(task) if self.registry.has(task.kind) else None
-        else:
-            temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
-            fused = build_fused_task(rem, f, self.registry)
-            task = fused.fused_task
-            positions = frozenset(j for j, a in enumerate(task.args) if a.store in temps)
-            kernel = self._compile(rem[:f], fused, positions)
-            if self.config.oracle_check:
-                self._cross_check(rem[:f])
-        return Carve(f, positions, kernel, tuple(verdicts), task.kind, task.args)
+            return Carve(1, frozenset(), kernel, tuple(verdicts), task.kind, task.args)
+        temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
+        kind, args, arg_map = build_fused_task(rem, f, self.registry)
+        positions = frozenset(j for j, a in enumerate(args) if a.store in temps)
+        kernels = [self.registry.generate(t) for t in rem[:f]]
+        domain = rem[0].domain
+        classes = {
+            j: self._facts(self.stores[s], p, domain).extent_class
+            for j, (s, p, _) in enumerate(args)
+        }
+        kernel = optimize(compose(kernels, arg_map, args, positions, classes))
+        if self.config.oracle_check:
+            self._cross_check(rem[:f])
+        return Carve(f, positions, kernel, tuple(verdicts), kind, args)
 
     def _launch(
         self,
@@ -420,18 +425,6 @@ class Session:
         if plan is None:
             plan = self._launch_plans[key] = launch_plan(task, self.stores)
         return plan
-
-    def _compile(
-        self, prefix: Sequence[IndexTask], plan0: FusedTaskPlan, temp_positions: frozenset[int]
-    ) -> Kernel:
-        kernels = [self.registry.generate(t) for t in prefix]
-        fused = plan0.fused_task
-        class_ids: dict[object, int] = {}
-        classes: dict[int, int] = {}
-        for j, a in enumerate(fused.args):
-            cls = self._facts(self.stores[a.store], a.partition, fused.domain).extent_class
-            classes[j] = class_ids.setdefault(cls, len(class_ids))
-        return optimize(compose(kernels, plan0.arg_map, temp_positions, classes, len(fused.args)))
 
     def _cross_check(self, prefix: Sequence[IndexTask]) -> None:
         if prefix[0].domain.volume > DEFAULT_ORACLE_CAP:

@@ -1,9 +1,11 @@
 """Detection of stores made temporary by fusion.
 
 A store is temporary in a fused prefix when every read of it inside the
-prefix is preceded by a covering same-partition write, no buffered task after
-the prefix reads or reduces it, and the application holds no live reference. Such stores are demoted to task-local buffers and never
-materialize as distributed data.
+prefix is through a covering partition that an earlier task of the prefix
+wrote, no buffered task after the prefix reads or reduces it, and the
+application holds no live reference. Such stores are demoted to task-local
+buffers and never materialize as distributed data. One forward pass over the
+prefix and one over the tasks after it decide every store at once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .ir import IndexTask, StoreTable, covers, partition_eq
+from .ir import IndexTask, Privilege, StoreTable, covers
 
 
 class RefUnderflowError(ValueError):
@@ -86,39 +88,21 @@ def find_temporaries(
 
     ``tasks[f:]`` is what the runtime knows will follow the prefix. A store
     that is only written after the prefix is still demotable; the later write
-    re-creates its distributed state.
+    re-creates its distributed state. A task's own writes count only for the
+    tasks after it.
     """
-    prefix = tasks[:f]
-    launch = prefix[0].domain
-    later = tasks[f:]
-
-    candidates = {a.store for t in prefix for a in t.args}
-    result: set[int] = set()
-    for s in candidates:
-        if s in refs.app_live:
-            continue
-        if any(
-            a.store == s and (a.privilege.is_read or a.privilege.is_reduce)
-            for t in later
-            for a in t.args
-        ):
-            continue
-        if _reads_all_preceded_by_covering_writes(prefix, s, launch, stores):
-            result.add(s)
-    return result
-
-
-def _reads_all_preceded_by_covering_writes(prefix, s, launch, stores) -> bool:
-    for j, t in enumerate(prefix):
-        for a in t.args:
-            if a.store != s or not a.privilege.is_read:
-                continue
-            if not covers(stores[s], a.partition, launch):
-                return False
-            if not any(
-                b.store == s and b.privilege.is_write and partition_eq(b.partition, a.partition)
-                for ti in prefix[:j]
-                for b in ti.args
+    launch = tasks[0].domain
+    named: set[int] = set()
+    kept: set[int] = set()
+    written: set[tuple] = set()  # (store, partition) pairs written by earlier tasks
+    for t in tasks[:f]:
+        for s, part, priv in t.args:
+            named.add(s)
+            if priv.is_read and (
+                (s, part) not in written or not covers(stores[s], part, launch)
             ):
-                return False
-    return True
+                kept.add(s)
+        written.update((s, part) for s, part, priv in t.args if priv.is_write)
+    for t in tasks[f:]:
+        kept.update(s for s, _, priv in t.args if priv is not Privilege.WRITE)
+    return named - kept - refs.app_live

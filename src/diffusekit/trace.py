@@ -161,15 +161,22 @@ def _scalar(name: str, value: object, line: int) -> tuple[str, float]:
         raise TraceError(line, f"scalar {name!r} is out of range") from None
 
 
+def _unusable_store(sid: object, refcounts: dict[int, int]) -> str:
+    if type(sid) is int and sid in refcounts:
+        return f"store {sid} used after its last drop_ref"
+    return f"unknown store {sid}"
+
+
 def parse_trace(source: str | Iterable[str]) -> list[Event]:
     """Events of a JSON-lines trace. Every check raises a TraceError naming
     its line; a message is formatted only when its check fails. The checks
-    on projection widths and ranks run after every other check of a line."""
+    on projection widths and ranks run after every other check of a line. A
+    store may not be named after its last ``drop_ref``."""
     lines: Iterator[str] = iter(source.splitlines() if isinstance(source, str) else source)
     scan = json.JSONDecoder().scan_once
     events: list[Event] = []
     append = events.append
-    store_ranks: dict[int, int] = {}
+    store_ranks: dict[int, int] = {}  # of the stores a line may still name
     # partition id -> (store id, rank of the launch points a tiling projects
     # from; None for a "none" partition, which takes any launch)
     parts: dict[int, tuple[int, int | None]] = {}
@@ -210,7 +217,7 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
                     raise TraceError(lineno, "each arg must be an object")
                 s, p, pr = a.get("store"), a.get("part"), a.get("priv")
                 if type(s) is not int or s not in store_ranks:
-                    raise TraceError(lineno, f"unknown store {s}")
+                    raise TraceError(lineno, _unusable_store(s, refcounts))
                 part = parts.get(p) if type(p) is int else None
                 if part is None:
                     raise TraceError(lineno, f"unknown partition {p}")
@@ -237,7 +244,7 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
             sid = obj.get("id")
             if type(sid) is not int or sid < 0:
                 raise TraceError(lineno, "store id must be a non-negative integer")
-            if sid in store_ranks:
+            if sid in refcounts:
                 raise TraceError(lineno, f"store id {sid} already defined")
             shape = _int_tuple(obj.get("shape"), lineno, "shape")
             if shape and min(shape) <= 0:
@@ -253,7 +260,7 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
                 raise TraceError(lineno, f"partition id {pid} already defined")
             rank = store_ranks.get(sid) if type(sid) is int else None
             if rank is None:
-                raise TraceError(lineno, f"unknown store {sid}")
+                raise TraceError(lineno, _unusable_store(sid, refcounts))
             if kind == "none":
                 append(CreatePartition(pid, sid, "none"))
                 parts[pid] = (sid, None)
@@ -289,6 +296,8 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
             if count < 0:
                 raise TraceError(lineno, f"reference underflow on store {sid}")
             refcounts[sid] = count
+            if count == 0:
+                del store_ranks[sid]
             append(DropRef(sid))
         elif tag == "flush":
             append(Flush())

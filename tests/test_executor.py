@@ -17,7 +17,7 @@ from diffusekit.executor import (
     execute_task,
     heap_diff,
 )
-from diffusekit.fusion import build_fused_task
+from diffusekit.fusion import build_fused_task, fused_scalars
 from diffusekit.kernels import (
     BufParam,
     Kernel,
@@ -30,7 +30,7 @@ from diffusekit.kernels import (
     interpret,
     optimize,
 )
-from diffusekit.ir import Domain, NonePart, ProjectionFn, Store
+from diffusekit.ir import Domain, IndexTask, NonePart, ProjectionFn, Store
 from diffusekit.pipeline import Session, SessionConfig, run_events
 import stream_fuzz
 from helpers import R, RD, RW, W, stencil_window, store_table, task, tasks_of, tiling
@@ -136,16 +136,14 @@ class TestSequentialExecution:
 
 
 def _compile_fused(tasks, f, stores, distinct_classes=False):
-    plan = build_fused_task(tasks, f, REG)
+    kind, args, arg_map = build_fused_task(tasks, f, REG)
     kernels = [REG.generate(t) for t in tasks[:f]]
     if distinct_classes:
-        classes = {j: j for j in range(len(plan.fused_task.args))}
+        classes = {j: j for j in range(len(args))}
     else:
-        classes = {j: 0 for j in range(len(plan.fused_task.args))}
-    kernel = optimize(
-        compose(kernels, plan.arg_map, frozenset(), classes, len(plan.fused_task.args))
-    )
-    return plan.fused_task, kernel
+        classes = {j: 0 for j in range(len(args))}
+    kernel = optimize(compose(kernels, arg_map, args, frozenset(), classes))
+    return IndexTask(kind, tasks[0].domain, args, fused_scalars(tasks[:f])), kernel
 
 
 class TestIsolatedExecution:

@@ -10,6 +10,7 @@ from diffusekit.fusion import (
     PrefixTracker,
     build_fused_task,
     fused_kind_name,
+    fused_scalars,
     longest_fusible_prefix,
 )
 from diffusekit.ir import NonePart, Privilege
@@ -144,10 +145,9 @@ class TestLongestFusiblePrefix:
 class TestBuildFusedTask:
     def test_stencil_prefix_unions_args(self):
         tasks, _, _ = stencil_window()
-        plan = build_fused_task(tasks, 5, default_registry())
-        fused = plan.fused_task
-        assert fused.kind == "FUSED_ADD_MULT"
-        by_pair = {(a.store, a.partition): a.privilege for a in fused.args}
+        kind, args, arg_map = build_fused_task(tasks, 5, default_registry())
+        assert kind == "FUSED_ADD_MULT"
+        by_pair = {(a.store, a.partition): a.privilege for a in args}
         # Five aliased grid views read, chain temporaries joined to RW,
         # work written once.
         grid_views = [p for (s, p) in by_pair if s == 0]
@@ -156,17 +156,12 @@ class TestBuildFusedTask:
         for temp in (2, 3, 4, 5):
             assert by_pair[(temp, tiling((2, 2)))] is RW
         assert by_pair[(1, tiling((2, 2)))] is W
-        assert fused.scalars == (("s4_0", 0.2),)
+        assert fused_scalars(tasks[:5]) == (("s4_0", 0.2),)
         # arg_map sends each original arg to the fused arg with the same pair
-        for t, positions in zip(tasks[:5], plan.arg_map):
+        for t, positions in zip(tasks[:5], arg_map):
             for a, j in zip(t.args, positions):
-                assert fused.args[j].store == a.store
-                assert fused.args[j].partition == a.partition
-
-    def test_single_task_plan_is_identity(self):
-        tasks, _, _ = stencil_window()
-        plan = build_fused_task(tasks, 1, default_registry())
-        assert plan.prefix_len == 1 and plan.fused_task is tasks[0]
+                assert args[j].store == a.store
+                assert args[j].partition == a.partition
 
     def test_fused_kind_name_deduplicates(self):
         assert fused_kind_name(["ADD", "ADD", "MULT"]) == "FUSED_ADD_MULT"

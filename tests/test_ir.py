@@ -24,7 +24,6 @@ from diffusekit.ir import (
     Tiling,
     covers,
     join_privileges,
-    partition_eq,
     sub_store_bounds,
 )
 from helpers import R, RD, RW, W, task, tiling
@@ -197,14 +196,14 @@ class TestCovers:
 
 class TestPartitionEq:
     def test_structural_identity(self):
-        assert partition_eq(tiling((2, 2)), tiling((2, 2)))
+        assert tiling((2, 2)) == tiling((2, 2))
 
     def test_different_tile_shapes_differ(self):
-        assert not partition_eq(tiling((2, 2)), tiling((1, 4)))
+        assert tiling((2, 2)) != tiling((1, 4))
 
     def test_replication_never_equals_a_tiling(self):
         # Both cover a 4x4 store, but unequal reads as "may alias".
-        assert not partition_eq(NonePart(), tiling((4, 4)))
+        assert NonePart() != tiling((4, 4))
 
     def test_partitions_built_apart_hash_and_compare_equal(self):
         a = Tiling((2, 2), (1, 1), ProjectionFn(((1, 0), (0, 1)), (0, 0)))

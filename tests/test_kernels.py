@@ -10,8 +10,8 @@ import pytest
 
 from diffusekit import executor, kernels, pipeline
 from diffusekit.executor import Heap, execute_sequential
-from diffusekit.fusion import build_fused_task
-from diffusekit.ir import Domain, NonePart, Privilege
+from diffusekit.fusion import build_fused_task, fused_scalars
+from diffusekit.ir import Domain, NonePart, Privilege, StoreArg
 from diffusekit.kernels import (
     Bin,
     BufParam,
@@ -48,6 +48,11 @@ REG = default_registry()
 
 def _p(rank=1):
     return tiling((2,) * rank)
+
+
+def _args(*privileges):
+    """Fused arguments with these privileges: ``compose`` reads only those."""
+    return tuple(StoreArg(j, _p(), priv) for j, priv in enumerate(privileges))
 
 
 # case -> (kind, argument privileges, scalar count, kernel_text at any rank).
@@ -175,17 +180,18 @@ class TestGenerators:
 
 
 def _chain_kernels(n: int):
-    """c = a + b; e = c + d as two generated ADD kernels with an arg map."""
+    """c = a + b; e = c + d as two generated ADD kernels with an arg map and
+    the fused arguments."""
     p = _p()
     t1 = task("ADD", (2,), [(0, p, R), (1, p, R), (2, p, W)])
     t2 = task("ADD", (2,), [(2, p, R), (3, p, R), (4, p, W)])
-    return [REG.generate(t1), REG.generate(t2)], [(0, 1, 2), (2, 3, 4)]
+    return [REG.generate(t1), REG.generate(t2)], [(0, 1, 2), (2, 3, 4)], _args(R, R, RW, R, W)
 
 
 class TestComposeAndOptimize:
     def test_two_adds_with_local_temporary(self):
-        kernels, amap = _chain_kernels(2)
-        composed = compose(kernels, amap, frozenset({2}), {j: 0 for j in range(5)}, 5)
+        kernels, amap, args = _chain_kernels(2)
+        composed = compose(kernels, amap, args, frozenset({2}), {j: 0 for j in range(5)})
         assert [p.name for p in composed.buf_params] == ["a0", "a1", "a3", "a4"]
         assert [l for l in composed.locals] == ["l2"]
         assert len(composed.nests) == 2
@@ -193,8 +199,8 @@ class TestComposeAndOptimize:
         assert len(optimized.nests) == 1 and optimized.locals == ()
 
     def test_optimized_chain_matches_reference(self):
-        kernels, amap = _chain_kernels(2)
-        composed = compose(kernels, amap, frozenset({2}), {j: 0 for j in range(5)}, 5)
+        kernels, amap, args = _chain_kernels(2)
+        composed = compose(kernels, amap, args, frozenset({2}), {j: 0 for j in range(5)})
         optimized = optimize(composed)
         rng = np.random.default_rng(0)
         a, b, d = (rng.integers(1, 9, 6).astype(np.float64) for _ in range(3))
@@ -203,9 +209,9 @@ class TestComposeAndOptimize:
         assert (out == a + b + d).all()
 
     def test_different_shape_classes_block_loop_fusion(self):
-        kernels, amap = _chain_kernels(2)
+        kernels, amap, args = _chain_kernels(2)
         classes = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
-        composed = compose(kernels, amap, frozenset(), classes, 5)
+        composed = compose(kernels, amap, args, frozenset(), classes)
         assert len(fuse_loops(composed).nests) == 2
 
     @pytest.mark.parametrize("k", [2, 10, 67])
@@ -217,7 +223,8 @@ class TestComposeAndOptimize:
         kernels = [REG.generate(t) for t in tasks]
         amap = [(i, i + 1) for i in range(k)]
         temps = frozenset(range(1, k))
-        composed = compose(kernels, amap, temps, {j: 0 for j in range(k + 1)}, k + 1)
+        args = _args(R, *[RW] * (k - 1), W)
+        composed = compose(kernels, amap, args, temps, {j: 0 for j in range(k + 1)})
         optimized = optimize(composed)
         assert len(optimized.nests) == 1
         assert optimized.locals == ()
@@ -229,7 +236,7 @@ class TestComposeAndOptimize:
         t1 = task("DOT", (2,), [(0, p, R), (0, p, R), (1, n, RD)])
         t2 = task("COPY", (1,), [(1, n, R), (2, n, W)])
         kernels = [REG.generate(t1), REG.generate(t2)]
-        composed = compose(kernels, [(0, 0, 1), (1, 2)], frozenset({1}), {0: 0}, 3)
+        composed = compose(kernels, [(0, 0, 1), (1, 2)], _args(R, RD, W), frozenset({1}), {0: 0})
         optimized = optimize(composed)
         assert [l for l in optimized.locals] == ["l1"]
         a = np.arange(1.0, 7.0)
@@ -262,7 +269,9 @@ class TestComposeAndOptimize:
         t1 = task("MULT", (2,), [(0, p, R), (1, p, W)], [("s", 2.0)])
         t2 = task("DOT", (2,), [(1, p, R), (1, p, R), (2, NonePart(), RD)])
         kernels = [REG.generate(t1), REG.generate(t2)]
-        composed = compose(kernels, [(0, 1), (1, 1, 2)], frozenset({2}), {0: 0, 1: 0}, 3)
+        composed = compose(
+            kernels, [(0, 1), (1, 1, 2)], _args(R, RW, RD), frozenset({2}), {0: 0, 1: 0}
+        )
         optimized = optimize(composed)
         assert optimized.locals == ()
         assert len(optimized.nests) == 1  # only the surviving MULT remains
@@ -287,7 +296,8 @@ class TestComposeAndOptimize:
                     tasks.append(task(kind, (2,), [(i, p, R), (i + 1, p, W)]))
             kernels = [REG.generate(t) for t in tasks]
             amap = [tuple(a.store for a in t.args) for t in tasks]
-            composed = compose(kernels, amap, frozenset(), {j: 0 for j in range(n + 1)}, n + 1)
+            args = _args(R, *[RW] * (n - 1), W)
+            composed = compose(kernels, amap, args, frozenset(), {j: 0 for j in range(n + 1)})
             optimized = optimize(composed)
             scalars = {
                 sp.name: 2.0 for sp in composed.scalar_params
@@ -398,8 +408,8 @@ class TestFusedKernelText:
 
 class TestTraffic:
     def test_fused_three_way_add(self):
-        kernels, amap = _chain_kernels(2)
-        composed = compose(kernels, amap, frozenset({2}), {j: 0 for j in range(5)}, 5)
+        kernels, amap, args = _chain_kernels(2)
+        composed = compose(kernels, amap, args, frozenset({2}), {j: 0 for j in range(5)})
         optimized = optimize(composed)
         shapes = {name: (8,) for name in ("a0", "a1", "a3", "a4", "l2")}
         loads, stores = count_memory_traffic(optimized, shapes)
@@ -439,8 +449,8 @@ class TestInterpretSafety:
             interpret(REG.generate(t), {"a0": np.ones(4)})
 
     def test_missing_local_shape_names_the_local(self):
-        kernels, amap = _chain_kernels(2)
-        composed = compose(kernels, amap, frozenset({2}), {j: 0 for j in range(5)}, 5)
+        kernels, amap, args = _chain_kernels(2)
+        composed = compose(kernels, amap, args, frozenset({2}), {j: 0 for j in range(5)})
         bufs = {name: np.ones(6) for name in ("a0", "a1", "a3", "a4")}
         with pytest.raises(KernelError, match="l2"):
             interpret(composed, bufs)
@@ -610,25 +620,24 @@ def _fused_chain(n):
     (kernel, bound buffers, scalars, the output slab, its expected contents)."""
     tasks, stores = tasks_of(gen_blackscholes_chain(size=n, nodes=1, iters=1))
     assert len(tasks) == 67
-    plan = build_fused_task(tasks, 67, REG)
-    fused = plan.fused_task
+    _, args, arg_map = build_fused_task(tasks, 67, REG)
     x, y, out = 0, 1, 2  # the chain's first three stores
-    temps = frozenset(j for j, a in enumerate(fused.args) if a.store not in (x, y, out))
+    temps = frozenset(j for j, a in enumerate(args) if a.store not in (x, y, out))
     kernel = optimize(
         compose(
             [REG.generate(t) for t in tasks],
-            plan.arg_map,
+            arg_map,
+            args,
             temps,
-            {j: 0 for j in range(len(fused.args))},
-            len(fused.args),
+            {j: 0 for j in range(len(args))},
         )
     )
     assert len(kernel.nests) == 1 and len(kernel.nests[0].body) == 67
     rng = np.random.default_rng(0)
     bound = {x: rng.integers(1, 9, n).astype(np.float64), y: rng.integers(1, 9, n).astype(np.float64)}
     bound[out] = np.zeros(n)
-    bufs = {f"a{j}": bound[a.store] for j, a in enumerate(fused.args) if j not in temps}
-    scalars = {sp.name: v for sp, (_, v) in zip(kernel.scalar_params, fused.scalars)}
+    bufs = {f"a{j}": bound[a.store] for j, a in enumerate(args) if j not in temps}
+    scalars = {sp.name: v for sp, (_, v) in zip(kernel.scalar_params, fused_scalars(tasks))}
     return kernel, bufs, scalars, bound[out], bound[x] + bound[y]
 
 

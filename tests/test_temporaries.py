@@ -6,8 +6,11 @@ import random
 
 import pytest
 
-from diffusekit.ir import NonePart
+from diffusekit.ir import NonePart, covers
+from diffusekit.pipeline import Session, SessionConfig, run_events
 from diffusekit.temporaries import RefState, RefUnderflowError, find_temporaries
+from diffusekit.trace import BENCHMARKS, gen_benchmark
+import stream_fuzz
 from helpers import R, RD, RW, W, stencil_window, store_table, task, tiling
 
 
@@ -158,3 +161,82 @@ class TestFindTemporaries:
             task("FILL", (4,), [(0, p, W)], [("s", 0.0)]),
         ]
         assert find_temporaries(prefix, 2, refs, stores) == set()
+
+
+def _reference_temporaries(tasks, f, refs, stores):
+    """The definition, checked store by store: a store of tasks[:f] that the
+    application does not hold, that no task after the prefix reads or
+    reduces, and whose every read in the prefix is covering and preceded by
+    a write of an earlier task through an equal partition."""
+    prefix = tasks[:f]
+    launch = prefix[0].domain
+    result = set()
+    for s in {a.store for t in prefix for a in t.args}:
+        if s in refs.app_live:
+            continue
+        if any(
+            a.store == s and (a.privilege.is_read or a.privilege.is_reduce)
+            for t in tasks[f:]
+            for a in t.args
+        ):
+            continue
+        if all(
+            covers(stores[s], a.partition, launch)
+            and any(
+                b.store == s and b.privilege.is_write and b.partition == a.partition
+                for earlier in prefix[:j]
+                for b in earlier.args
+            )
+            for j, t in enumerate(prefix)
+            for a in t.args
+            if a.store == s and a.privilege.is_read
+        ):
+            result.add(s)
+    return result
+
+
+def _analysed_remainders(monkeypatch, run):
+    """(remainder, application-held stores, store table) for every remainder
+    a session analyses while ``run`` drives it."""
+    seen = []
+    analyze = Session._analyze
+
+    def recording(session, rem):
+        seen.append((list(rem), RefState(app_live=set(session.refs.app_live)), session.stores))
+        return analyze(session, rem)
+
+    monkeypatch.setattr(Session, "_analyze", recording)
+    run()
+    return seen
+
+
+def _assert_agrees_with_reference(remainders):
+    demoted = 0
+    for rem, refs, stores in remainders:
+        for f in range(1, len(rem) + 1):
+            got = find_temporaries(rem, f, refs, stores)
+            assert got == _reference_temporaries(rem, f, refs, stores)
+            demoted += len(got)
+    assert demoted > 0
+
+
+class TestFindTemporariesAgainstReference:
+    """Every remainder a session analyses, at every prefix length."""
+
+    def test_fuzz_windows(self, monkeypatch):
+        config = SessionConfig(window=12, memoize=False, execute=False)
+        remainders = _analysed_remainders(
+            monkeypatch,
+            lambda: [stream_fuzz.run_stream(s, config) for s in stream_fuzz.corpus(1000)],
+        )
+        assert len(remainders) > 4000
+        _assert_agrees_with_reference(remainders)
+
+    @pytest.mark.parametrize("window", [10, 67])
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_benchmark_windows(self, name, window, monkeypatch):
+        config = SessionConfig(window=window, memoize=False, execute=False)
+        remainders = _analysed_remainders(
+            monkeypatch, lambda: run_events(Session(config), gen_benchmark(name, iters=2))
+        )
+        _assert_agrees_with_reference(remainders)

@@ -163,6 +163,65 @@ class TestTraceFormat:
         with pytest.raises(TraceError, match="underflow"):
             parse_trace(text)
 
+    # stores 0 and 1; store 0 is dropped and flushed, then copied into 1
+    _USE_AFTER_DROP = "".join(
+        json.dumps(line) + "\n"
+        for line in [
+            {"event": "create_store", "id": 0, "shape": [4]},
+            {"event": "create_store", "id": 1, "shape": [4]},
+            {"event": "create_partition", "id": 0, "store": 0, "kind": "none"},
+            {"event": "create_partition", "id": 1, "store": 1, "kind": "none"},
+            {"event": "drop_ref", "store": 0},
+            {"event": "flush"},
+            {
+                "event": "index_task",
+                "kind": "COPY",
+                "domain": [1],
+                "args": [
+                    {"store": 0, "part": 0, "priv": "R"},
+                    {"store": 1, "part": 1, "priv": "W"},
+                ],
+            },
+            {"event": "flush"},
+        ]
+    )
+
+    def test_task_naming_a_store_after_its_last_drop_ref_rejected(self):
+        with pytest.raises(TraceError) as exc:
+            parse_trace(self._USE_AFTER_DROP)
+        assert str(exc.value) == "line 7: store 0 used after its last drop_ref"
+
+    def test_partition_of_a_store_after_its_last_drop_ref_rejected(self):
+        text = (
+            '{"event": "create_store", "id": 3, "shape": [4]}\n'
+            '{"event": "drop_ref", "store": 3}\n'
+            '{"event": "create_partition", "id": 0, "store": 3, "kind": "none"}\n'
+        )
+        with pytest.raises(TraceError) as exc:
+            parse_trace(text)
+        assert str(exc.value) == "line 3: store 3 used after its last drop_ref"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"event": "create_store", "id": 3, "shape": [4]}', "store id 3 already defined"),
+            ('{"event": "drop_ref", "store": 3}', "reference underflow on store 3"),
+            ('{"event": "drop_ref", "store": 4}', "unknown store 4"),
+            (
+                '{"event": "create_partition", "id": 0, "store": 4, "kind": "none"}',
+                "unknown store 4",
+            ),
+        ],
+    )
+    def test_a_dropped_store_id_stays_defined(self, line, message):
+        text = (
+            '{"event": "create_store", "id": 3, "shape": [4]}\n'
+            '{"event": "drop_ref", "store": 3}\n' + line + "\n"
+        )
+        with pytest.raises(TraceError) as exc:
+            parse_trace(text)
+        assert str(exc.value) == f"line 3: {message}"
+
     def test_invalid_json_names_line(self):
         with pytest.raises(TraceError, match="line 1"):
             parse_trace("not json")
@@ -504,8 +563,6 @@ class TestCli:
             lines.append({"event": "create_store", "id": b, "shape": [4]})
             lines.append({"event": "create_partition", "id": a, "store": a, "kind": "none"})
             lines.append({"event": "create_partition", "id": b, "store": b, "kind": "none"})
-            if drop_second_output and base:
-                lines.append({"event": "drop_ref", "store": b})
             lines.append(
                 {
                     "event": "index_task",
@@ -517,6 +574,10 @@ class TestCli:
                     ],
                 }
             )
+            if drop_second_output and base:
+                # after the task that names it: a store may not be named
+                # after its last drop_ref
+                lines.append({"event": "drop_ref", "store": b})
             lines.append({"event": "flush"})
         path = tmp_path / "canon.trace"
         path.write_text("\n".join(json.dumps(l) for l in lines) + "\n")
@@ -630,6 +691,15 @@ class TestCli:
         assert main(args) == 0
         assert "cg_like: tasks/iteration 12 -> " in capsys.readouterr().out
         assert json.loads(path.read_text())["name"] == "cg_like"
+
+    @pytest.mark.parametrize("command", ["analyze", "run"])
+    def test_store_used_after_its_last_drop_ref_is_a_trace_error(self, command, tmp_path, capsys):
+        path = tmp_path / "dropped.trace"
+        path.write_text(TestTraceFormat._USE_AFTER_DROP)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "trace error: line 7: store 0 used after its last drop_ref\n"
 
     def test_trace_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"
