@@ -8,7 +8,6 @@ indices, in the spirit of De Bruijn numbering for bound variables.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -198,21 +197,27 @@ class MemoCache:
     entry holds every carve from the window's first task to the end of its
     flush, and a hit replays them all from one lookup. Past
     ``MEMO_CAPACITY`` entries, the least recently inserted or hit goes.
+    Each entry keeps the tick of its last insert or hit, so a hit hashes its
+    key once; only an insert past capacity scans for the oldest tick.
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[CanonicalStream, tuple[Carve, ...]] = OrderedDict()
+        self._entries: dict[CanonicalStream, list] = {}  # key -> [carves, tick]
+        self._tick = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def lookup(self, key: CanonicalStream) -> tuple[Carve, ...] | None:
-        carves = self._entries.get(key)
-        if carves is not None:
-            self._entries.move_to_end(key)
-        return carves
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._tick = entry[1] = self._tick + 1
+        return entry[0]
 
     def insert(self, key: CanonicalStream, carves: tuple[Carve, ...]) -> None:
-        self._entries.setdefault(key, carves)
-        if len(self._entries) > MEMO_CAPACITY:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        self._tick += 1
+        entries.setdefault(key, [carves, self._tick])
+        if len(entries) > MEMO_CAPACITY:
+            del entries[min(entries.items(), key=lambda item: item[1][1])[0]]

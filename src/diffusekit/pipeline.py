@@ -4,9 +4,10 @@ A Session ingests stream events, buffers index tasks into a window, and on
 flush repeatedly carves the longest fusible prefix off the buffer, compiles a
 fused kernel for it, demotes temporaries to task-local buffers, and executes.
 An isomorphic window replays the memoized analysis of its whole flush from
-one lookup. The window grows adaptively: whenever an entire flushed buffer
-fuses into one task, the window doubles up to MAX_WINDOW, so long chains
-reach steady state after a few rounds.
+one lookup. The window grows adaptively, up to MAX_WINDOW: a full buffer that
+fuses whole is not launched, the window doubles and buffering goes on, so a
+long chain is not cut while the window warms up. An explicit flush that
+fuses whole into one task doubles the window too.
 """
 
 from __future__ import annotations
@@ -216,14 +217,16 @@ class Session:
 
     def submit(self, task: IndexTask) -> None:
         """Buffer ``task``, which holds one runtime reference to each store
-        it names. A full buffer is flushed first, so the capacity flush of a
-        window fires at the next task, after the ``drop_ref``s that follow
-        the window's last task. The task is buffered even if that flush
-        raises."""
+        it names; each must be held by the application. A full buffer is
+        flushed first, so the capacity flush of a window fires at the next
+        task, after the ``drop_ref``s that follow the window's last task;
+        that flush may grow the window instead of launching. The task is
+        buffered even if the flush raises."""
         held = {a.store for a in task.args}
-        if not self.stores.keys() >= held:
-            unknown = next(a.store for a in task.args if a.store not in self.stores)
-            raise ValueError(f"task {task.kind} names unknown store {unknown}")
+        if not self.refs.app_live >= held:
+            bad = next(a.store for a in task.args if a.store not in self.refs.app_live)
+            state = "released" if bad in self.stores else "unknown"
+            raise ValueError(f"task {task.kind} names {state} store {bad}")
         try:
             if len(self._buffer) >= self.window:
                 self._flush(explicit=False)
@@ -268,12 +271,26 @@ class Session:
         demoted stores.
         The buffer keeps every task not yet launched, so after a launch
         raises, the next flush resumes with it; nothing is memoized then.
+
+        Below ``MAX_WINDOW``, a capacity flush whose buffer of two or more
+        tasks fuses whole launches nothing: the window doubles and the
+        buffer, its references and the memo stay as they are. Only the
+        first remainder, the whole buffer, is tested: by the first carve of
+        a hit, or else by the one constraint pass a launch would use. A
+        deferral counts no memo miss and reports no flush; the next flush
+        reported counts its constraint steps.
         """
         if not self._buffer:
             return
         fr = FlushReport(explicit=explicit)
-        steps0 = self.stats.constraint_steps
         memoize = self.config.fusion and self.config.memoize
+        defer = (
+            not explicit
+            and self.config.fusion
+            and len(self._buffer) > 1
+            and self.window < MAX_WINDOW
+        )
+        deferred = False
         carves: list[Carve] = []
         missed: list[tuple[int, CanonicalStream, list[int], list[Partition]]] = []
         try:
@@ -284,6 +301,9 @@ class Session:
                     )
                     hit = self.memo.lookup(key)
                     if hit is not None:
+                        if defer and hit[0].prefix_len == len(rem):
+                            deferred = True
+                            break
                         # only an executed launch, or a key that missed
                         # before, needs the carve in this window's ids
                         bind = None if self.config.execute or missed else (sbind, pbind)
@@ -301,13 +321,24 @@ class Session:
                             at += carve.prefix_len
                         break
                     missed.append((len(carves), key, sbind, pbind))
-                carves.append(self._analyze(rem))
-                self._launch(carves[-1], fr)
+                carve = self._analyze(rem, defer)
+                if carve is None:
+                    deferred = True
+                    break
+                defer = False
+                carves.append(carve)
+                self._launch(carve, fr)
         finally:
-            fr.tasks_in = sum(fr.fused_prefixes)
-            fr.memo_misses = len(missed)
-            fr.constraint_steps = self.stats.constraint_steps - steps0
-            self.report.add(fr)
+            if not deferred:
+                fr.tasks_in = sum(fr.fused_prefixes)
+                fr.memo_misses = len(missed)
+                # with the steps of every deferral since the last report
+                fr.constraint_steps = self.stats.constraint_steps - self.report.constraint_steps
+                self.report.add(fr)
+        if deferred:
+            self.window = min(self.window * 2, MAX_WINDOW)
+            log.debug("flush(full): %d tasks fuse whole, window now %d", len(rem), self.window)
+            return
         for at, key, sbind, pbind in missed:
             sidx = {s: i for i, s in enumerate(sbind)}
             pidx = {p: i for i, p in enumerate(pbind)}
@@ -325,14 +356,18 @@ class Session:
             self.window,
         )
 
-    def _analyze(self, rem: list[IndexTask]) -> Carve:
+    def _analyze(self, rem: list[IndexTask], defer: bool = False) -> Carve | None:
         """Analyse and compile the longest fusible prefix of ``rem``, as a
         carve in concrete ids. A task launched alone runs its generated
         kernel, or a builtin when its kind has no generator. A fused kernel's
-        buffers are in the extent classes of their arguments' facts."""
+        buffers are in the extent classes of their arguments' facts. With
+        ``defer``, a ``rem`` that fuses whole gives None, before anything but
+        the constraint pass is worked out."""
         f, verdicts = 1, ()
         if self.config.fusion:
             f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
+            if defer and f == len(rem):
+                return None
         if f == 1:
             task = rem[0]
             kernel = self.registry.generate(task) if self.registry.has(task.kind) else None

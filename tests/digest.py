@@ -43,7 +43,7 @@ def digest_run(name: str, window: int, execute: bool, memoize: bool = True) -> I
     yield f"final_window {report.final_window}"
     texts = sorted(
         kernel_text(c.kernel)
-        for carves in session.memo._entries.values()
+        for carves, _ in session.memo._entries.values()
         for c in carves
         if c.kernel is not None
     )

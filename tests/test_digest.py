@@ -3,8 +3,10 @@
 The golden was recorded before the memo hit path was cut down, and its
 memo-off runs before fresh analysis was cut down, so this test shows that
 fused prefixes, temporaries, memo decisions, verdict text, ``kernel_text``
-and heap bytes stayed the same. Regenerate it only for a
-change meant to alter results:
+and heap bytes stayed the same. It was regenerated when a capacity flush
+whose whole buffer fuses began to grow the window instead of launching;
+every heap line stayed the same. Regenerate it only for a change meant to
+alter results:
 
     PYTHONPATH=src python tests/digest.py > tests/digest_golden.txt
 """

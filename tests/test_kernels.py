@@ -258,7 +258,7 @@ class TestComposeAndOptimize:
             session.drop_ref(0)
             report = session.finish()
             heaps.append(session.heap.digest([1]))
-            kernels.extend(c.kernel for e in session.memo._entries.values() for c in e)
+            kernels.extend(c.kernel for e, _ in session.memo._entries.values() for c in e)
         (fused,) = kernels
         assert report.fused_prefixes == [1, 1] and fused.locals == ("l0",)
         assert [s.buf for s in fused.nests[0].body] == ["l0", "a1"]
@@ -323,8 +323,11 @@ _FUSED_GOLDEN = {
         "    a9 = (s4_0 * _v_l8)",
     ],
     "blackscholes_chain": [
-        "kernel(a0: R, a1: R, a11: W) scalars(s2_0, s4_0, s7_0, s9_0)\n"
-        "  for extents(a11):\n"
+        "kernel(a0: R, a1: R, a68: W)"
+        " scalars(s2_0, s4_0, s7_0, s9_0, s12_0, s14_0, s17_0, s19_0, s22_0, "
+        "s24_0, s27_0, s29_0, s32_0, s34_0, s37_0, s39_0, s42_0, s44_0, s47_0, "
+        "s49_0, s52_0, s54_0, s57_0, s59_0, s62_0, s64_0)\n"
+        "  for extents(a68):\n"
         "    _v_l2 = (a0 + a1)\n"
         "    _v_l3 = (-_v_l2)\n"
         "    _v_l4 = (s2_0 * _v_l3)\n"
@@ -334,7 +337,64 @@ _FUSED_GOLDEN = {
         "    _v_l8 = (-_v_l7)\n"
         "    _v_l9 = (s7_0 * _v_l8)\n"
         "    _v_l10 = _v_l9\n"
-        "    a11 = (s9_0 * _v_l10)",
+        "    _v_l11 = (s9_0 * _v_l10)\n"
+        "    _v_l12 = (-_v_l11)\n"
+        "    _v_l13 = (-_v_l12)\n"
+        "    _v_l14 = (s12_0 * _v_l13)\n"
+        "    _v_l15 = _v_l14\n"
+        "    _v_l16 = (s14_0 * _v_l15)\n"
+        "    _v_l17 = (-_v_l16)\n"
+        "    _v_l18 = (-_v_l17)\n"
+        "    _v_l19 = (s17_0 * _v_l18)\n"
+        "    _v_l20 = _v_l19\n"
+        "    _v_l21 = (s19_0 * _v_l20)\n"
+        "    _v_l22 = (-_v_l21)\n"
+        "    _v_l23 = (-_v_l22)\n"
+        "    _v_l24 = (s22_0 * _v_l23)\n"
+        "    _v_l25 = _v_l24\n"
+        "    _v_l26 = (s24_0 * _v_l25)\n"
+        "    _v_l27 = (-_v_l26)\n"
+        "    _v_l28 = (-_v_l27)\n"
+        "    _v_l29 = (s27_0 * _v_l28)\n"
+        "    _v_l30 = _v_l29\n"
+        "    _v_l31 = (s29_0 * _v_l30)\n"
+        "    _v_l32 = (-_v_l31)\n"
+        "    _v_l33 = (-_v_l32)\n"
+        "    _v_l34 = (s32_0 * _v_l33)\n"
+        "    _v_l35 = _v_l34\n"
+        "    _v_l36 = (s34_0 * _v_l35)\n"
+        "    _v_l37 = (-_v_l36)\n"
+        "    _v_l38 = (-_v_l37)\n"
+        "    _v_l39 = (s37_0 * _v_l38)\n"
+        "    _v_l40 = _v_l39\n"
+        "    _v_l41 = (s39_0 * _v_l40)\n"
+        "    _v_l42 = (-_v_l41)\n"
+        "    _v_l43 = (-_v_l42)\n"
+        "    _v_l44 = (s42_0 * _v_l43)\n"
+        "    _v_l45 = _v_l44\n"
+        "    _v_l46 = (s44_0 * _v_l45)\n"
+        "    _v_l47 = (-_v_l46)\n"
+        "    _v_l48 = (-_v_l47)\n"
+        "    _v_l49 = (s47_0 * _v_l48)\n"
+        "    _v_l50 = _v_l49\n"
+        "    _v_l51 = (s49_0 * _v_l50)\n"
+        "    _v_l52 = (-_v_l51)\n"
+        "    _v_l53 = (-_v_l52)\n"
+        "    _v_l54 = (s52_0 * _v_l53)\n"
+        "    _v_l55 = _v_l54\n"
+        "    _v_l56 = (s54_0 * _v_l55)\n"
+        "    _v_l57 = (-_v_l56)\n"
+        "    _v_l58 = (-_v_l57)\n"
+        "    _v_l59 = (s57_0 * _v_l58)\n"
+        "    _v_l60 = _v_l59\n"
+        "    _v_l61 = (s59_0 * _v_l60)\n"
+        "    _v_l62 = (-_v_l61)\n"
+        "    _v_l63 = (-_v_l62)\n"
+        "    _v_l64 = (s62_0 * _v_l63)\n"
+        "    _v_l65 = _v_l64\n"
+        "    _v_l66 = (s64_0 * _v_l65)\n"
+        "    _v_l67 = (-_v_l66)\n"
+        "    a68 = _v_l67",
     ],
     "jacobi": [
         "kernel(a0: R, a1: R, a3: RW) scalars(s1_0)\n"
@@ -721,7 +781,7 @@ class TestNestPlans:
         assert sorted(generated) == ["ADD"] * 4 + ["COPY", "MULT"]
         distinct = list({id(k): k for k in interpreted}.values())
         assert sorted(map(id, compiled)) == sorted(id(n) for k in distinct for n in k.nests)
-        hits = [c.kernel for e in session.memo._entries.values() for c in e if c.kernel]
+        hits = [c.kernel for e, _ in session.memo._entries.values() for c in e if c.kernel]
         assert hits and session.report.memo_hits
         for k in hits:
             assert interpreted.count(k) > 1

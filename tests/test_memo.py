@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -274,3 +275,26 @@ def test_memo_evicts_the_least_recently_used_entry(monkeypatch):
     assert len(cache) == 2 and cache.lookup(b) is None
     assert cache.lookup(a)[0].prefix_len == 1
     assert cache.lookup(c)[0].prefix_len == 3
+
+
+def test_memo_evicts_as_an_ordered_lru_does(monkeypatch):
+    """Random inserts and lookups, re-inserts of held keys included, against
+    an ``OrderedDict`` that moves a key to its end on every hit."""
+    monkeypatch.setattr(memo, "MEMO_CAPACITY", 5)
+    rng = random.Random(7)
+    cache, model = MemoCache(), OrderedDict()
+    keys = [CanonicalStream((), (rank,), (), ()) for rank in range(12)]
+    for step in range(3000):
+        key = rng.choice(keys)
+        if rng.random() < 0.5:
+            carves = (Carve(step),)
+            cache.insert(key, carves)
+            model.setdefault(key, carves)
+            if len(model) > 5:
+                model.popitem(last=False)
+        else:
+            want = model.get(key)
+            if want is not None:
+                model.move_to_end(key)
+            assert cache.lookup(key) == want
+        assert len(cache) == len(model)

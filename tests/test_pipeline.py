@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 from diffusekit import memo, pipeline, trace as tracefmt
 from diffusekit.executor import UnknownTaskKindError, default_builtins, heap_diff
-from diffusekit.fusion import fused_scalars
+from diffusekit.fusion import fused_scalars, longest_fusible_prefix
 from diffusekit.ir import IndexTask, StoreArg
 from diffusekit.kernels import KernelRegistry
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
-from diffusekit.trace import gen_benchmark
+from diffusekit.trace import BENCHMARKS, gen_benchmark
 from helpers import R, W, task, tiling
 import stream_fuzz
 
@@ -94,6 +95,93 @@ class TestAdaptiveWindow:
     def test_window_is_capped(self):
         _, report = _run("blackscholes_chain", SessionConfig(execute=False), iters=4)
         assert report.final_window == MAX_WINDOW
+
+    def test_chain_is_not_cut_while_the_window_grows(self):
+        _, report = _run("blackscholes_chain", SessionConfig(execute=False), iters=4)
+        assert [fr.fused_prefixes for fr in report.per_flush] == [[67]] * 4
+        assert [len(fr.temporaries) for fr in report.per_flush] == [66] * 4
+        assert report.memo_misses == 1
+
+    def test_capacity_flush_that_does_not_fuse_whole_launches(self):
+        _, report = _run("cg_like", SessionConfig(execute=False), iters=4)
+        first, second = report.per_flush[:2]
+        assert (first.explicit, first.fused_prefixes) == (False, [1, 2, 3, 4])
+        assert (second.explicit, second.fused_prefixes) == (True, [2])
+
+
+class TestDeferral:
+    """A capacity flush whose whole buffer fuses grows the window and
+    launches nothing."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Deferrals per session: ``_flush`` calls that report nothing."""
+        deferrals = Counter()
+        flush = Session._flush
+
+        def counted(session, explicit):
+            flushes, window = len(session.report.per_flush), session.window
+            buffered = session._buffer[:]
+            flush(session, explicit)
+            if buffered and len(session.report.per_flush) == flushes:
+                assert not explicit and window < MAX_WINDOW
+                assert session.window == min(2 * window, MAX_WINDOW)
+                assert session._buffer == buffered
+                deferrals[session] += 1
+
+        monkeypatch.setattr(Session, "_flush", counted)
+        return deferrals
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    @pytest.mark.parametrize("window", [2, 10])
+    def test_deferrals_are_bounded_and_their_steps_reported(self, window, memoize, monkeypatch):
+        deferrals = self._counted(monkeypatch)
+        config = SessionConfig(window=window, execute=False, memoize=memoize)
+        sessions = [_run(name, config, iters=6)[0] for name in BENCHMARKS]
+        sessions += [stream_fuzz.run_stream(s, config) for s in stream_fuzz.corpus(200)]
+        assert 0 < max(deferrals.values()) <= math.ceil(math.log2(MAX_WINDOW / window))
+        for session in sessions:
+            assert session.report.constraint_steps == session.stats.constraint_steps
+
+    @staticmethod
+    def _copy(src):
+        return task("COPY", (2,), [(src, tiling((2,)), R), (src + 1, tiling((2,)), W)])
+
+    def _hit_then_defer(self, memoize):
+        """At window 2, a failed capacity flush leaves three tasks buffered;
+        their explicit flush memoizes a two-task remainder that fuses whole.
+        An isomorphic two-task buffer then fills the window."""
+        session = Session(SessionConfig(window=2, memoize=memoize))
+        for sid in range(8):
+            session.create_store(sid, (4,))
+        session.submit(task("MYSTERY", (2,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]))
+        session.submit(self._copy(1))
+        with pytest.raises(UnknownTaskKindError):
+            session.submit(self._copy(2))
+        session.builtins["MYSTERY"] = TestFailedFlush._mystery
+        session.flush()
+        assert session.report.per_flush[-1].fused_prefixes == [1, 2]
+        session.submit(self._copy(4))
+        session.submit(self._copy(5))
+        return session
+
+    def test_a_memo_hit_defers_as_fresh_analysis_does(self):
+        outcomes = []
+        for memoize in (True, False):
+            session = self._hit_then_defer(memoize)
+            analysed = []
+            with pytest.MonkeyPatch.context() as mp:
+                prefix = pipeline.longest_fusible_prefix
+                counted = lambda *a: analysed.append(1) or prefix(*a)
+                mp.setattr(pipeline, "longest_fusible_prefix", counted)
+                session.submit(self._copy(6))
+            assert session.window == 4 and len(session._buffer) == 3
+            assert len(analysed) == (0 if memoize else 1)  # a hit analyses nothing
+            report = session.finish()
+            heaps = session.heap.digest(range(8))
+            outcomes.append((report.fused_prefixes, report.temporaries_eliminated, heaps))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [1, 2, 3]
 
 
 class TestOtherBenchmarks:
@@ -305,8 +393,26 @@ class TestSessionLifecycle:
 
     def test_unknown_store_in_task_rejected(self):
         session = Session(SessionConfig())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^task FILL names unknown store 0$"):
             session.submit(task("FILL", (2,), [(0, tiling((2,)), W)], [("s", 0.0)]))
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_task_naming_a_released_store_rejected(self, buffered):
+        """Still held by a buffered task or freed, a store the application
+        dropped cannot be named again; the rejected task changes nothing."""
+        session = Session(SessionConfig(window=50))
+        for sid in range(3):
+            session.create_store(sid, (4,))
+        p = tiling((2,))
+        session.submit(task("COPY", (2,), [(0, p, R), (1, p, W)]))
+        session.drop_ref(0)
+        if not buffered:
+            session.flush()
+        state = (session._buffer[:], [set(h) for h in session._held], dict(session.refs.runtime_refs))
+        with pytest.raises(ValueError, match=r"^task COPY names released store 0$"):
+            session.submit(task("COPY", (2,), [(0, p, R), (2, p, W)]))
+        assert (session._buffer, session._held, session.refs.runtime_refs) == state
+        assert session.refs.live(0) == buffered
 
     def test_drop_ref_frees_heap_storage(self):
         session = Session(SessionConfig())
@@ -444,43 +550,55 @@ class TestFailedFlush:
 
 class TestCapacityFlush:
     """A full buffer is flushed when the next task arrives, after the
-    ``drop_ref``s that follow the window's last task."""
+    ``drop_ref``s that follow the window's last task. Every capacity flush
+    that launches decides what an explicit flush at the same place would;
+    one whose whole buffer fuses grows the window instead, and the flush at
+    the later boundary decides."""
 
     @staticmethod
     def _flushes(stream, config, explicit):
-        """Per flush, its fused prefixes and temporaries. With ``explicit``,
-        the session never fills: an explicit flush comes before each task
-        that finds as many tasks buffered as the window, which grows as a
-        session's does."""
+        """Per flush, its fused prefixes and temporaries, and how often the
+        window grew without a launch. With ``explicit``, the session never
+        fills: before each task that finds as many tasks buffered as the
+        window, which grows as a session's does, either the window doubles,
+        if below ``MAX_WINDOW`` more than one task is buffered and
+        ``longest_fusible_prefix`` fuses them all, or the buffer is flushed
+        explicitly."""
         session = Session(config)
         never = len(stream.tasks) + 1
-        window = session.window
+        window, grown = session.window, 0
         for sid in sorted(stream.stores):
             session.create_store(sid, stream.stores[sid])
         for i, t in enumerate(stream.tasks):
             if explicit:
-                if len(session._buffer) >= window:
-                    session.flush()
-                    fr = session.report.per_flush[-1]
-                    if fr.tasks_in > 1 and fr.tasks_out == 1:
-                        window = min(window * 2, MAX_WINDOW)
+                buffer = session._buffer
+                if len(buffer) >= window:
+                    f, _ = longest_fusible_prefix(buffer, session.registry)
+                    if 1 < f == len(buffer) and window < MAX_WINDOW:
+                        window, grown = min(window * 2, MAX_WINDOW), grown + 1
+                    else:
+                        session.flush()
+                        fr = session.report.per_flush[-1]
+                        if fr.tasks_in > 1 and fr.tasks_out == 1:
+                            window = min(window * 2, MAX_WINDOW)
                 session.window = never
             session.submit(t)
             for sid in stream.drops.get(i, ()):
                 session.drop_ref(sid)
         report = session.finish()
-        return [(fr.fused_prefixes, fr.temporaries) for fr in report.per_flush], report
+        return [(fr.fused_prefixes, fr.temporaries) for fr in report.per_flush], report, grown
 
     @pytest.mark.parametrize("window", [2, 3])
     def test_fuzz_corpus_flushes_as_at_an_explicit_boundary(self, window):
-        fired = 0
+        fired = grown = 0
         for stream in stream_fuzz.corpus(1000):
             config = SessionConfig(window=window, execute=False)
-            got, report = self._flushes(stream, config, explicit=False)
-            want, _ = self._flushes(stream, config, explicit=True)
+            got, report, _ = self._flushes(stream, config, explicit=False)
+            want, _, n = self._flushes(stream, config, explicit=True)
             assert got == want, stream.seed
             fired += sum(not fr.explicit for fr in report.per_flush)
-        assert fired
+            grown += n
+        assert fired and grown
 
     def test_chain_at_window_67_demotes_every_temporary(self):
         _, report = _run("blackscholes_chain", SessionConfig(window=67, execute=False), iters=4)

@@ -201,9 +201,9 @@ def _analysed_remainders(monkeypatch, run):
     seen = []
     analyze = Session._analyze
 
-    def recording(session, rem):
+    def recording(session, rem, *rest):
         seen.append((list(rem), RefState(app_live=set(session.refs.app_live)), session.stores))
-        return analyze(session, rem)
+        return analyze(session, rem, *rest)
 
     monkeypatch.setattr(Session, "_analyze", recording)
     run()

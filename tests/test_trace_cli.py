@@ -471,7 +471,7 @@ class TestCli:
         session = Session(SessionConfig(window=5, execute=False))
         summary = run_events(session, gen_benchmark("stencil", iters=2)).summary()
         assert summary.splitlines()[-1] == (
-            "flush 2: stopped by AntiDep at task 5 on store 0 partitions "
+            "flush 1: stopped by AntiDep at task 5 on store 0 partitions "
             "Tiling(tile=(16, 16), offset=(0, 1), "
             "proj=ProjectionFn(matrix=((1, 0), (0, 1)), offset=(0, 0))) vs "
             "Tiling(tile=(16, 16), offset=(1, 1), "
