@@ -135,7 +135,8 @@ def bench_report(
 ) -> dict:
     """Fused vs unfused pass counts and static traffic for one benchmark.
 
-    Runs analysis only; steady-state counts come from the final iteration.
+    Runs analysis only; steady-state counts come from the final iteration,
+    and are zero when there is none.
     """
     events = gen_benchmark(name, size, nodes, iters)
     fused = Session(SessionConfig(window=window, execute=False, seed=seed))
@@ -143,7 +144,7 @@ def bench_report(
     plain = Session(SessionConfig(window=window, fusion=False, execute=False, seed=seed))
     plain_report = run_events(plain, events)
     per_iter = fused_report.iterations()
-    tin, tout = per_iter[-1]
+    tin, tout = per_iter[-1] if per_iter else (0, 0)
     return {
         "name": name,
         "per_iteration": per_iter,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .ir import Domain, IndexTask, Partition, Privilege, StoreArg, join_privileges
 from .kernels import KernelRegistry
@@ -29,20 +29,22 @@ class FusionConstraint(Enum):
 
 @dataclass(frozen=True, slots=True)
 class ConstraintVerdict:
-    """Why prefix growth stopped at ``blocking_task_index``."""
+    """Why prefix growth stopped at ``blocking_task_index``.
+
+    ``argument`` is the index of the blocking argument in that task; for
+    TrueDep and AntiDep, ``earlier`` is the (task, argument) position of the
+    first argument that named the partition it conflicts with. Both count
+    from the window's first task. ``store`` and ``partitions`` are what those
+    positions name: a carve's verdicts leave them None, and a launch reads
+    them from its window.
+    """
 
     constraint: FusionConstraint
     blocking_task_index: int
     store: int | None = None
     partitions: tuple[Partition, Partition] | None = None
-
-    def rebind(self, store: Callable[[int], int], partition: Callable) -> "ConstraintVerdict":
-        """The same verdict with its store and partitions mapped, e.g. to or
-        from the canonical indices of a memoized window."""
-        if self.store is None:  # names neither a store nor partitions
-            return self
-        parts = self.partitions and (partition(self.partitions[0]), partition(self.partitions[1]))
-        return ConstraintVerdict(self.constraint, self.blocking_task_index, store(self.store), parts)
+    argument: int | None = None
+    earlier: tuple[int, int] | None = None
 
     def describe(self) -> str:
         msg = f"{self.constraint.value} at task {self.blocking_task_index}"
@@ -61,12 +63,14 @@ class AnalysisStats:
 
 
 class PrefixTracker:
-    """Forward dataflow state over a candidate prefix."""
+    """Forward dataflow state over a candidate prefix. ``written`` and
+    ``read`` map each store to its partitions, each with the (task,
+    argument) position of the first argument that named it."""
 
     def __init__(self) -> None:
         self.domain: Domain | None = None
-        self.written: dict[int, list[Partition]] = {}
-        self.read: dict[int, list[Partition]] = {}
+        self.written: dict[int, dict[Partition, tuple[int, int]]] = {}
+        self.read: dict[int, dict[Partition, tuple[int, int]]] = {}
         self.reduced: set[int] = set()
         self.read_or_written: set[int] = set()
 
@@ -78,38 +82,34 @@ class PrefixTracker:
         elif task.domain != self.domain:
             return ConstraintVerdict(FusionConstraint.LAUNCH_DOMAIN, index)
 
-        for arg in task.args:
+        for k, arg in enumerate(task.args):
             stats.constraint_steps += 1
             s = arg.store
             if arg.privilege.is_read or arg.privilege.is_write:
-                for p in self.written.get(s, ()):
+                for p, at in self.written.get(s, {}).items():
                     stats.constraint_steps += 1
                     if p != arg.partition:
                         return ConstraintVerdict(
-                            FusionConstraint.TRUE_DEP, index, s, (p, arg.partition)
+                            FusionConstraint.TRUE_DEP, index, s, (p, arg.partition), k, at
                         )
                 if s in self.reduced:
-                    return ConstraintVerdict(FusionConstraint.REDUCTION, index, s)
+                    return ConstraintVerdict(FusionConstraint.REDUCTION, index, s, None, k)
             if arg.privilege.is_write:
-                for p in self.read.get(s, ()):
+                for p, at in self.read.get(s, {}).items():
                     stats.constraint_steps += 1
                     if p != arg.partition:
                         return ConstraintVerdict(
-                            FusionConstraint.ANTI_DEP, index, s, (p, arg.partition)
+                            FusionConstraint.ANTI_DEP, index, s, (p, arg.partition), k, at
                         )
             if arg.privilege.is_reduce and s in self.read_or_written:
-                return ConstraintVerdict(FusionConstraint.REDUCTION, index, s)
+                return ConstraintVerdict(FusionConstraint.REDUCTION, index, s, None, k)
 
-        for arg in task.args:
+        for k, arg in enumerate(task.args):
             s = arg.store
             if arg.privilege.is_write:
-                parts = self.written.setdefault(s, [])
-                if arg.partition not in parts:
-                    parts.append(arg.partition)
+                self.written.setdefault(s, {}).setdefault(arg.partition, (index, k))
             if arg.privilege.is_read:
-                parts = self.read.setdefault(s, [])
-                if arg.partition not in parts:
-                    parts.append(arg.partition)
+                self.read.setdefault(s, {}).setdefault(arg.partition, (index, k))
             if arg.privilege.is_read or arg.privilege.is_write:
                 self.read_or_written.add(s)
             if arg.privilege.is_reduce:

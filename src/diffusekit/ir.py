@@ -40,9 +40,6 @@ class Domain:
             v *= e
         return v
 
-    def contains(self, p: Point) -> bool:
-        return len(p) == self.rank and all(0 <= c < e for c, e in zip(p, self.extents))
-
     def points(self) -> Iterator[Point]:
         """All points in lexicographic order."""
         return itertools.product(*(range(e) for e in self.extents))

@@ -3,7 +3,10 @@
 Two windows that differ only by a renaming of store and partition ids get the
 same canonical form, so the fusion analysis and the compiled kernel of the
 first can be replayed on the second. Store ids are replaced by first-occurrence
-indices, in the spirit of De Bruijn numbering for bound variables.
+indices, in the spirit of De Bruijn numbering for bound variables. A carve
+names stores and partitions by their positions in its window, which windows
+of one form share, so the memo keeps carves as they were made and a hit
+launches them as kept.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .fusion import ConstraintVerdict
-from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreArg, StoreTable, covers
+from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreTable, covers
 from .kernels import Kernel
 
 CanonTask = tuple[str, int, tuple[tuple[int, int, str], ...], int]
@@ -70,9 +73,8 @@ def canonicalize(
     stores: StoreTable,
     live_stores: frozenset[int] | set[int],
     facts: Facts = _key_facts,
-) -> tuple[CanonicalStream, list[int], list[Partition], dict[tuple[int, int, int], tuple]]:
-    """Canonical form, the bindings from canonical indices back to ids, and
-    the facts of every argument.
+) -> tuple[CanonicalStream, dict[tuple[int, int, int], tuple]]:
+    """Canonical form and the facts of every argument.
 
     The liveness flags and the coverage/extent fingerprint are part of the
     form because both temporariness and the compiled kernel depend on them.
@@ -80,12 +82,10 @@ def canonicalize(
     the remainders that carving leaves and one entry can hold a whole flush.
     ``facts`` gives an argument's coverage and extent class; a session
     passes its cache of them. It is called once per distinct (store index,
-    partition index, domain index) of the window, and the fourth value
+    partition index, domain index) of the window, and the second value
     returned maps each such triple to what ``facts`` gave for it.
     """
-    store_bind: list[int] = []
-    store_idx: dict[int, int] = {}
-    part_bind: list[Partition] = []
+    store_idx: dict[int, int] = {}  # in first-occurrence order
     part_idx: dict[Partition, int] = {}
     domain_idx: dict[tuple[int, ...], int] = {}
     domain_ranks: list[int] = []
@@ -106,12 +106,10 @@ def canonicalize(
         for store, part, priv in t.args:
             s = store_idx.get(store)
             if s is None:
-                s = store_idx[store] = len(store_bind)
-                store_bind.append(store)
+                s = store_idx[store] = len(store_idx)
             p = part_idx.get(part)
             if p is None:
-                p = part_idx[part] = len(part_bind)
-                part_bind.append(part)
+                p = part_idx[part] = len(part_idx)
             args.append((s, p, codes[priv]))
             mark = marks.get((s, p, d))
             if mark is None:
@@ -123,10 +121,10 @@ def canonicalize(
     stream = CanonicalStream(
         tuple(canon_tasks),
         tuple(domain_ranks),
-        tuple([s in live_stores for s in store_bind]),
+        tuple([s in live_stores for s in store_idx]),
         tuple(fingerprint),
     )
-    return stream, store_bind, part_bind, found
+    return stream, found
 
 
 def canon_text(stream: CanonicalStream) -> str:
@@ -155,15 +153,16 @@ def canon_text(stream: CanonicalStream) -> str:
 class Carve:
     """One launch: a prefix of ``prefix_len`` buffered tasks and how it runs.
 
-    A session makes carves in a window's store ids and partitions; the memo
-    keeps them in the window's canonical indices, and ``rebind`` maps one to
-    the other. ``kind`` and ``args`` are the launched task's, a single task's
-    too: per argument a ``StoreArg`` of store, partition and joined
-    privilege, the very tuple a launched task holds.
+    A carve names every store and partition by its position in the window it
+    was carved from: (task, argument), counted from the carve's first task.
+    Windows with one canonical key have the same (store index, partition
+    index) at every position, so a carve is that of every window sharing its
+    key. ``kind`` and ``args`` are the launched task's, a single task's too:
+    per argument the position of the first argument of the prefix that names
+    its (store, partition) pair, and their joined privilege.
     ``temp_arg_positions`` index ``args``; the demoted stores are those
     arguments' stores. ``kernel`` is the shape-symbolic kernel, None for a
-    builtin. ``verdicts`` say why the prefix stopped, with their task index
-    counted from the carve's first task.
+    builtin. ``verdicts`` say why the prefix stopped, by position.
     """
 
     prefix_len: int
@@ -171,27 +170,12 @@ class Carve:
     kernel: Kernel | None = None
     verdicts: tuple[ConstraintVerdict, ...] = ()
     kind: str = ""
-    args: tuple[StoreArg, ...] = ()
-
-    def rebind(self, store: Callable[[int], int], partition: Callable) -> Carve:
-        """This carve with every store and partition mapped, from ids to a
-        window's canonical indices or back."""
-        # tuple() of a list, not of a generator: a generator's tuple is
-        # resized, and on every hit that parks one more tuple in CPython's
-        # free lists, where tracemalloc still counts it as allocated.
-        return Carve(
-            self.prefix_len,
-            self.temp_arg_positions,
-            self.kernel,
-            tuple([v.rebind(store, partition) for v in self.verdicts]),
-            self.kind,
-            tuple([StoreArg(store(s), partition(p), pr) for s, p, pr in self.args]),
-        )
+    args: tuple[tuple[int, int, Privilege], ...] = ()
 
 
 class MemoCache:
-    """Map from a window's canonical stream to the carves of its flush, in
-    canonical indices.
+    """Map from a window's canonical stream to the carves of its flush, as
+    they were made.
 
     A window's key fixes the key of every remainder carved from it, so one
     entry holds every carve from the window's first task to the end of its

@@ -256,19 +256,16 @@ class Session:
     def _flush(self, explicit: bool) -> None:
         """Carve the buffer into launches and run them.
 
-        Every launch is a ``Carve`` in this window's store ids and
-        partitions. With the memo on, each remainder is looked up until one
-        hits. A key fixes every later carve of its window, so the hit's
-        carves, rebound to this window, run from there to the end of the
-        flush with no further lookup, and count one memo hit each. Their
-        argument shapes are the facts ``canonicalize`` found, at the carve's
-        canonical indices and its first task's domain, so a hit looks up
-        each distinct argument once. At the end, every key that missed gets
-        the carves from its position on, rebound to its canonical indices;
-        no ``drop_ref`` can happen in between, so liveness stays as keyed.
-        An analysis-only hit with no such key runs its carves as the memo
-        holds them, and maps only what the report names: verdicts and
-        demoted stores.
+        Every launch is a ``Carve``, which names stores and partitions by
+        their positions in the window. With the memo on, each remainder is
+        looked up until one hits. A key fixes every later carve of its
+        window, so the hit's carves run as stored from there to the end of
+        the flush with no further lookup, and count one memo hit each. Their
+        argument shapes are the facts ``canonicalize`` found for the
+        canonical indices at their positions, so a hit looks up each
+        distinct argument once. At the end, every key that missed gets the
+        carves from its position on; no ``drop_ref`` can happen in between,
+        so liveness stays as keyed.
         The buffer keeps every task not yet launched, so after a launch
         raises, the next flush resumes with it; nothing is memoized then.
 
@@ -292,35 +289,31 @@ class Session:
         )
         deferred = False
         carves: list[Carve] = []
-        missed: list[tuple[int, CanonicalStream, list[int], list[Partition]]] = []
+        missed: list[tuple[int, CanonicalStream]] = []
         try:
             while rem := self._buffer:
                 if memoize:
-                    key, sbind, pbind, facts = canonicalize(
-                        rem, self.stores, self.refs.app_live, self._facts
-                    )
+                    key, facts = canonicalize(rem, self.stores, self.refs.app_live, self._facts)
                     hit = self.memo.lookup(key)
                     if hit is not None:
                         if defer and hit[0].prefix_len == len(rem):
                             deferred = True
                             break
-                        # only an executed launch, or a key that missed
-                        # before, needs the carve in this window's ids
-                        bind = None if self.config.execute or missed else (sbind, pbind)
+                        carves += hit
                         at = 0
                         for carve in hit:
                             shapes = None
                             if carve.kernel is not None:  # a builtin counts no traffic
                                 d = key.tasks[at][1]
-                                shapes = [facts[s, p, d].extents for s, p, _ in carve.args]
-                            if bind is None:
-                                carve = carve.rebind(sbind.__getitem__, pbind.__getitem__)
-                                carves.append(carve)
-                            self._launch(carve, fr, shapes, bind)
+                                shapes = []
+                                for i, k, _ in carve.args:
+                                    s, p, _ = key.tasks[at + i][2][k]
+                                    shapes.append(facts[s, p, d].extents)
+                            self._launch(carve, fr, shapes)
                             fr.memo_hits += 1
                             at += carve.prefix_len
                         break
-                    missed.append((len(carves), key, sbind, pbind))
+                    missed.append((len(carves), key))
                 carve = self._analyze(rem, defer)
                 if carve is None:
                     deferred = True
@@ -339,12 +332,8 @@ class Session:
             self.window = min(self.window * 2, MAX_WINDOW)
             log.debug("flush(full): %d tasks fuse whole, window now %d", len(rem), self.window)
             return
-        for at, key, sbind, pbind in missed:
-            sidx = {s: i for i, s in enumerate(sbind)}
-            pidx = {p: i for i, p in enumerate(pbind)}
-            self.memo.insert(
-                key, tuple(c.rebind(sidx.__getitem__, pidx.__getitem__) for c in carves[at:])
-            )
+        for at, key in missed:
+            self.memo.insert(key, tuple(carves[at:]))
         if fr.tasks_in > 1 and fr.tasks_out == 1:
             self.window = min(self.window * 2, MAX_WINDOW)
         log.debug(
@@ -357,21 +346,27 @@ class Session:
         )
 
     def _analyze(self, rem: list[IndexTask], defer: bool = False) -> Carve | None:
-        """Analyse and compile the longest fusible prefix of ``rem``, as a
-        carve in concrete ids. A task launched alone runs its generated
-        kernel, or a builtin when its kind has no generator. A fused kernel's
-        buffers are in the extent classes of their arguments' facts. With
-        ``defer``, a ``rem`` that fuses whole gives None, before anything but
-        the constraint pass is worked out."""
+        """Analyse and compile the longest fusible prefix of ``rem``. A task
+        launched alone runs its generated kernel, or a builtin when its kind
+        has no generator. A fused kernel's buffers are in the extent classes
+        of their arguments' facts. With ``defer``, a ``rem`` that fuses whole
+        gives None, before anything but the constraint pass is worked out."""
         f, verdicts = 1, ()
         if self.config.fusion:
             f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
             if defer and f == len(rem):
                 return None
+            verdicts = tuple([  # by position only: a launch names them in its window
+                ConstraintVerdict(
+                    v.constraint, v.blocking_task_index, argument=v.argument, earlier=v.earlier
+                )
+                for v in verdicts
+            ])
         if f == 1:
             task = rem[0]
             kernel = self.registry.generate(task) if self.registry.has(task.kind) else None
-            return Carve(1, frozenset(), kernel, tuple(verdicts), task.kind, task.args)
+            args = tuple([(0, k, a.privilege) for k, a in enumerate(task.args)])
+            return Carve(1, frozenset(), kernel, verdicts, task.kind, args)
         temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
         kind, args, arg_map = build_fused_task(rem, f, self.registry)
         positions = frozenset(j for j, a in enumerate(args) if a.store in temps)
@@ -384,25 +379,24 @@ class Session:
         kernel = optimize(compose(kernels, arg_map, args, positions, classes))
         if self.config.oracle_check:
             self._cross_check(rem[:f])
-        return Carve(f, positions, kernel, tuple(verdicts), kind, args)
+        first: dict[int, tuple[int, int]] = {}  # fused argument -> its first position
+        for i, row in enumerate(arg_map):
+            for k, j in enumerate(row):
+                first.setdefault(j, (i, k))
+        where = tuple([(*first[j], a.privilege) for j, a in enumerate(args)])
+        return Carve(f, positions, kernel, verdicts, kind, where)
 
     def _launch(
-        self,
-        carve: Carve,
-        fr: FlushReport,
-        shapes: list[tuple[int, ...]] | None = None,
-        bind: tuple[list[int], list[Partition]] | None = None,
+        self, carve: Carve, fr: FlushReport, shapes: list[tuple[int, ...]] | None = None
     ) -> None:
         """Run and record ``carve``, then drop its tasks from the buffer's head.
 
-        The launch domain is that of the prefix's first task. Only an
-        executing session builds a task: a single task runs as buffered, a
-        fused one is built from the carve's kind and arguments with the
-        scalars of the whole prefix, and runs with its cached launch plan
-        unless isolated. ``shapes`` go to ``_traffic``. ``bind``, given only
-        when nothing executes, holds a window's store ids and partitions by
-        canonical index: ``carve`` is then in canonical indices, and only its
-        verdicts and demoted stores are mapped. A store is freed when the
+        The launch domain is that of the prefix's first task, and every
+        position the carve names is read from the buffer. Only an executing
+        session builds a task: a single task runs as buffered, a fused one
+        is built from the carve's kind and ``_store_args`` with the scalars
+        of the whole prefix, and runs with its cached launch plan unless
+        isolated. ``shapes`` go to ``_traffic``. A store is freed when the
         last runtime reference goes and the application holds none.
         """
         f, kernel, positions = carve.prefix_len, carve.kernel, carve.temp_arg_positions
@@ -411,22 +405,26 @@ class Session:
         if self.config.execute:
             task = buffer[0]
             if f > 1:
-                task = IndexTask(carve.kind, domain, carve.args, fused_scalars(buffer[:f]))
+                args = self._store_args(carve)
+                task = IndexTask(carve.kind, domain, args, fused_scalars(buffer[:f]))
             call = (task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
             if f > 1 and self.config.isolated:
                 execute_isolated(*call)
             else:
                 execute_task(*call, self._plan(task))
-        verdicts = carve.verdicts
-        temps = {carve.args[j].store for j in positions} if positions else ()
-        if bind is not None and (verdicts or temps):
-            store, partition = bind[0].__getitem__, bind[1].__getitem__
-            verdicts = [v.rebind(store, partition) for v in verdicts]
-            temps = set(map(store, temps))
-        fr.verdicts.extend(verdicts)
+        for v in carve.verdicts:
+            if v.argument is not None:  # names a store, and partitions if ``earlier``
+                t = v.blocking_task_index
+                arg, parts = buffer[t].args[v.argument], None
+                if v.earlier is not None:
+                    i, k = v.earlier
+                    parts = (buffer[i].args[k].partition, arg.partition)
+                v = ConstraintVerdict(v.constraint, t, arg.store, parts, v.argument, v.earlier)
+            fr.verdicts.append(v)
         fr.fused_prefixes.append(f)
-        if temps:
-            fr.temporaries.extend(sorted(temps))
+        if positions:
+            where = map(carve.args.__getitem__, positions)
+            fr.temporaries.extend(sorted({buffer[t].args[k].store for t, k, _ in where}))
         if kernel is not None:
             loads, stores = self._traffic(carve, domain, shapes)
             fr.loads += loads
@@ -436,6 +434,14 @@ class Session:
         self._buffer, self._held = buffer[f:], self._held[f:]
         for s in self.refs.release_runtime(*chain.from_iterable(held)):
             self.heap.free(s)
+
+    def _store_args(self, carve: Carve) -> tuple[StoreArg, ...]:
+        """The arguments of ``carve``'s launched task, read from the buffer's
+        head at the positions the carve names."""
+        buffer = self._buffer
+        return tuple([
+            _new(StoreArg, (*buffer[t].args[k][:2], priv)) for t, k, priv in carve.args
+        ])
 
     def _facts(self, store: Store, part: Partition, launch: Domain) -> ArgFacts:
         """One argument's coverage, extent class and point-0 sub-store extents,
@@ -483,7 +489,8 @@ class Session:
         kept in ``Kernel.traffic``.
         """
         if shapes is None:
-            shapes = [self._facts(self.stores[s], p, domain).extents for s, p, _ in carve.args]
+            args = self._store_args(carve)
+            shapes = [self._facts(self.stores[s], p, domain).extents for s, p, _ in args]
         key = tuple(shapes)
         by_shapes = carve.kernel.traffic
         counts = by_shapes.get(key)

@@ -38,10 +38,6 @@ class RefState:
         self.app_refs[store_id] = 1
         self.app_live.add(store_id)
 
-    def add_app_ref(self, store_id: int) -> None:
-        self.app_refs[store_id] = self.app_refs.get(store_id, 0) + 1
-        self.app_live.add(store_id)
-
     def drop_app_ref(self, store_id: int) -> bool:
         """Drop one application reference; returns whether no reference of
         either kind holds the store any more."""
@@ -76,9 +72,6 @@ class RefState:
             else:
                 raise RefUnderflowError(f"runtime reference underflow on store {s}")
         return dead
-
-    def live(self, store_id: int) -> bool:
-        return store_id in self.app_live or store_id in self.runtime_refs
 
 
 def find_temporaries(

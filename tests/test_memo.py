@@ -73,13 +73,6 @@ class TestCanonicalize:
             )
             assert renamed == base
 
-    def test_bindings_recover_concrete_ids(self):
-        stream, store_bind, part_bind, _ = canonicalize(
-            _swap_stream(5, 6, 7), _stores([5, 6, 7]), {5, 6, 7}
-        )
-        assert store_bind == [5, 6, 7]
-        assert part_bind == [NonePart()]
-
     def test_liveness_is_part_of_the_form(self):
         live, *_ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
         dead, *_ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 3})
@@ -118,8 +111,8 @@ class TestCanonicalize:
         assert stream(4) != stream(6)  # the larger source is not covered
 
     def test_empty_window(self):
-        stream, store_bind, part_bind, _ = canonicalize([], {}, set())
-        assert stream.tasks == () and store_bind == [] and part_bind == []
+        stream, facts = canonicalize([], {}, set())
+        assert stream.tasks == () and stream.live == () and facts == {}
 
 
 class TestExtentClass:
@@ -173,20 +166,27 @@ class TestReplayEqualsFreshAnalysis:
     @pytest.fixture
     def launches(self, monkeypatch):
         """Every kernel launch, as its task's kind, launch domain, arguments
-        and scalars and its kernel_text; analysis-only runs launch too. An
-        analysis-only hit launches the memo's carve with the window's
-        bindings, which map it to the concrete arguments recorded here."""
+        and scalars, read from the window at the carve's positions, beside
+        the carve's own fields: prefix length, demoted argument positions,
+        kind, arguments, each verdict's constraint, task and positions, and
+        kernel_text. Analysis-only runs launch too. A replayed carve and a
+        fresh one are compared as they are, with no mapping."""
         recorded = []
         launch = Session._launch
 
-        def recording(self, carve, fr, shapes=None, bind=None):
+        def recording(self, carve, fr, *rest):
             if carve.kernel is not None:
-                concrete = carve if bind is None else carve.rebind(*(b.__getitem__ for b in bind))
-                args = tuple([StoreArg(s, p, pr) for s, p, pr in concrete.args])
-                scalars = fused_scalars(self._buffer[: carve.prefix_len])
-                domain = self._buffer[0].domain
-                recorded.append((carve.kind, domain, args, scalars, kernel_text(carve.kernel)))
-            return launch(self, carve, fr, shapes, bind)
+                window = self._buffer
+                args = tuple([StoreArg(*window[t].args[k][:2], pr) for t, k, pr in carve.args])
+                scalars = fused_scalars(window[: carve.prefix_len])
+                text = kernel_text(carve.kernel)
+                verdicts = [
+                    (v.constraint, v.blocking_task_index, v.argument, v.earlier)
+                    for v in carve.verdicts
+                ]
+                own = (carve.prefix_len, carve.temp_arg_positions, carve.kind, carve.args, verdicts)
+                recorded.append(((carve.kind, window[0].domain, args, scalars, text), own + (text,)))
+            return launch(self, carve, fr, *rest)
 
         monkeypatch.setattr(Session, "_launch", recording)
         return recorded

@@ -309,28 +309,28 @@ class TestAnalysisCost:
     # executed cg_like overflows to NaN long before 40 iterations
     @pytest.mark.parametrize("execute, iters", [(False, 40), (True, 6)])
     def test_a_hit_only_flush_rebuilds_no_argument_tuple(self, monkeypatch, execute, iters):
-        calls, rebinds = [0], []  # Carve.rebind calls, in all and per flush
-        rebind, flush = memo.Carve.rebind, Session._flush
+        calls, builds = [0], []  # argument tuples built, in all and per flush
+        store_args, flush = Session._store_args, Session._flush
 
-        def counted(carve, *args):
+        def counted(session, carve):
             calls[0] += 1
-            return rebind(carve, *args)
+            return store_args(session, carve)
 
         def per_flush(session, explicit):
             before = calls[0]
             flush(session, explicit)
-            rebinds.append(calls[0] - before)
+            builds.append(calls[0] - before)
 
-        monkeypatch.setattr(memo.Carve, "rebind", counted)
+        monkeypatch.setattr(Session, "_store_args", counted)
         monkeypatch.setattr(Session, "_flush", per_flush)
         session = Session(SessionConfig(execute=execute))
         report = run_events(session, gen_benchmark("cg_like", iters=iters))
         hit_only = [i for i, fr in enumerate(report.per_flush) if fr.memo_hits and not fr.memo_misses]
         assert len(hit_only) == len(report.per_flush) - 3
-        # executed, each hit carve is rebound to run; analysis-only, none is
-        assert [rebinds[i] for i in hit_only] == [
-            report.per_flush[i].memo_hits if execute else 0 for i in hit_only
-        ]
+        # executed, each fused carve builds its task's arguments; analysis-only, none does
+        fused = [sum(f > 1 for f in report.per_flush[i].fused_prefixes) for i in hit_only]
+        assert [builds[i] for i in hit_only] == (fused if execute else [0] * len(hit_only))
+        assert not execute or min(fused) > 0
 
     def test_executed_fused_launch_runs_the_carves_task(self, monkeypatch):
         expected, executed = [], []
@@ -338,7 +338,7 @@ class TestAnalysisCost:
 
         def recording_launch(session, carve, fr, *rest):
             prefix = session._buffer[: carve.prefix_len]
-            args = tuple([StoreArg(s, p, pr) for s, p, pr in carve.args])
+            args = tuple([StoreArg(*prefix[t].args[k][:2], pr) for t, k, pr in carve.args])
             scalars = fused_scalars(prefix) if len(prefix) > 1 else prefix[0].scalars
             expected.append((carve.kind, prefix[0].domain, args, scalars))
             launch(session, carve, fr, *rest)
@@ -412,7 +412,8 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError, match=r"^task COPY names released store 0$"):
             session.submit(task("COPY", (2,), [(0, p, R), (2, p, W)]))
         assert (session._buffer, session._held, session.refs.runtime_refs) == state
-        assert session.refs.live(0) == buffered
+        assert (0 in session.refs.runtime_refs) == buffered
+        assert 0 not in session.refs.app_live
 
     def test_drop_ref_frees_heap_storage(self):
         session = Session(SessionConfig())
@@ -432,7 +433,9 @@ class TestSessionLifecycle:
             def flush(self):
                 super().flush()
                 assert not any(self.refs.runtime_refs.values())
-                dead = {s for s in self.stores if not self.refs.live(s)}
+                # no runtime reference is left, so the dead are those the
+                # application dropped
+                dead = set(self.stores) - self.refs.app_live
                 assert set(freed) == dead  # freed when the last reference went
                 assert set(freed.values()) <= {1}  # and only then
                 checked.append(len(dead))
@@ -449,9 +452,9 @@ class TestSessionLifecycle:
         session.create_store(1, (4,))
         session.submit(task("COPY", (2,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]))
         session.drop_ref(0)
-        assert session.refs.live(0)
+        assert 0 not in session.refs.app_live and session.refs.runtime_refs[0] == 1
         session.finish()
-        assert not session.refs.live(0)
+        assert 0 not in session.refs.app_live and 0 not in session.refs.runtime_refs
 
     def test_no_fusion_passthrough(self):
         _, report = _run("stencil", SessionConfig(execute=False, fusion=False), iters=2)

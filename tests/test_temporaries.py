@@ -18,7 +18,7 @@ class TestRefState:
     def test_create_grants_one_app_ref(self):
         refs = RefState()
         refs.create(0)
-        assert refs.app_refs[0] == 1 and refs.live(0)
+        assert refs.app_refs[0] == 1 and 0 in refs.app_live
 
     def test_double_create_rejected(self):
         refs = RefState()
@@ -37,11 +37,11 @@ class TestRefState:
         refs = RefState()
         refs.create(0)
         refs.drop_app_ref(0)
-        assert not refs.live(0)
+        assert 0 not in refs.app_live and 0 not in refs.runtime_refs
         refs.acquire_runtime(0)
-        assert refs.live(0)
-        refs.release_runtime(0)
-        assert not refs.live(0)
+        assert 0 not in refs.app_live and refs.runtime_refs[0] == 1
+        assert refs.release_runtime(0) == [0]  # no reference holds it any more
+        assert 0 not in refs.app_live and 0 not in refs.runtime_refs
         with pytest.raises(RefUnderflowError):
             refs.release_runtime(0)
 
@@ -50,22 +50,20 @@ class TestRefState:
         rng = random.Random(3)
         refs = RefState()
         for step in range(500):
-            op = rng.choice(["create", "add", "drop", "drop"])
-            if op == "create":
+            if rng.random() < 0.4:
                 refs.create(step)
             elif refs.app_refs:
                 s = rng.choice(sorted(refs.app_refs))
-                if op == "add":
-                    refs.add_app_ref(s)
-                elif refs.app_refs[s]:
+                if refs.app_refs[s]:
                     refs.drop_app_ref(s)
             assert refs.app_live == {s for s, n in refs.app_refs.items() if n > 0}
         assert refs.app_live and len(refs.app_live) < len(refs.app_refs)
 
 
-def _chain_scenario():
-    """z = x * y; w = y + z; v = w ** 2; norm += w . w, with x, y, z, w
-    dereferenced by the application and v still held.
+def _chain_scenario(dropped=(0, 1, 2, 3)):
+    """z = x * y; w = y + z; v = w ** 2; norm += w . w, with the ``dropped``
+    stores, by default x, y, z and w, dereferenced by the application and
+    the rest still held.
 
     Stores: 0=x 1=y 2=z 3=w 4=v 5=norm. The NORM task is opaque, so the
     fusible prefix is the first three tasks.
@@ -82,7 +80,7 @@ def _chain_scenario():
     refs = RefState()
     for s in stores:
         refs.create(s)
-    for s in (0, 1, 2, 3):
+    for s in dropped:
         refs.drop_app_ref(s)
     return tasks, stores, refs
 
@@ -114,10 +112,9 @@ class TestFindTemporaries:
         assert temps == {2, 3, 4, 5}
 
     def test_live_app_reference_disqualifies(self):
-        tasks, stores, refs = _chain_scenario()
-        refs.add_app_ref(2)
+        tasks, stores, refs = _chain_scenario(dropped=(0, 1, 3))
         # Without the trailing reduction, w (3) is demotable; z (2) is not,
-        # because the application re-acquired a handle to it.
+        # because the application still holds a handle to it.
         assert find_temporaries(tasks[:3], 3, refs, stores) == {3}
 
     def test_write_only_after_prefix_is_still_demotable(self):

@@ -707,6 +707,14 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "trace error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_bench_with_no_iterations_reports_zero_tasks(self, name, capsys):
+        assert main(["bench", name, "--iters", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"{name}: tasks/iteration 0 -> 0\n")
+        assert captured.err == ""
+        assert bench_report(name, iters=0)["per_iteration"] == []
+
     def test_bench_report_structure(self):
         result = bench_report("jacobi", iters=3)
         assert result["tasks_per_iter_in"] == 3
