@@ -75,9 +75,6 @@ class Heap:
             self.arrays[store_id] = arr
         return arr
 
-    def materialized(self, store_id: int) -> bool:
-        return store_id in self.arrays
-
     def free(self, store_id: int) -> None:
         self.arrays.pop(store_id, None)
 

@@ -35,8 +35,8 @@ class ConstraintVerdict:
     TrueDep and AntiDep, ``earlier`` is the (task, argument) position of the
     first argument that named the partition it conflicts with. Both count
     from the window's first task. ``store`` and ``partitions`` are what those
-    positions name: a carve's verdicts leave them None, and a launch reads
-    them from its window.
+    positions name: the analysis leaves them None, and a launch reads them
+    from its window.
     """
 
     constraint: FusionConstraint
@@ -90,19 +90,19 @@ class PrefixTracker:
                     stats.constraint_steps += 1
                     if p != arg.partition:
                         return ConstraintVerdict(
-                            FusionConstraint.TRUE_DEP, index, s, (p, arg.partition), k, at
+                            FusionConstraint.TRUE_DEP, index, argument=k, earlier=at
                         )
                 if s in self.reduced:
-                    return ConstraintVerdict(FusionConstraint.REDUCTION, index, s, None, k)
+                    return ConstraintVerdict(FusionConstraint.REDUCTION, index, argument=k)
             if arg.privilege.is_write:
                 for p, at in self.read.get(s, {}).items():
                     stats.constraint_steps += 1
                     if p != arg.partition:
                         return ConstraintVerdict(
-                            FusionConstraint.ANTI_DEP, index, s, (p, arg.partition), k, at
+                            FusionConstraint.ANTI_DEP, index, argument=k, earlier=at
                         )
             if arg.privilege.is_reduce and s in self.read_or_written:
-                return ConstraintVerdict(FusionConstraint.REDUCTION, index, s, None, k)
+                return ConstraintVerdict(FusionConstraint.REDUCTION, index, argument=k)
 
         for k, arg in enumerate(task.args):
             s = arg.store

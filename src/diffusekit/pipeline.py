@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import logging
@@ -198,7 +197,6 @@ class Session:
         self._arg_facts: dict[tuple[tuple, Partition, tuple], ArgFacts] = {}
         self._launch_plans: dict[tuple, LaunchPlan] = {}
         self._buffer: list[IndexTask] = []
-        self._held: list[set[int]] = []  # per buffered task, the stores it names
 
     # --- stream-facing API ---------------------------------------------------
 
@@ -207,7 +205,7 @@ class Session:
             raise ValueError(f"store id {store_id} already exists")
         store = Store(store_id, self._domain(tuple(extents)))
         self.stores[store_id] = store
-        self.refs.create(store_id)
+        self.refs.app_live.add(store_id)
         return store
 
     def create_partition(self, part_id: int, part: Partition) -> None:
@@ -216,26 +214,27 @@ class Session:
         self.partitions[part_id] = self._interned.setdefault(part, part)
 
     def submit(self, task: IndexTask) -> None:
-        """Buffer ``task``, which holds one runtime reference to each store
-        it names; each must be held by the application. A full buffer is
+        """Buffer ``task``, which holds one runtime reference per argument;
+        each store it names must be held by the application. A full buffer is
         flushed first, so the capacity flush of a window fires at the next
         task, after the ``drop_ref``s that follow the window's last task;
         that flush may grow the window instead of launching. The task is
         buffered even if the flush raises."""
-        held = {a.store for a in task.args}
-        if not self.refs.app_live >= held:
-            bad = next(a.store for a in task.args if a.store not in self.refs.app_live)
-            state = "released" if bad in self.stores else "unknown"
-            raise ValueError(f"task {task.kind} names {state} store {bad}")
+        live = self.refs.app_live
+        for a in task.args:
+            if a.store not in live:
+                state = "released" if a.store in self.stores else "unknown"
+                raise ValueError(f"task {task.kind} names {state} store {a.store}")
         try:
             if len(self._buffer) >= self.window:
                 self._flush(explicit=False)
         finally:
             self._buffer.append(task)
-            self._held.append(held)
-            self.refs.acquire_runtime(*held)
+            self.refs.acquire_runtime(a.store for a in task.args)
 
     def drop_ref(self, store_id: int) -> None:
+        if store_id not in self.stores:
+            raise ValueError(f"drop_ref names unknown store {store_id}")
         if self.refs.drop_app_ref(store_id):
             self.heap.free(store_id)
 
@@ -356,18 +355,15 @@ class Session:
             f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
             if defer and f == len(rem):
                 return None
-            verdicts = tuple([  # by position only: a launch names them in its window
-                ConstraintVerdict(
-                    v.constraint, v.blocking_task_index, argument=v.argument, earlier=v.earlier
-                )
-                for v in verdicts
-            ])
+            verdicts = tuple(verdicts)
         if f == 1:
             task = rem[0]
             kernel = self.registry.generate(task) if self.registry.has(task.kind) else None
             args = tuple([(0, k, a.privilege) for k, a in enumerate(task.args)])
             return Carve(1, frozenset(), kernel, verdicts, task.kind, args)
-        temps = find_temporaries(rem, f, self.refs, self.stores) if self.config.temp_elim else ()
+        temps = ()
+        if self.config.temp_elim:
+            temps = find_temporaries(rem, f, self.refs.app_live, self.stores)
         kind, args, arg_map = build_fused_task(rem, f, self.registry)
         positions = frozenset(j for j, a in enumerate(args) if a.store in temps)
         kernels = [self.registry.generate(t) for t in rem[:f]]
@@ -430,9 +426,8 @@ class Session:
             fr.loads += loads
             fr.stores += stores
             fr.kernel_stats.append((f, len(kernel.nests), len(kernel.locals)))
-        held = self._held[:f]
-        self._buffer, self._held = buffer[f:], self._held[f:]
-        for s in self.refs.release_runtime(*chain.from_iterable(held)):
+        self._buffer = buffer[f:]
+        for s in self.refs.release_runtime(a.store for t in buffer[:f] for a in t.args):
             self.heap.free(s)
 
     def _store_args(self, carve: Carve) -> tuple[StoreArg, ...]:

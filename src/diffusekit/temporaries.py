@@ -11,7 +11,7 @@ prefix and one over the tasks after it decide every store at once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .ir import IndexTask, Privilege, StoreTable, covers
 
@@ -22,41 +22,29 @@ class RefUnderflowError(ValueError):
 
 @dataclass
 class RefState:
-    """Split reference counts: application-held vs. runtime-held (buffered tasks).
+    """A store's references: ``app_live``, the set of stores the application
+    holds, and ``runtime_refs``, per store the number of buffered task
+    arguments that name it. The call that leaves a store in neither reports
+    it, once."""
 
-    ``app_live`` is the set of stores the application holds, kept as counts
-    cross zero so that reading it never scans every store ever created.
-    """
-
-    app_refs: dict[int, int] = field(default_factory=dict)
-    runtime_refs: dict[int, int] = field(default_factory=dict)
     app_live: set[int] = field(default_factory=set)
-
-    def create(self, store_id: int) -> None:
-        if store_id in self.app_refs:
-            raise ValueError(f"store id {store_id} already created")
-        self.app_refs[store_id] = 1
-        self.app_live.add(store_id)
+    runtime_refs: dict[int, int] = field(default_factory=dict)
 
     def drop_app_ref(self, store_id: int) -> bool:
-        """Drop one application reference; returns whether no reference of
+        """Drop the application's reference; returns whether no reference of
         either kind holds the store any more."""
-        n = self.app_refs.get(store_id, 0)
-        if n <= 0:
+        if store_id not in self.app_live:
             raise RefUnderflowError(f"application reference underflow on store {store_id}")
-        self.app_refs[store_id] = n - 1
-        if n == 1:
-            self.app_live.discard(store_id)
-            return store_id not in self.runtime_refs
-        return False
+        self.app_live.remove(store_id)
+        return store_id not in self.runtime_refs
 
-    def acquire_runtime(self, *store_ids: int) -> None:
+    def acquire_runtime(self, store_ids: Iterable[int]) -> None:
         """One more runtime reference to each of ``store_ids``."""
         refs = self.runtime_refs
         for s in store_ids:
             refs[s] = refs.get(s, 0) + 1
 
-    def release_runtime(self, *store_ids: int) -> list[int]:
+    def release_runtime(self, store_ids: Iterable[int]) -> list[int]:
         """One runtime reference fewer to each of ``store_ids``; returns
         those that no reference holds any more, each once. A count that
         reaches zero leaves ``runtime_refs``, so it holds only held stores."""
@@ -75,14 +63,14 @@ class RefState:
 
 
 def find_temporaries(
-    tasks: Sequence[IndexTask], f: int, refs: RefState, stores: StoreTable
+    tasks: Sequence[IndexTask], f: int, live: set[int], stores: StoreTable
 ) -> set[int]:
     """Stores demotable to task-local buffers in the fusion of tasks[:f].
 
     ``tasks[f:]`` is what the runtime knows will follow the prefix. A store
     that is only written after the prefix is still demotable; the later write
     re-creates its distributed state. A task's own writes count only for the
-    tasks after it.
+    tasks after it. ``live`` holds the stores the application holds.
     """
     launch = tasks[0].domain
     named: set[int] = set()
@@ -98,4 +86,4 @@ def find_temporaries(
         written.update((s, part) for s, part, priv in t.args if priv.is_write)
     for t in tasks[f:]:
         kept.update(s for s, _, priv in t.args if priv is not Privilege.WRITE)
-    return named - kept - refs.app_live
+    return named - kept - live

@@ -10,7 +10,7 @@ from diffusekit.fusion import build_fused_task, longest_fusible_prefix
 from diffusekit.kernels import default_registry
 from diffusekit.memo import canonicalize
 from diffusekit.pipeline import Session, SessionConfig, run_events
-from diffusekit.temporaries import RefState, find_temporaries
+from diffusekit.temporaries import find_temporaries
 from diffusekit.trace import gen_benchmark
 
 import stream_fuzz
@@ -115,13 +115,9 @@ def test_6_temporary_elimination():
         task("POW", (4,), [(w, p, R), (v, p, W)], [("s", 2.0)]),
         task("NORM", (4,), [(w, n, R), (norm, n, RD)]),
     ]
-    refs = RefState()
-    for s in stores:
-        refs.create(s)
-    for s in (x, y, z, w):
-        refs.drop_app_ref(s)
+    live = set(stores) - {x, y, z, w}  # the application dropped these
     f, _ = longest_fusible_prefix(tasks, default_registry())
-    temps = find_temporaries(tasks, f, refs, stores)
+    temps = find_temporaries(tasks, f, live, stores)
     _verdict("6 temporary elimination (exactly {z})", f == 3 and temps == {z})
 
 

@@ -43,9 +43,9 @@ class TestHeap:
     def test_deterministic_lazy_contents(self):
         stores = store_table((4, 4), (8,))
         h1, h2 = Heap(stores, seed=1), Heap(stores, seed=1)
-        assert not h1.materialized(0)
+        assert 0 not in h1.arrays
         assert (h1.get(0) == h2.get(0)).all()
-        assert h1.materialized(0)
+        assert 0 in h1.arrays
         assert ((h1.get(1) >= 1) & (h1.get(1) <= 9)).all()
 
     def test_seed_changes_contents(self):
@@ -455,7 +455,7 @@ class TestFirstTouch:
         stores = store_table((8,), (8,))
         heap = Heap(stores, 0)
         execute_task(task("NEG", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores, REG, BUILTINS)
-        assert filled == [0] and heap.materialized(1)
+        assert filled == [0] and 1 in heap.arrays
         assert (heap.get(1) == -heap.get(0)).all()
 
     def test_point_by_point_covering_write_skips_the_fill(self, filled):
@@ -522,7 +522,7 @@ class TestFirstTouch:
         monkeypatch.setattr(executor, "interpret", failing)
         with pytest.raises(RuntimeError):
             execute_task(task("COPY", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores, REG, BUILTINS)
-        assert heap.materialized(0) and not heap.materialized(1)
+        assert 0 in heap.arrays and 1 not in heap.arrays
         assert (heap.get(1) == _documented(stores, 1)).all()
 
 

@@ -117,7 +117,9 @@ class TestLongestFusiblePrefix:
         assert f == 5
         assert verdicts[0].constraint is FusionConstraint.ANTI_DEP
         assert verdicts[0].blocking_task_index == 5
-        assert verdicts[0].store == 0  # the aliased grid
+        v = verdicts[0]
+        assert tasks[v.blocking_task_index].args[v.argument].store == 0  # the aliased grid
+        assert v.store is None  # the analysis names it by position only
 
     def test_long_elementwise_chain_fully_fuses(self):
         p = tiling((2,))

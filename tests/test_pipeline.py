@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -14,6 +15,7 @@ from diffusekit.fusion import fused_scalars, longest_fusible_prefix
 from diffusekit.ir import IndexTask, StoreArg
 from diffusekit.kernels import KernelRegistry
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
+from diffusekit.temporaries import RefUnderflowError
 from diffusekit.trace import BENCHMARKS, gen_benchmark
 from helpers import R, W, task, tiling
 import stream_fuzz
@@ -23,6 +25,11 @@ def _run(name, config, **gen_kwargs):
     session = Session(config)
     report = run_events(session, gen_benchmark(name, **gen_kwargs))
     return session, report
+
+
+def _argument_counts(session):
+    """Per store, the number of buffered task arguments that name it."""
+    return Counter(a.store for t in session._buffer for a in t.args)
 
 
 class TestStencilPipeline:
@@ -388,8 +395,21 @@ class TestSessionLifecycle:
     def test_duplicate_store_id_rejected(self):
         session = Session(SessionConfig())
         session.create_store(0, (4,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^store id 0 already exists$"):
             session.create_store(0, (4,))
+        session.drop_ref(0)
+        with pytest.raises(ValueError, match=r"^store id 0 already exists$"):
+            session.create_store(0, (4,))  # a dropped id is not created again
+        assert session.refs.app_live == set()
+
+    def test_drop_ref_of_an_unknown_store_rejected(self):
+        session = Session(SessionConfig())
+        with pytest.raises(ValueError, match=r"^drop_ref names unknown store 99$"):
+            session.drop_ref(99)
+        session.create_store(0, (4,))
+        session.drop_ref(0)
+        with pytest.raises(RefUnderflowError, match=r"^application reference underflow on store 0$"):
+            session.drop_ref(0)
 
     def test_unknown_store_in_task_rejected(self):
         session = Session(SessionConfig())
@@ -408,10 +428,10 @@ class TestSessionLifecycle:
         session.drop_ref(0)
         if not buffered:
             session.flush()
-        state = (session._buffer[:], [set(h) for h in session._held], dict(session.refs.runtime_refs))
+        state = (session._buffer[:], set(session.refs.app_live), dict(session.refs.runtime_refs))
         with pytest.raises(ValueError, match=r"^task COPY names released store 0$"):
             session.submit(task("COPY", (2,), [(0, p, R), (2, p, W)]))
-        assert (session._buffer, session._held, session.refs.runtime_refs) == state
+        assert (session._buffer, session.refs.app_live, session.refs.runtime_refs) == state
         assert (0 in session.refs.runtime_refs) == buffered
         assert 0 not in session.refs.app_live
 
@@ -420,7 +440,7 @@ class TestSessionLifecycle:
         session.create_store(0, (4,))
         session.heap.get(0)
         session.drop_ref(0)
-        assert not session.heap.materialized(0)
+        assert 0 not in session.heap.arrays
 
     # executed cg_like overflows to NaN long before 40 iterations
     @pytest.mark.parametrize("execute, iters", [(False, 40), (True, 6)])
@@ -494,6 +514,67 @@ class TestSessionLifecycle:
         assert (session.heap.get(1) == session.heap.get(0)).all()
 
 
+class TestReferenceLifetimes:
+    """A seeded model of an application's steps. After every step, the
+    application holds the stores it created and did not drop, the runtime
+    holds one reference per buffered task argument, and the heap has freed
+    each dropped store that no buffered task names exactly once, and no
+    other store."""
+
+    @staticmethod
+    def _step(rng, session, p, created, dropped, step):
+        live = sorted(created - dropped)
+        r = rng.random()
+        if r < 0.3 or len(live) < 3:
+            session.create_store(step, (4,))
+            created.add(step)
+        elif r < 0.65:
+            a, b, out = rng.sample(live, 3)
+            if rng.random() < 0.4:
+                session.submit(task("COPY", (2,), [(a, p, R), (out, p, W)]))
+            else:
+                b = a if rng.random() < 0.3 else b  # some ADDs read one store twice
+                session.submit(task("ADD", (2,), [(a, p, R), (b, p, R), (out, p, W)]))
+        elif r < 0.9:
+            s = rng.choice(live)
+            session.drop_ref(s)
+            dropped.add(s)
+        else:
+            session.flush()
+
+    @pytest.mark.parametrize("execute", [False, True])
+    @pytest.mark.parametrize("memoize", [True, False])
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_random_steps_keep_references_exact(self, window, memoize, execute):
+        rng = random.Random(f"{window}-{memoize}-{execute}")
+        session = Session(SessionConfig(window=window, memoize=memoize, execute=execute))
+        freed = Counter()
+        free = session.heap.free
+        session.heap.free = lambda s: (freed.update([s]), free(s))
+        p = tiling((2,))
+        created, dropped = set(), set()
+        twice = 0
+        for step in range(300):
+            self._step(rng, session, p, created, dropped, step)
+            named = _argument_counts(session)
+            assert session.refs.app_live == created - dropped
+            assert session.refs.runtime_refs == named
+            assert set(freed) == dropped - set(named) and set(freed.values()) <= {1}
+            twice += any(n > 1 for n in named.values())
+        session.finish()
+        assert session.refs.runtime_refs == {} and set(freed) == dropped
+        assert twice and len(freed) > 50 and session.report.tasks_in > 50
+
+    @pytest.mark.parametrize("name", ["cg_like", "stencil"])
+    def test_reference_tables_do_not_grow_with_the_stream(self, name):
+        sizes = []
+        for iters in (50, 400):
+            session, _ = _run(name, SessionConfig(execute=False), iters=iters)
+            sizes.append({table: len(v) for table, v in vars(session.refs).items()})
+        assert sizes[0] == sizes[1] and sizes[0]["app_live"] > 0
+        assert set(sizes[0]) == {"app_live", "runtime_refs"}
+
+
 class TestFailedFlush:
     """A launch that raises keeps the unlaunched tasks buffered."""
 
@@ -515,8 +596,7 @@ class TestFailedFlush:
         with pytest.raises(UnknownTaskKindError):
             session.flush()
         assert [t.kind for t in session._buffer] == ["MYSTERY", "COPY"]
-        held = Counter(s for t in session._buffer for s in {a.store for a in t.args})
-        assert {s: n for s, n in session.refs.runtime_refs.items() if n} == dict(held)
+        assert session.refs.runtime_refs == _argument_counts(session)
 
         copies = []
         session.builtins["MYSTERY"] = self._mystery
@@ -525,7 +605,7 @@ class TestFailedFlush:
             mp.setattr(pipeline, "execute_task", lambda t, *a: copies.append(t.kind) or execute(t, *a))
             session.flush()
         assert copies == ["MYSTERY", "COPY"]
-        assert not any(session.refs.runtime_refs.values())
+        assert session.refs.runtime_refs == {}
 
         whole = Session(SessionConfig(), builtins={**default_builtins(), "MYSTERY": self._mystery})
         self._window(whole)
@@ -540,8 +620,7 @@ class TestFailedFlush:
         with pytest.raises(UnknownTaskKindError):
             self._window(session)  # the third task finds the buffer full
         assert [t.kind for t in session._buffer] == ["MYSTERY", "COPY"]
-        held = Counter(s for t in session._buffer for s in {a.store for a in t.args})
-        assert {s: n for s, n in session.refs.runtime_refs.items() if n} == dict(held)
+        assert session.refs.runtime_refs == _argument_counts(session)
         session.builtins["MYSTERY"] = self._mystery
         report = session.finish()
         assert report.tasks_in == 3 == sum(report.fused_prefixes)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from diffusekit.ir import NonePart, covers
@@ -15,49 +13,31 @@ from helpers import R, RD, RW, W, stencil_window, store_table, task, tiling
 
 
 class TestRefState:
-    def test_create_grants_one_app_ref(self):
-        refs = RefState()
-        refs.create(0)
-        assert refs.app_refs[0] == 1 and 0 in refs.app_live
-
-    def test_double_create_rejected(self):
-        refs = RefState()
-        refs.create(0)
-        with pytest.raises(ValueError):
-            refs.create(0)
-
     def test_drop_underflow_rejected(self):
-        refs = RefState()
-        refs.create(0)
-        refs.drop_app_ref(0)
-        with pytest.raises(RefUnderflowError):
+        refs = RefState(app_live={0})
+        assert refs.drop_app_ref(0)  # no reference holds it any more
+        with pytest.raises(RefUnderflowError, match=r"^application reference underflow on store 0$"):
             refs.drop_app_ref(0)
 
     def test_runtime_refs_keep_store_live(self):
-        refs = RefState()
-        refs.create(0)
+        refs = RefState(app_live={0})
         refs.drop_app_ref(0)
         assert 0 not in refs.app_live and 0 not in refs.runtime_refs
-        refs.acquire_runtime(0)
+        refs.acquire_runtime([0])
         assert 0 not in refs.app_live and refs.runtime_refs[0] == 1
-        assert refs.release_runtime(0) == [0]  # no reference holds it any more
+        assert refs.release_runtime([0]) == [0]  # no reference holds it any more
         assert 0 not in refs.app_live and 0 not in refs.runtime_refs
         with pytest.raises(RefUnderflowError):
-            refs.release_runtime(0)
+            refs.release_runtime([0])
 
-
-    def test_app_live_follows_app_counts(self):
-        rng = random.Random(3)
+    def test_one_runtime_reference_per_argument(self):
         refs = RefState()
-        for step in range(500):
-            if rng.random() < 0.4:
-                refs.create(step)
-            elif refs.app_refs:
-                s = rng.choice(sorted(refs.app_refs))
-                if refs.app_refs[s]:
-                    refs.drop_app_ref(s)
-            assert refs.app_live == {s for s, n in refs.app_refs.items() if n > 0}
-        assert refs.app_live and len(refs.app_live) < len(refs.app_refs)
+        refs.acquire_runtime([0, 0, 1])  # a task that reads store 0 twice
+        assert refs.runtime_refs == {0: 2, 1: 1}
+        assert refs.release_runtime([0, 1]) == [1]
+        assert refs.runtime_refs == {0: 1}
+        assert refs.release_runtime([0]) == [0]
+        assert refs.runtime_refs == {}
 
 
 def _chain_scenario(dropped=(0, 1, 2, 3)):
@@ -77,90 +57,71 @@ def _chain_scenario(dropped=(0, 1, 2, 3)):
         task("POW", (4,), [(3, p, R), (4, p, W)], [("s", 2.0)]),
         task("NORM", (4,), [(3, n, R), (5, n, RD)]),
     ]
-    refs = RefState()
-    for s in stores:
-        refs.create(s)
-    for s in dropped:
-        refs.drop_app_ref(s)
-    return tasks, stores, refs
+    return tasks, stores, set(stores) - set(dropped)
 
 
 class TestFindTemporaries:
     def test_chain_with_later_reader_and_live_output(self):
-        tasks, stores, refs = _chain_scenario()
-        temps = find_temporaries(tasks, 3, refs, stores)
+        tasks, stores, live = _chain_scenario()
+        temps = find_temporaries(tasks, 3, live, stores)
         # Only z: w is read by the trailing reduction, v is still referenced,
         # and x, y are read without ever being written in the prefix.
         assert temps == {2}
 
     def test_later_reader_inside_window_disqualifies(self):
-        tasks, stores, refs = _chain_scenario()
+        tasks, stores, live = _chain_scenario()
         # w (3) is demotable in the three-task prefix on its own; the NORM
         # task after the prefix, inside the window, reads it and keeps it.
-        assert 3 in find_temporaries(tasks[:3], 3, refs, stores)
-        assert 3 not in find_temporaries(tasks, 3, refs, stores)
+        assert 3 in find_temporaries(tasks[:3], 3, live, stores)
+        assert 3 not in find_temporaries(tasks, 3, live, stores)
 
     def test_stencil_prefix_drops_chain_temporaries(self):
         tasks, stores, _ = stencil_window()
-        refs = RefState()
-        for s in stores:
-            refs.create(s)
-        for s in (2, 3, 4, 5):
-            refs.drop_app_ref(s)
-        temps = find_temporaries(tasks, 5, refs, stores)
+        temps = find_temporaries(tasks, 5, set(stores) - {2, 3, 4, 5}, stores)
         # work (1) is excluded: the unfused COPY still reads it.
         assert temps == {2, 3, 4, 5}
 
     def test_live_app_reference_disqualifies(self):
-        tasks, stores, refs = _chain_scenario(dropped=(0, 1, 3))
+        tasks, stores, live = _chain_scenario(dropped=(0, 1, 3))
         # Without the trailing reduction, w (3) is demotable; z (2) is not,
         # because the application still holds a handle to it.
-        assert find_temporaries(tasks[:3], 3, refs, stores) == {3}
+        assert find_temporaries(tasks[:3], 3, live, stores) == {3}
 
     def test_write_only_after_prefix_is_still_demotable(self):
         stores = store_table((8,), (8,))
         p = tiling((2,))
-        refs = RefState()
-        refs.create(0)
-        refs.create(1)
-        refs.drop_app_ref(1)
+        live = {0}
         prefix = [
             task("FILL", (4,), [(1, p, W)], [("s", 3.0)]),
             task("COPY", (4,), [(1, p, R), (0, p, W)]),
         ]
         later_writer = task("FILL", (4,), [(1, p, W)], [("s", 4.0)])
-        assert find_temporaries([*prefix, later_writer], 2, refs, stores) == {1}
+        assert find_temporaries([*prefix, later_writer], 2, live, stores) == {1}
 
     def test_non_covering_write_disqualifies(self):
         # The write reaches only a shifted, clamped portion of the store, so
         # reads are not fully produced inside the prefix.
         stores = store_table((8,), (8,))
         part = tiling((2,), (1,))
-        refs = RefState()
-        refs.create(0)
-        refs.create(1)
-        refs.drop_app_ref(1)
+        live = {0}
         prefix = [
             task("FILL", (4,), [(1, part, W)], [("s", 3.0)]),
             task("COPY", (4,), [(1, part, R), (0, tiling((2,)), W)]),
         ]
-        assert find_temporaries(prefix, 2, refs, stores) == set()
+        assert find_temporaries(prefix, 2, live, stores) == set()
 
     def test_read_before_write_disqualifies(self):
         stores = store_table((8,), (8,))
         p = tiling((2,))
-        refs = RefState()
-        refs.create(0)
-        refs.create(1)
-        refs.drop_app_ref(0)
+        live = {1}
         prefix = [
             task("COPY", (4,), [(0, p, R), (1, p, W)]),
             task("FILL", (4,), [(0, p, W)], [("s", 0.0)]),
         ]
-        assert find_temporaries(prefix, 2, refs, stores) == set()
+        assert find_temporaries(prefix, 2, live, stores) == set()
 
 
-def _reference_temporaries(tasks, f, refs, stores):
+def _reference_temporaries(tasks, f, live, stores):
     """The definition, checked store by store: a store of tasks[:f] that the
     application does not hold, that no task after the prefix reads or
     reduces, and whose every read in the prefix is covering and preceded by
@@ -169,7 +130,7 @@ def _reference_temporaries(tasks, f, refs, stores):
     launch = prefix[0].domain
     result = set()
     for s in {a.store for t in prefix for a in t.args}:
-        if s in refs.app_live:
+        if s in live:
             continue
         if any(
             a.store == s and (a.privilege.is_read or a.privilege.is_reduce)
@@ -199,7 +160,7 @@ def _analysed_remainders(monkeypatch, run):
     analyze = Session._analyze
 
     def recording(session, rem, *rest):
-        seen.append((list(rem), RefState(app_live=set(session.refs.app_live)), session.stores))
+        seen.append((list(rem), set(session.refs.app_live), session.stores))
         return analyze(session, rem, *rest)
 
     monkeypatch.setattr(Session, "_analyze", recording)
@@ -209,10 +170,10 @@ def _analysed_remainders(monkeypatch, run):
 
 def _assert_agrees_with_reference(remainders):
     demoted = 0
-    for rem, refs, stores in remainders:
+    for rem, live, stores in remainders:
         for f in range(1, len(rem) + 1):
-            got = find_temporaries(rem, f, refs, stores)
-            assert got == _reference_temporaries(rem, f, refs, stores)
+            got = find_temporaries(rem, f, live, stores)
+            assert got == _reference_temporaries(rem, f, live, stores)
             demoted += len(got)
     assert demoted > 0
 
