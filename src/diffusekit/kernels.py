@@ -3,8 +3,8 @@
 Each task kind has a generator producing a small loop-nest program over its
 point-local sub-store buffers. Fused task bodies are program-order
 compositions of generated kernels; temporaries become local buffers, adjacent
-nests over the same extents are merged, and locals used in one nest collapse
-to per-iteration values.
+nests over the same extents are merged, locals used in one nest collapse
+to per-iteration values, and negations that cancel are folded away.
 
 Every access is at the loop index: a load reads its buffer at the nest's
 indices, or whole when the buffer is a replicated rank-0 operand, and a store
@@ -375,6 +375,7 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
     """Replace locals used in a single nest with per-iteration scalars.
 
     Locals written but never read are dead and dropped along with their stores.
+    The kernel holds no temps yet: this pass makes them.
     """
     usage: dict[str, list[tuple[int, bool]]] = {}
     reduced_into: set[str] = set()
@@ -443,8 +444,6 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
                 continue
             if isinstance(s, StoreStmt) and s.buf in scalarized:
                 body.append(SetTemp(temp_of(s.buf), rewrite_expr(s.expr)))
-            elif isinstance(s, SetTemp):
-                body.append(SetTemp(s.name, rewrite_expr(s.expr)))
             elif isinstance(s, StoreStmt):
                 body.append(StoreStmt(s.buf, rewrite_expr(s.expr)))
             else:
@@ -463,8 +462,71 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
     )
 
 
+def fold_negations(kernel: Kernel) -> Kernel:
+    """Fold double negations, then drop the temps nothing reads, per nest.
+
+    ``-(-y)`` becomes ``y``, which is exact for every float64: NaN payloads
+    and signs, -0.0, infinities and subnormals. The inner negation may be
+    inline or the value of a temp the outer one reads; through a temp, ``y``
+    must be a leaf, so that nothing is evaluated twice, and must still hold
+    the value it had when the temp was set. Temps are not SSA, so that is
+    the case only if no temp ``y`` names was set again since and, if ``y``
+    loads, no buffer was written since: two buffer names may share memory.
+    Nothing else is rewritten: ``s * (-x)`` is not ``-(s * x)`` when ``s`` is
+    a NaN, and scalars are runtime parameters, not constants.
+    """
+    return replace(kernel, nests=tuple(LoopNest(n.domain, _fold_nest(n.body)) for n in kernel.nests))
+
+
+def _fold_nest(body: Sequence[Stmt]) -> tuple[Stmt, ...]:
+    set_at: dict[str, int] = {}  # temp -> the index of its latest SetTemp
+    negated: dict[str, tuple[Expr, int]] = {}  # temp now -y for a leaf y -> (y, that index)
+    written = -1  # the index of the latest store or reduction
+
+    def fold(e: Expr) -> Expr:
+        if isinstance(e, Bin):
+            return Bin(e.op, fold(e.lhs), fold(e.rhs))
+        if not isinstance(e, Un):
+            return e
+        x = fold(e.x)
+        if isinstance(x, Un):
+            return x.x
+        if isinstance(x, TempRef) and x.name in negated:
+            y, at = negated[x.name]
+            if isinstance(y, TempRef):
+                unchanged = set_at.get(y.name, -1) < at
+            else:
+                unchanged = isinstance(y, ScalarRef) or written < at
+            if unchanged:
+                return y
+        return Un(e.op, x)
+
+    folded: list[Stmt] = []
+    for i, s in enumerate(body):
+        e = fold(s.expr)
+        folded.append(replace(s, expr=e))
+        if isinstance(s, SetTemp):
+            set_at[s.name] = i
+            negated.pop(s.name, None)
+            if isinstance(e, Un) and not isinstance(e.x, (Bin, Un)):
+                negated[s.name] = (e.x, i)
+        else:
+            written = i
+
+    read: set[str] = set()  # temps read later, walking backwards
+    kept: list[Stmt] = []
+    for s in reversed(folded):
+        if isinstance(s, SetTemp):
+            if s.name not in read:
+                continue
+            read.discard(s.name)
+        read.update(x.name for x in _leaves(s.expr) if isinstance(x, TempRef))
+        kept.append(s)
+    return tuple(reversed(kept))
+
+
 def optimize(kernel: Kernel) -> Kernel:
-    return scalarize_locals(fuse_loops(kernel))
+    return fold_negations(scalarize_locals(fuse_loops(kernel)))
 
 
 # --- instrumentation --------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Kernel IR: generators, composition, loop fusion, scalarization, interpret."""
+"""Kernel IR: generators, composition, loop fusion, scalarization, negation
+folding, interpret."""
 
 from __future__ import annotations
 
@@ -7,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffusekit import executor, kernels, pipeline
 from diffusekit.executor import Heap, execute_sequential
@@ -33,6 +36,7 @@ from diffusekit.kernels import (
     compose,
     count_memory_traffic,
     default_registry,
+    fold_negations,
     fuse_loops,
     interpret,
     kernel_text,
@@ -333,63 +337,51 @@ _FUSED_GOLDEN = {
         "    _v_l4 = (s2_0 * _v_l3)\n"
         "    _v_l5 = _v_l4\n"
         "    _v_l6 = (s4_0 * _v_l5)\n"
-        "    _v_l7 = (-_v_l6)\n"
-        "    _v_l8 = (-_v_l7)\n"
+        "    _v_l8 = _v_l6\n"
         "    _v_l9 = (s7_0 * _v_l8)\n"
         "    _v_l10 = _v_l9\n"
         "    _v_l11 = (s9_0 * _v_l10)\n"
-        "    _v_l12 = (-_v_l11)\n"
-        "    _v_l13 = (-_v_l12)\n"
+        "    _v_l13 = _v_l11\n"
         "    _v_l14 = (s12_0 * _v_l13)\n"
         "    _v_l15 = _v_l14\n"
         "    _v_l16 = (s14_0 * _v_l15)\n"
-        "    _v_l17 = (-_v_l16)\n"
-        "    _v_l18 = (-_v_l17)\n"
+        "    _v_l18 = _v_l16\n"
         "    _v_l19 = (s17_0 * _v_l18)\n"
         "    _v_l20 = _v_l19\n"
         "    _v_l21 = (s19_0 * _v_l20)\n"
-        "    _v_l22 = (-_v_l21)\n"
-        "    _v_l23 = (-_v_l22)\n"
+        "    _v_l23 = _v_l21\n"
         "    _v_l24 = (s22_0 * _v_l23)\n"
         "    _v_l25 = _v_l24\n"
         "    _v_l26 = (s24_0 * _v_l25)\n"
-        "    _v_l27 = (-_v_l26)\n"
-        "    _v_l28 = (-_v_l27)\n"
+        "    _v_l28 = _v_l26\n"
         "    _v_l29 = (s27_0 * _v_l28)\n"
         "    _v_l30 = _v_l29\n"
         "    _v_l31 = (s29_0 * _v_l30)\n"
-        "    _v_l32 = (-_v_l31)\n"
-        "    _v_l33 = (-_v_l32)\n"
+        "    _v_l33 = _v_l31\n"
         "    _v_l34 = (s32_0 * _v_l33)\n"
         "    _v_l35 = _v_l34\n"
         "    _v_l36 = (s34_0 * _v_l35)\n"
-        "    _v_l37 = (-_v_l36)\n"
-        "    _v_l38 = (-_v_l37)\n"
+        "    _v_l38 = _v_l36\n"
         "    _v_l39 = (s37_0 * _v_l38)\n"
         "    _v_l40 = _v_l39\n"
         "    _v_l41 = (s39_0 * _v_l40)\n"
-        "    _v_l42 = (-_v_l41)\n"
-        "    _v_l43 = (-_v_l42)\n"
+        "    _v_l43 = _v_l41\n"
         "    _v_l44 = (s42_0 * _v_l43)\n"
         "    _v_l45 = _v_l44\n"
         "    _v_l46 = (s44_0 * _v_l45)\n"
-        "    _v_l47 = (-_v_l46)\n"
-        "    _v_l48 = (-_v_l47)\n"
+        "    _v_l48 = _v_l46\n"
         "    _v_l49 = (s47_0 * _v_l48)\n"
         "    _v_l50 = _v_l49\n"
         "    _v_l51 = (s49_0 * _v_l50)\n"
-        "    _v_l52 = (-_v_l51)\n"
-        "    _v_l53 = (-_v_l52)\n"
+        "    _v_l53 = _v_l51\n"
         "    _v_l54 = (s52_0 * _v_l53)\n"
         "    _v_l55 = _v_l54\n"
         "    _v_l56 = (s54_0 * _v_l55)\n"
-        "    _v_l57 = (-_v_l56)\n"
-        "    _v_l58 = (-_v_l57)\n"
+        "    _v_l58 = _v_l56\n"
         "    _v_l59 = (s57_0 * _v_l58)\n"
         "    _v_l60 = _v_l59\n"
         "    _v_l61 = (s59_0 * _v_l60)\n"
-        "    _v_l62 = (-_v_l61)\n"
-        "    _v_l63 = (-_v_l62)\n"
+        "    _v_l63 = _v_l61\n"
         "    _v_l64 = (s62_0 * _v_l63)\n"
         "    _v_l65 = _v_l64\n"
         "    _v_l66 = (s64_0 * _v_l65)\n"
@@ -692,7 +684,7 @@ def _fused_chain(n):
             {j: 0 for j in range(len(args))},
         )
     )
-    assert len(kernel.nests) == 1 and len(kernel.nests[0].body) == 67
+    assert len(kernel.nests) == 1 and len(kernel.nests[0].body) == 55
     rng = np.random.default_rng(0)
     bound = {x: rng.integers(1, 9, n).astype(np.float64), y: rng.integers(1, 9, n).astype(np.float64)}
     bound[out] = np.zeros(n)
@@ -883,3 +875,182 @@ class TestStrips:
         peak = TestInPlaceEvaluation._peak(kernel, bufs, scalars)
         assert (out == want).all()
         assert peak < out.nbytes // 2, f"{peak / out.nbytes:.2f} slabs"
+
+
+def _folds_to_same_bits(k, bind, scalars):
+    """``fold_negations(k)``, after checking that it leaves every buffer with
+    the bytes ``k`` leaves. ``bind()`` makes fresh buffers for each run."""
+    folded = fold_negations(k)
+    after = []
+    for kernel in (k, folded):
+        bufs = bind()
+        interpret(kernel, bufs, scalars)
+        after.append({name: b.tobytes() for name, b in bufs.items()})
+    assert after[0] == after[1]
+    return folded
+
+
+def _negs(k):
+    return kernel_text(k).count("(-")
+
+
+def _shifted(n=6):
+    """Two views of one array, the second one element ahead of the first."""
+    base = np.arange(n + 1.0)
+    return base[:-1], base[1:]
+
+
+# NaNs of both signs, quiet and signalling with payloads, infinities, zeros
+# of both signs and subnormals
+_SPECIAL = np.concatenate([
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000123],
+             dtype=np.uint64).view(np.float64),
+    [np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1.5, -3.0],
+])
+_SPECIAL_SCALARS = (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 2.0)
+
+
+@st.composite
+def _fold_cases(draw):
+    """A one-nest kernel over a0: R, a1: R, a2: RW, a3: W of up to eight
+    statements whose expressions mix every op and many negations. Temps come
+    from a pool of three, so they are often set again; ``shared`` binds a2
+    one element ahead of a0 in one array."""
+    defined: list[str] = []
+
+    def leaf():
+        if defined and draw(st.booleans()):
+            return TempRef(draw(st.sampled_from(defined)))
+        return draw(st.sampled_from([Load("a0"), Load("a1"), Load("a2"), ScalarRef("s0"), ScalarRef("s1")]))
+
+    def expr(depth):
+        kind = draw(st.sampled_from(("leaf", "neg", "neg", "bin") if depth else ("leaf",)))
+        if kind == "neg":
+            return Un("neg", expr(depth - 1))
+        if kind == "bin":
+            op = draw(st.sampled_from(sorted(kernels._BIN_OPS)))
+            return Bin(op, expr(depth - 1), expr(depth - 1))
+        return leaf()
+
+    body = []
+    for _ in range(draw(st.integers(1, 8))):
+        # a temp set to a negated leaf is what a later negation looks through
+        kind = draw(st.sampled_from(("set", "set -leaf", "store")))
+        e = Un("neg", leaf()) if kind == "set -leaf" else expr(3)
+        if kind == "store":
+            body.append(StoreStmt(draw(st.sampled_from(("a2", "a3"))), e))
+        else:
+            name = draw(st.sampled_from(("t0", "t1")))
+            body.append(SetTemp(name, e))
+            defined += [name] if name not in defined else []
+    params = tuple(BufParam(n, pr) for n, pr in [("a0", R), ("a1", R), ("a2", RW), ("a3", W)])
+    k = Kernel(params, (ScalarParam("s0"), ScalarParam("s1")), (), (LoopNest("a3", tuple(body)),))
+    scalars = {s: draw(st.sampled_from(_SPECIAL_SCALARS)) for s in ("s0", "s1")}
+    return k, scalars, draw(st.booleans())
+
+
+class TestFoldNegations:
+    def test_cancelling_negations_through_temps_fold_to_an_alias(self):
+        k = _one_nest(
+            [("a0", R), ("a1", R), ("a2", W)],
+            [
+                SetTemp("v", Bin("+", Load("a0"), Load("a1"))),
+                SetTemp("t", Un("neg", TempRef("v"))),
+                SetTemp("u", Un("neg", TempRef("t"))),
+                StoreStmt("a2", Bin("*", ScalarRef("s"), TempRef("u"))),
+            ],
+        )
+        folded = _folds_to_same_bits(k, lambda: {"a0": _vec(0), "a1": _vec(1), "a2": np.zeros(6)}, {"s": 0.5})
+        assert folded.nests[0].body == (
+            SetTemp("v", Bin("+", Load("a0"), Load("a1"))),
+            SetTemp("u", TempRef("v")),
+            StoreStmt("a2", Bin("*", ScalarRef("s"), TempRef("u"))),
+        )
+
+    def test_temp_whose_operand_is_set_again_does_not_fold(self):
+        k = _one_nest(
+            [("a0", R), ("a1", R), ("a2", W)],
+            [
+                SetTemp("y", Bin("+", Load("a0"), Load("a1"))),
+                SetTemp("t", Un("neg", TempRef("y"))),
+                SetTemp("y", Bin("*", ScalarRef("s"), Load("a0"))),
+                StoreStmt("a2", Bin("+", Un("neg", TempRef("t")), TempRef("y"))),
+            ],
+        )
+        folded = _folds_to_same_bits(k, lambda: {"a0": _vec(0), "a1": _vec(1), "a2": np.zeros(6)}, {"s": 3.0})
+        assert folded.nests == k.nests
+
+    @pytest.mark.parametrize("stored", ["a1", "a3"])
+    def test_temp_negating_a_buffer_written_since_does_not_fold(self, stored):
+        """a3 is a1 shifted by one element in one array, so a store to either
+        changes what a1 loads."""
+        k = _one_nest(
+            [("a0", R), ("a1", RW), ("a2", W), ("a3", W)],
+            [
+                SetTemp("t", Un("neg", Load("a1"))),
+                StoreStmt(stored, Bin("*", ScalarRef("s"), Load("a0"))),
+                StoreStmt("a2", Un("neg", TempRef("t"))),
+            ],
+        )
+
+        def bind():
+            a1, a3 = _shifted()
+            return {"a0": _vec(0), "a1": a1, "a2": np.zeros(6), "a3": a3}
+
+        folded = _folds_to_same_bits(k, bind, {"s": 2.0})
+        assert folded.nests == k.nests
+
+    def test_inline_double_negation_into_a_buffer_sharing_memory(self):
+        k = _one_nest([("a0", R), ("a1", W)], [StoreStmt("a1", Un("neg", Un("neg", Load("a0"))))])
+
+        def bind():
+            a1, a0 = _shifted()
+            return {"a0": a0, "a1": a1}
+
+        folded = _folds_to_same_bits(k, bind, {})
+        assert folded.nests[0].body == (StoreStmt("a1", Load("a0")),)
+        bufs = bind()
+        interpret(folded, bufs, {})
+        assert bufs["a1"].tolist() == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("through_temps", [False, True])
+    def test_triple_negation_keeps_one(self, through_temps):
+        neg = lambda e: Un("neg", e)
+        if through_temps:
+            body = [
+                SetTemp("t", neg(Load("a0"))),
+                SetTemp("u", neg(TempRef("t"))),
+                StoreStmt("a1", neg(TempRef("u"))),
+            ]
+        else:
+            body = [StoreStmt("a1", neg(neg(neg(Load("a0")))))]
+        k = _one_nest([("a0", R), ("a1", W)], body)
+        folded = _folds_to_same_bits(k, lambda: {"a0": _SPECIAL.copy(), "a1": np.zeros(12)}, {})
+        assert (_negs(k), _negs(folded)) == (3, 1)
+
+    def test_negation_is_not_moved_through_a_product(self):
+        # s * (-x) and -(s * x) differ in the sign of the NaN when s is one
+        k = _one_nest(
+            [("a0", R), ("a1", W)],
+            [
+                SetTemp("t", Un("neg", Load("a0"))),
+                StoreStmt("a1", Un("neg", Bin("*", ScalarRef("s"), TempRef("t")))),
+            ],
+        )
+        folded = _folds_to_same_bits(k, lambda: {"a0": _SPECIAL.copy(), "a1": np.zeros(12)}, {"s": np.nan})
+        assert folded.nests == k.nests
+
+    @settings(max_examples=300)
+    @given(_fold_cases())
+    def test_folding_keeps_every_bit(self, case):
+        k, scalars, shared = case
+
+        def bind():
+            if shared:
+                base = np.concatenate([_SPECIAL, [7.0]])
+                a0, a2 = base[:-1], base[1:]
+            else:
+                a0, a2 = _SPECIAL.copy(), np.roll(_SPECIAL, 5)
+            return {"a0": a0, "a1": np.roll(_SPECIAL, 3), "a2": a2, "a3": np.roll(_SPECIAL, 7)}
+
+        _folds_to_same_bits(k, bind, scalars)

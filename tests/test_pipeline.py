@@ -87,6 +87,21 @@ class TestStencilPipeline:
         _, report = _run("stencil", SessionConfig(oracle_check=True), iters=2)
         assert report.fused_prefixes == [5, 1] * 2
 
+    def test_oracle_cross_check_rejects_a_prefix_past_a_dependence(self, monkeypatch):
+        """The analysis admits one task past where it stopped: the stencil's
+        trailing copy, which the AntiDep on the grid keeps apart."""
+        analyse = pipeline.longest_fusible_prefix
+
+        def one_too_many(tasks, registry, stats=None):
+            f, verdicts = analyse(tasks, registry, stats)
+            return (f + 1 if verdicts else f), verdicts
+
+        monkeypatch.setattr(pipeline, "longest_fusible_prefix", one_too_many)
+        with pytest.raises(
+            pipeline.SoundnessError, match="oracle rejected engine-accepted prefix of 6 tasks starting with ADD"
+        ):
+            _run("stencil", SessionConfig(oracle_check=True), iters=1)
+
     def test_isolated_mode_matches_sequential(self):
         fused, _ = _run("stencil", SessionConfig(isolated=True), iters=3)
         plain, _ = _run("stencil", SessionConfig(fusion=False), iters=3)
