@@ -463,7 +463,7 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
 
 
 def fold_negations(kernel: Kernel) -> Kernel:
-    """Fold double negations, then drop the temps nothing reads, per nest.
+    """Fold double negations, then drop the temps nothing reads any more.
 
     ``-(-y)`` becomes ``y``, which is exact for every float64: NaN payloads
     and signs, -0.0, infinities and subnormals. The inner negation may be
@@ -473,19 +473,22 @@ def fold_negations(kernel: Kernel) -> Kernel:
     the case only if no temp ``y`` names was set again since and, if ``y``
     loads, no buffer was written since: two buffer names may share memory.
     Nothing else is rewritten: ``s * (-x)`` is not ``-(s * x)`` when ``s`` is
-    a NaN, and scalars are runtime parameters, not constants.
+    a NaN, and scalars are runtime parameters, not constants. A nest where
+    nothing folds is kept as it is, and so is a kernel.
     """
-    return replace(kernel, nests=tuple(LoopNest(n.domain, _fold_nest(n.body)) for n in kernel.nests))
+    nests = tuple(_fold_nest(n) for n in kernel.nests)
+    return kernel if nests == kernel.nests else replace(kernel, nests=nests)
 
 
-def _fold_nest(body: Sequence[Stmt]) -> tuple[Stmt, ...]:
+def _fold_nest(nest: LoopNest) -> LoopNest:
     set_at: dict[str, int] = {}  # temp -> the index of its latest SetTemp
     negated: dict[str, tuple[Expr, int]] = {}  # temp now -y for a leaf y -> (y, that index)
     written = -1  # the index of the latest store or reduction
 
     def fold(e: Expr) -> Expr:
         if isinstance(e, Bin):
-            return Bin(e.op, fold(e.lhs), fold(e.rhs))
+            lhs, rhs = fold(e.lhs), fold(e.rhs)
+            return e if lhs is e.lhs and rhs is e.rhs else Bin(e.op, lhs, rhs)
         if not isinstance(e, Un):
             return e
         x = fold(e.x)
@@ -499,12 +502,12 @@ def _fold_nest(body: Sequence[Stmt]) -> tuple[Stmt, ...]:
                 unchanged = isinstance(y, ScalarRef) or written < at
             if unchanged:
                 return y
-        return Un(e.op, x)
+        return e if x is e.x else Un(e.op, x)
 
     folded: list[Stmt] = []
-    for i, s in enumerate(body):
+    for i, s in enumerate(nest.body):
         e = fold(s.expr)
-        folded.append(replace(s, expr=e))
+        folded.append(s if e is s.expr else replace(s, expr=e))
         if isinstance(s, SetTemp):
             set_at[s.name] = i
             negated.pop(s.name, None)
@@ -512,6 +515,8 @@ def _fold_nest(body: Sequence[Stmt]) -> tuple[Stmt, ...]:
                 negated[s.name] = (e.x, i)
         else:
             written = i
+    if folded == list(nest.body):
+        return nest
 
     read: set[str] = set()  # temps read later, walking backwards
     kept: list[Stmt] = []
@@ -522,7 +527,7 @@ def _fold_nest(body: Sequence[Stmt]) -> tuple[Stmt, ...]:
             read.discard(s.name)
         read.update(x.name for x in _leaves(s.expr) if isinstance(x, TempRef))
         kept.append(s)
-    return tuple(reversed(kept))
+    return LoopNest(nest.domain, tuple(reversed(kept)))
 
 
 def optimize(kernel: Kernel) -> Kernel:
