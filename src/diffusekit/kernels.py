@@ -515,6 +515,7 @@ def _fold_nest(nest: LoopNest) -> LoopNest:
                 negated[s.name] = (e.x, i)
         else:
             written = i
+    del fold  # it names itself; its state is freed now, not by the cycle collector
     if folded == list(nest.body):
         return nest
 
