@@ -3,6 +3,7 @@ folding, interpret."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 
@@ -45,6 +46,7 @@ from diffusekit.kernels import (
 )
 from diffusekit.pipeline import Session, SessionConfig, run_events
 from diffusekit.trace import gen_benchmark, gen_blackscholes_chain, gen_stencil
+import stream_fuzz
 from helpers import R, RD, RW, W, store_table, task, tasks_of, tiling
 
 REG = default_registry()
@@ -439,6 +441,24 @@ class TestFusedKernelText:
                 if "_v_" in text:
                     break
         assert first == _FUSED_GOLDEN[name]
+
+    def test_fuzz_corpus_kernels_match_pinned_hash(self):
+        """One sha256 over the kernel_text of every carve the fuzz corpus
+        memoizes, at windows 2 and 10. Like the digest golden, re-record it
+        only for a change meant to alter kernels."""
+        h = hashlib.sha256()
+        n = 0
+        for window in (2, 10):
+            config = SessionConfig(window=window, execute=False)
+            for stream in stream_fuzz.corpus(1000):
+                session = stream_fuzz.run_stream(stream, config)
+                for carves, _ in session.memo._entries.values():
+                    for carve in carves:
+                        if carve.kernel is not None:
+                            h.update(kernel_text(carve.kernel).encode() + b"\n")
+                            n += 1
+        assert n == 15242
+        assert h.hexdigest() == "7cbe3ef1a17c607c9d87928c3133d8d59ea7cb32a4d7ed7c4170c4fe451d9d9b"
 
     def test_fill_then_sum_keeps_its_local_buffer(self, monkeypatch):
         texts = self._launched(monkeypatch)
