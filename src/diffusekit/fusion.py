@@ -72,7 +72,6 @@ class PrefixTracker:
         self.written: dict[int, dict[Partition, tuple[int, int]]] = {}
         self.read: dict[int, dict[Partition, tuple[int, int]]] = {}
         self.reduced: set[int] = set()
-        self.read_or_written: set[int] = set()
 
     def admit(self, task: IndexTask, index: int, stats: AnalysisStats) -> ConstraintVerdict | None:
         """Check all constraints for appending ``task``; apply effects on success."""
@@ -101,7 +100,7 @@ class PrefixTracker:
                         return ConstraintVerdict(
                             FusionConstraint.ANTI_DEP, index, argument=k, earlier=at
                         )
-            if arg.privilege.is_reduce and s in self.read_or_written:
+            if arg.privilege.is_reduce and (s in self.written or s in self.read):
                 return ConstraintVerdict(FusionConstraint.REDUCTION, index, argument=k)
 
         for k, arg in enumerate(task.args):
@@ -110,8 +109,6 @@ class PrefixTracker:
                 self.written.setdefault(s, {}).setdefault(arg.partition, (index, k))
             if arg.privilege.is_read:
                 self.read.setdefault(s, {}).setdefault(arg.partition, (index, k))
-            if arg.privilege.is_read or arg.privilege.is_write:
-                self.read_or_written.add(s)
             if arg.privilege.is_reduce:
                 self.reduced.add(s)
 
