@@ -18,7 +18,6 @@ from .ir import (
     ProjectionFn,
     Store,
     StoreArg,
-    SubStore,
     Tiling,
     covers,
     sub_store_bounds,
@@ -59,7 +58,6 @@ __all__ = [
     "SessionConfig",
     "Store",
     "StoreArg",
-    "SubStore",
     "Tiling",
     "build_fused_task",
     "canonicalize",

@@ -135,7 +135,7 @@ def _scalar_env(kernel: Kernel, task: IndexTask) -> dict[str, float]:
             f"task {task.kind} carries {len(task.scalars)} scalars, "
             f"kernel expects {len(kernel.scalar_params)}"
         )
-    return {sp.name: value for sp, (_, value) in zip(kernel.scalar_params, task.scalars)}
+    return {name: value for name, (_, value) in zip(kernel.scalar_params, task.scalars)}
 
 
 def _bindings(
@@ -161,7 +161,7 @@ def _bindings(
 def _point_regions(task: IndexTask, p: Point, stores: StoreTable) -> list[Region]:
     regions = []
     for a in task.args:
-        rect = sub_store_bounds(stores[a.store], a.partition, p).bounds
+        rect = sub_store_bounds(stores[a.store], a.partition, p)
         regions.append((rect.slices(), rect.extents))
     return regions
 
@@ -376,7 +376,7 @@ def execute_isolated(
             if claim is None:
                 claim = np.full(stores[a.store].shape.extents, -1, dtype=np.int64)
                 claims[a.store] = claim
-            region = _region(claim, subs[p][j].bounds)
+            region = _region(claim, subs[p][j])
             if ((region != -1) & (region != ordinal)).any():
                 raise ArenaViolationError(
                     f"write overlap on store {a.store} at point {p} of {task.kind}"
@@ -389,7 +389,7 @@ def execute_isolated(
             claim = claims.get(a.store)
             if claim is None:
                 continue
-            region = _region(claim, subs[p][j].bounds)
+            region = _region(claim, subs[p][j])
             if ((region != -1) & (region != ordinal)).any():
                 raise ArenaViolationError(
                     f"point {p} of {task.kind} reads store {a.store} cells "
@@ -406,14 +406,14 @@ def execute_isolated(
         for j, a in enumerate(task.args):
             sub = subs[p][j]
             if j in temp_positions:
-                local_shapes[arg_name(j, local=True)] = sub.bounds.extents
+                local_shapes[arg_name(j, local=True)] = sub.extents
                 continue
             if a.privilege.is_reduce:
-                arena = np.zeros(sub.bounds.extents, dtype=np.float64)
+                arena = np.zeros(sub.extents, dtype=np.float64)
             else:
-                arena = np.array(_region(base[a.store], sub.bounds))
+                arena = np.array(_region(base[a.store], sub))
             bufs[arg_name(j)] = arena
-            arenas.append((j, arena, sub.bounds))
+            arenas.append((j, arena, sub))
         interpret(kernel, bufs, scalars, local_shapes)
         for j, arena, rect in arenas:
             a = task.args[j]

@@ -259,21 +259,13 @@ class Rect:
         return cls((0,) * shape.rank, shape.extents)
 
 
-@dataclass(frozen=True)
-class SubStore:
-    """Rectangular subset of a parent store assigned to one launch point."""
-
-    parent: int
-    bounds: Rect
-
-
-def sub_store_bounds(store: Store, part: Partition, p: Point) -> SubStore:
+def sub_store_bounds(store: Store, part: Partition, p: Point) -> Rect:
     """Bounding box within ``store`` that ``part`` maps the launch point ``p`` to.
 
     Tiles are clamped to the store's bounds; empty sub-stores are legal.
     """
     if isinstance(part, NonePart):
-        return SubStore(store.id, Rect.full(store.shape))
+        return Rect.full(store.shape)
     if part.proj.out_rank != store.rank:
         raise MalformedPartitionError(
             f"partition maps into rank {part.proj.out_rank}, store {store.id} has rank {store.rank}"
@@ -285,7 +277,7 @@ def sub_store_bounds(store: Store, part: Partition, p: Point) -> SubStore:
     shape = store.shape.extents
     lo = tuple(min(max(l, 0), s) for l, s in zip(lo, shape))
     hi = tuple(min(max(h, 0), s) for h, s in zip(hi, shape))
-    return SubStore(store.id, Rect(lo, hi))
+    return Rect(lo, hi)
 
 
 def covers(store: Store, part: Partition, launch: Domain) -> bool:

@@ -2,9 +2,11 @@
 
 Each task kind has a generator producing a small loop-nest program over its
 point-local sub-store buffers. Fused task bodies are program-order
-compositions of generated kernels; temporaries become local buffers, adjacent
-nests over the same extents are merged, locals used in one nest collapse
-to per-iteration values, and negations that cancel are folded away.
+compositions of generated kernels: temporaries become local buffers and
+adjacent nests over the same extents are merged as they are composed. Then
+locals used in one nest collapse to per-iteration values, and negations that
+cancel are folded away. Every rewrite of an expression is a callback on one
+node of a single bottom-up traversal, ``_rewrite``.
 
 Every access is at the loop index: a load reads its buffer at the nest's
 indices, or whole when the buffer is a replicated rank-0 operand, and a store
@@ -18,7 +20,7 @@ the IR holds no ranks and no index lists.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from math import prod
@@ -51,11 +53,6 @@ class BufParam:
 
 
 @dataclass(frozen=True)
-class ScalarParam:
-    name: str
-
-
-@dataclass(frozen=True)
 class Load:
     buf: str
 
@@ -78,12 +75,11 @@ class Bin:
 
 
 @dataclass(frozen=True)
-class Un:
-    op: str  # neg
+class Neg:
     x: "Expr"
 
 
-Expr = Load | ScalarRef | TempRef | Bin | Un
+Expr = Load | ScalarRef | TempRef | Bin | Neg
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,7 @@ class Kernel:
     shared by every launch that replays it, so caches can key on it."""
 
     buf_params: tuple[BufParam, ...]
-    scalar_params: tuple[ScalarParam, ...]
+    scalar_params: tuple[str, ...]
     locals: tuple[str, ...]  # task-local buffers, shaped at interpretation
     nests: tuple[LoopNest, ...]
     # buffer name -> hashable iteration-domain class; nests merge only within a class
@@ -155,7 +151,7 @@ def _leaves(e: Expr) -> Iterable[Expr]:
     if isinstance(e, Bin):
         yield from _leaves(e.lhs)
         yield from _leaves(e.rhs)
-    elif isinstance(e, Un):
+    elif isinstance(e, Neg):
         yield from _leaves(e.x)
     else:
         yield e
@@ -165,24 +161,18 @@ def _expr_loads(e: Expr) -> Iterable[Load]:
     return (leaf for leaf in _leaves(e) if isinstance(leaf, Load))
 
 
-def _rename_expr(e: Expr, bufs: Mapping[str, str], scalars: Mapping[str, str]) -> Expr:
-    if isinstance(e, Load):
-        return Load(bufs.get(e.buf, e.buf))
-    if isinstance(e, ScalarRef):
-        return ScalarRef(scalars.get(e.name, e.name))
+def _rewrite(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild ``e`` bottom-up, applying ``f`` to each node once its operands
+    are rewritten. A node whose operands did not change is kept as it is."""
     if isinstance(e, Bin):
-        return Bin(e.op, _rename_expr(e.lhs, bufs, scalars), _rename_expr(e.rhs, bufs, scalars))
-    if isinstance(e, Un):
-        return Un(e.op, _rename_expr(e.x, bufs, scalars))
-    return e
-
-
-def _rename_stmt(s: Stmt, bufs: Mapping[str, str], scalars: Mapping[str, str]) -> Stmt:
-    if isinstance(s, SetTemp):
-        return SetTemp(s.name, _rename_expr(s.expr, bufs, scalars))
-    if isinstance(s, StoreStmt):
-        return StoreStmt(bufs.get(s.buf, s.buf), _rename_expr(s.expr, bufs, scalars))
-    return ReduceStmt(bufs.get(s.buf, s.buf), _rename_expr(s.expr, bufs, scalars))
+        lhs, rhs = _rewrite(e.lhs, f), _rewrite(e.rhs, f)
+        if lhs is not e.lhs or rhs is not e.rhs:
+            e = Bin(e.op, lhs, rhs)
+    elif isinstance(e, Neg):
+        x = _rewrite(e.x, f)
+        if x is not e.x:
+            e = Neg(x)
+    return f(e)
 
 
 # --- generators -------------------------------------------------------------
@@ -242,7 +232,7 @@ def _template(
         stmt = (ReduceStmt if reduce else StoreStmt)(arg_name(out), expr)
         return Kernel(
             tuple(BufParam(arg_name(i), a.privilege) for i, a in enumerate(task.args)),
-            tuple(ScalarParam(f"s{k}") for k in range(len(task.scalars))),
+            tuple(f"s{k}" for k in range(len(task.scalars))),
             (),
             (LoopNest(arg_name(0 if reduce else out), (stmt,)),),
         )
@@ -275,7 +265,7 @@ _GENERATORS: dict[str, Generator] = {
     "MULT": _by_nargs(_template(2, 1, lambda ld: Bin("*", _S0, ld(0)), 1), _binary("*")),
     "POW": _by_nargs(_template(2, 1, lambda ld: Bin("**", ld(0), _S0), 1), _binary("**")),
     "COPY": _template(2, 1, lambda ld: ld(0)),
-    "NEG": _template(2, 1, lambda ld: Un("neg", ld(0))),
+    "NEG": _template(2, 1, lambda ld: Neg(ld(0))),
     "FILL": _template(1, 0, lambda ld: _S0, 1),
     # y = y + s * x with args (x: R, y: RW)
     "AXPY": _template(2, 1, lambda ld: Bin("+", ld(1), Bin("*", _S0, ld(0))), 1),
@@ -303,22 +293,44 @@ def compose(
     temp_arg_indices: frozenset[int],
     shape_classes: Mapping[int, object],
 ) -> Kernel:
-    """Concatenate kernel bodies with parameters unified per fused argument.
+    """Concatenate generated kernel bodies, which hold only stores and
+    reductions, with parameters unified per fused argument.
 
     Fused argument j becomes buffer ``arg_name(j)``, ``a{j}`` as in a
     generated kernel, with the privilege of ``args[j]``, or local ``l{j}``
     when j is a demoted temporary. Scalars of kernel i become ``s{i}_{k}``.
+
+    Each nest is merged into the one before it when their domains share a
+    shape class. Every access is at the loop index, so any dependence between
+    two such nests stays within one iteration and running the bodies in one
+    nest, in order, keeps it. Within one fused kernel the class also fixes the
+    nest's rank: a replication's nest runs at the launch rank, a tiling's at
+    the rank of its tile.
     """
     buf_name = [arg_name(j, j in temp_arg_indices) for j in range(len(args))]
-    nests: list[LoopNest] = []
-    scalar_params: list[ScalarParam] = []
+    shape_class = {buf_name[j]: shape_classes[j] for j in range(len(args)) if j in shape_classes}
+    groups: list[tuple[str, list[Stmt]]] = []  # (domain, body) of each merged nest
+    scalar_params: list[str] = []
+
+    def rename(e: Expr) -> Expr:
+        if isinstance(e, Load):
+            return Load(bmap.get(e.buf, e.buf))
+        if isinstance(e, ScalarRef):
+            return ScalarRef(smap.get(e.name, e.name))
+        return e
+
+    def domain_key(domain: str) -> object:
+        return shape_class.get(domain, ("buf", domain))
+
     for i, (kernel, amap) in enumerate(zip(kernels, arg_maps)):
         bmap = {p.name: buf_name[j] for p, j in zip(kernel.buf_params, amap)}
-        smap = {sp.name: f"s{i}_{k}" for k, sp in enumerate(kernel.scalar_params)}
-        scalar_params.extend(ScalarParam(v) for v in smap.values())
+        smap = {name: f"s{i}_{k}" for k, name in enumerate(kernel.scalar_params)}
+        scalar_params.extend(smap.values())
         for nest in kernel.nests:
-            nests.append(LoopNest(bmap[nest.domain], tuple(_rename_stmt(s, bmap, smap) for s in nest.body)))
-    shape_class = {buf_name[j]: shape_classes[j] for j in range(len(args)) if j in shape_classes}
+            domain = bmap[nest.domain]
+            if not groups or domain_key(groups[-1][0]) != domain_key(domain):
+                groups.append((domain, []))
+            groups[-1][1].extend(type(s)(bmap.get(s.buf, s.buf), _rewrite(s.expr, rename)) for s in nest.body)
     return Kernel(
         tuple(
             BufParam(buf_name[j], a.privilege)
@@ -327,35 +339,9 @@ def compose(
         ),
         tuple(scalar_params),
         tuple(name for j, name in enumerate(buf_name) if j in temp_arg_indices),
-        tuple(nests),
+        tuple(LoopNest(domain, tuple(body)) for domain, body in groups),
         shape_class,
     )
-
-
-def fuse_loops(kernel: Kernel) -> Kernel:
-    """Merge adjacent nests of the same iteration-domain class.
-
-    Every access is at the loop index, so any dependence between two such
-    nests stays within one iteration and running the bodies in one nest, in
-    order, keeps it. Within one fused kernel the class also fixes the nest's
-    rank: a replication's nest runs at the launch rank, a tiling's at the
-    rank of its tile.
-    """
-    if not kernel.nests:
-        return kernel
-    cls = dict(kernel.shape_class)
-
-    def domain_key(nest: LoopNest) -> object:
-        return cls.get(nest.domain, ("buf", nest.domain))
-
-    merged = [kernel.nests[0]]
-    for nest in kernel.nests[1:]:
-        prev = merged[-1]
-        if domain_key(nest) == domain_key(prev):
-            merged[-1] = LoopNest(prev.domain, prev.body + nest.body)
-        else:
-            merged.append(nest)
-    return replace(kernel, nests=tuple(merged))
 
 
 def _domain_replacement(
@@ -375,91 +361,62 @@ def scalarize_locals(kernel: Kernel) -> Kernel:
     """Replace locals used in a single nest with per-iteration scalars.
 
     Locals written but never read are dead and dropped along with their stores.
-    The kernel holds no temps yet: this pass makes them.
+    The kernel is as ``compose`` made it: its nests hold only stores and
+    reductions, and this pass makes the temps.
     """
-    usage: dict[str, list[tuple[int, bool]]] = {}
+    nests_of: dict[str, set[int]] = {}  # buffer -> the nests that load or write it
+    read: set[str] = set()  # the buffers some nest loads
     reduced_into: set[str] = set()
     for ni, nest in enumerate(kernel.nests):
         for s in nest.body:
             for ld in _expr_loads(s.expr):
-                usage.setdefault(ld.buf, []).append((ni, False))
-            if isinstance(s, (StoreStmt, ReduceStmt)):
-                usage.setdefault(s.buf, []).append((ni, True))
-                if isinstance(s, ReduceStmt):
-                    reduced_into.add(s.buf)
+                read.add(ld.buf)
+                nests_of.setdefault(ld.buf, set()).add(ni)
+            nests_of.setdefault(s.buf, set()).add(ni)
+            if isinstance(s, ReduceStmt):
+                reduced_into.add(s.buf)
 
-    dead: set[str] = set()
-    scalarized: set[str] = set()
-    for name in kernel.locals:
-        uses = usage.get(name, [])
-        if all(is_w for _, is_w in uses):
-            dead.add(name)
-            continue
-        if name in reduced_into:
-            continue  # accumulation targets stay buffers
-        if len({ni for ni, _ in uses}) == 1:
-            scalarized.add(name)
+    dead = {name for name in kernel.locals if name not in read}
+    # accumulation targets stay buffers
+    scalarized = {name for name in kernel.locals if len(nests_of.get(name, ())) == 1} - dead - reduced_into
 
     # A removed local may be some nest's iteration domain; each such nest needs
     # another buffer with the same extents to iterate over, otherwise the local
     # has to stay.
     while True:
         gone = dead | scalarized
-        problem = None
         for nest in kernel.nests:
-            if nest.domain not in gone:
-                continue
-            survives = any(
-                isinstance(s, (StoreStmt, ReduceStmt)) and s.buf not in gone
-                for s in nest.body
-            )
-            if survives and _domain_replacement(nest, gone, kernel.shape_class) is None:
-                problem = nest.domain
-                break
-        if problem is None:
+            if nest.domain in gone and any(s.buf not in gone for s in nest.body):
+                if _domain_replacement(nest, gone, kernel.shape_class) is None:
+                    dead.discard(nest.domain)
+                    scalarized.discard(nest.domain)
+                    break
+        else:
             break
-        dead.discard(problem)
-        scalarized.discard(problem)
 
-    def temp_of(name: str) -> str:
-        return f"_v_{name}"
+    def scalarize(e: Expr) -> Expr:
+        return TempRef(f"_v_{e.buf}") if isinstance(e, Load) and e.buf in scalarized else e
 
-    def rewrite_expr(e: Expr) -> Expr:
-        if isinstance(e, Load) and e.buf in scalarized:
-            return TempRef(temp_of(e.buf))
-        if isinstance(e, Bin):
-            return Bin(e.op, rewrite_expr(e.lhs), rewrite_expr(e.rhs))
-        if isinstance(e, Un):
-            return Un(e.op, rewrite_expr(e.x))
-        return e
-
-    gone = dead | scalarized
-    new_nests = []
+    nests = []
     for nest in kernel.nests:
         body: list[Stmt] = []
         for s in nest.body:
-            if isinstance(s, StoreStmt) and s.buf in dead:
+            if s.buf in dead:
                 continue
-            if isinstance(s, ReduceStmt) and s.buf in dead:
-                continue
-            if isinstance(s, StoreStmt) and s.buf in scalarized:
-                body.append(SetTemp(temp_of(s.buf), rewrite_expr(s.expr)))
-            elif isinstance(s, StoreStmt):
-                body.append(StoreStmt(s.buf, rewrite_expr(s.expr)))
+            e = _rewrite(s.expr, scalarize)
+            if s.buf in scalarized:
+                body.append(SetTemp(f"_v_{s.buf}", e))
             else:
-                body.append(ReduceStmt(s.buf, rewrite_expr(s.expr)))
-        if not any(isinstance(s, (StoreStmt, ReduceStmt)) for s in body):
+                body.append(s if e is s.expr else type(s)(s.buf, e))
+        if all(isinstance(s, SetTemp) for s in body):
             continue  # no observable effects left
         domain = nest.domain
         if domain in gone:
             domain = _domain_replacement(nest, gone, kernel.shape_class)
             assert domain is not None  # guaranteed by the back-off loop above
-        new_nests.append(LoopNest(domain, tuple(body)))
-    return replace(
-        kernel,
-        locals=tuple(l for l in kernel.locals if l not in gone),
-        nests=tuple(new_nests),
-    )
+        nests.append(LoopNest(domain, tuple(body)))
+    locals_ = tuple(name for name in kernel.locals if name not in gone)
+    return Kernel(kernel.buf_params, kernel.scalar_params, locals_, tuple(nests), kernel.shape_class)
 
 
 def fold_negations(kernel: Kernel) -> Kernel:
@@ -477,7 +434,9 @@ def fold_negations(kernel: Kernel) -> Kernel:
     nothing folds is kept as it is, and so is a kernel.
     """
     nests = tuple(_fold_nest(n) for n in kernel.nests)
-    return kernel if nests == kernel.nests else replace(kernel, nests=nests)
+    if nests == kernel.nests:
+        return kernel
+    return Kernel(kernel.buf_params, kernel.scalar_params, kernel.locals, nests, kernel.shape_class)
 
 
 def _fold_nest(nest: LoopNest) -> LoopNest:
@@ -486,36 +445,32 @@ def _fold_nest(nest: LoopNest) -> LoopNest:
     written = -1  # the index of the latest store or reduction
 
     def fold(e: Expr) -> Expr:
-        if isinstance(e, Bin):
-            lhs, rhs = fold(e.lhs), fold(e.rhs)
-            return e if lhs is e.lhs and rhs is e.rhs else Bin(e.op, lhs, rhs)
-        if not isinstance(e, Un):
+        if not isinstance(e, Neg):
             return e
-        x = fold(e.x)
-        if isinstance(x, Un):
-            return x.x
-        if isinstance(x, TempRef) and x.name in negated:
-            y, at = negated[x.name]
+        if isinstance(e.x, Neg):
+            return e.x.x
+        if isinstance(e.x, TempRef) and e.x.name in negated:
+            y, at = negated[e.x.name]
             if isinstance(y, TempRef):
                 unchanged = set_at.get(y.name, -1) < at
             else:
                 unchanged = isinstance(y, ScalarRef) or written < at
             if unchanged:
                 return y
-        return e if x is e.x else Un(e.op, x)
+        return e
 
     folded: list[Stmt] = []
     for i, s in enumerate(nest.body):
-        e = fold(s.expr)
-        folded.append(s if e is s.expr else replace(s, expr=e))
+        e = _rewrite(s.expr, fold)
         if isinstance(s, SetTemp):
+            folded.append(s if e is s.expr else SetTemp(s.name, e))
             set_at[s.name] = i
             negated.pop(s.name, None)
-            if isinstance(e, Un) and not isinstance(e.x, (Bin, Un)):
+            if isinstance(e, Neg) and not isinstance(e.x, (Bin, Neg)):
                 negated[s.name] = (e.x, i)
         else:
+            folded.append(s if e is s.expr else type(s)(s.buf, e))
             written = i
-    del fold  # it names itself; its state is freed now, not by the cycle collector
     if folded == list(nest.body):
         return nest
 
@@ -532,7 +487,7 @@ def _fold_nest(nest: LoopNest) -> LoopNest:
 
 
 def optimize(kernel: Kernel) -> Kernel:
-    return fold_negations(scalarize_locals(fuse_loops(kernel)))
+    return fold_negations(scalarize_locals(kernel))
 
 
 # --- instrumentation --------------------------------------------------------
@@ -546,9 +501,7 @@ def count_memory_traffic(kernel: Kernel, shapes: Mapping[str, tuple[int, ...]]) 
     loads = 0
     stores = 0
     for nest in kernel.nests:
-        vol = 1
-        for e in shapes[nest.domain]:
-            vol *= e
+        vol = prod(shapes[nest.domain])
         for s in nest.body:
             loads += sum(1 for _ in _expr_loads(s.expr)) * vol
             if isinstance(s, (StoreStmt, ReduceStmt)):
@@ -668,7 +621,7 @@ def _compile_nest(nest: LoopNest, priv: Mapping[str, Privilege]) -> _NestPlan:
     """Compile a nest into ops in evaluation order.
 
     An op ``(fn, sources, dst, into)`` runs ``regs[dst] = fn(*sources,
-    out=...)``. Each Bin/Un is one op. A store's root op writes into its
+    out=...)``. Each Bin or Neg is one op. A store's root op writes into its
     target (``into``); any other op into a slot whose value had its last read
     at this op or earlier, else a new one, with the slot's array as out if it
     has the result's shape. A temp set to a load, scalar or temp names that
@@ -747,7 +700,7 @@ def _compile_nest(nest: LoopNest, priv: Mapping[str, Privilege]) -> _NestPlan:
             return temps[e.name]
         if isinstance(e, Bin):
             return emit(_BIN_OPS[e.op], (value(e.lhs), value(e.rhs)), dst, nreads, into)
-        if isinstance(e, Un):
+        if isinstance(e, Neg):
             return emit(np.negative, (value(e.x),), dst, nreads, into)
         raise KernelError(f"unknown expression {e!r}")
 
@@ -761,13 +714,13 @@ def _compile_nest(nest: LoopNest, priv: Mapping[str, Privilege]) -> _NestPlan:
             target = operand(Load, s.buf)
             if reduce:
                 emit(_reduce, (value(s.expr), operand(Load, nest.domain)), target, 0, True)
-            elif isinstance(s.expr, (Bin, Un)):
+            elif isinstance(s.expr, (Bin, Neg)):
                 value(s.expr, target, into=True)
             else:
                 emit(_assign, (value(s.expr),), target, 0, True)
             if slabs.get(s.buf) in free:
                 free.remove(slabs[s.buf])  # it may hold the store's slab
-        elif isinstance(s.expr, (Bin, Un)):
+        elif isinstance(s.expr, (Bin, Neg)):
             temps[s.name] = value(s.expr, slabs.get(chain.get(i, "")), reads[i])
         elif isinstance(s.expr, Load) and (
             written := dict.fromkeys(t.buf for t in body[i + 1 :] if not isinstance(t, SetTemp))
@@ -801,8 +754,10 @@ def interpret(
 ) -> None:
     """Execute the kernel in place on the given buffers.
 
-    ``bufs`` must bind every buffer param and ``local_shapes`` give the shape
-    of every local. The kernel's nests are compiled on its first call.
+    ``bufs`` must bind every buffer param, ``scalars`` every scalar a nest
+    reads, and ``local_shapes`` give the shape of every local. The kernel's
+    nests are compiled on its first call. A missing binding raises before any
+    nest runs.
     """
     scalars = scalars or {}
     local_shapes = local_shapes or {}
@@ -814,6 +769,10 @@ def interpret(
         if loc not in local_shapes:
             raise KernelError(f"no shape given for local buffer {loc}")
         env[loc] = np.zeros(local_shapes[loc], dtype=np.float64)
+    for plan in kernel.plans:
+        for _, name, is_scalar in plan.inputs:
+            if is_scalar and name not in scalars:
+                raise KernelError(f"missing scalar binding for {name}")
 
     with np.errstate(all="ignore"):
         for plan in kernel.plans:
@@ -834,7 +793,7 @@ def _expr_text(e: Expr) -> str:
         if e.op in ("min", "max"):
             return f"{e.op}({_expr_text(e.lhs)}, {_expr_text(e.rhs)})"
         return f"({_expr_text(e.lhs)} {e.op} {_expr_text(e.rhs)})"
-    if isinstance(e, Un):
+    if isinstance(e, Neg):
         return f"(-{_expr_text(e.x)})"
     return repr(e)
 
@@ -843,7 +802,7 @@ def kernel_text(kernel: Kernel) -> str:
     """Stable textual dump used by golden tests."""
     lines = []
     params = ", ".join(f"{p.name}: {p.privilege.value}" for p in kernel.buf_params)
-    scalars = ", ".join(s.name for s in kernel.scalar_params)
+    scalars = ", ".join(kernel.scalar_params)
     lines.append(f"kernel({params})" + (f" scalars({scalars})" if scalars else ""))
     for l in kernel.locals:
         lines.append(f"  local {l}")

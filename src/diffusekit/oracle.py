@@ -15,8 +15,8 @@ from .ir import (
     IndexTask,
     Point,
     Privilege,
+    Rect,
     StoreTable,
-    SubStore,
     sub_store_bounds,
 )
 
@@ -33,12 +33,12 @@ class PointTaskView:
 
     parent_index: int
     point: Point
-    accesses: tuple[tuple[SubStore, Privilege], ...]
+    accesses: tuple[tuple[int, Rect, Privilege], ...]  # (store id, bounds, privilege)
 
 
 def point_task(task: IndexTask, p: Point, stores: StoreTable, parent_index: int = 0) -> PointTaskView:
     accesses = tuple(
-        (sub_store_bounds(stores[a.store], a.partition, p), a.privilege) for a in task.args
+        (a.store, sub_store_bounds(stores[a.store], a.partition, p), a.privilege) for a in task.args
     )
     return PointTaskView(parent_index, p, accesses)
 
@@ -49,9 +49,9 @@ def dep(t1: PointTaskView, t2: PointTaskView) -> bool:
     True on any overlapping same-parent access pair forming a true, anti or
     reduction dependence; two reductions never conflict.
     """
-    for s1, pr1 in t1.accesses:
-        for s2, pr2 in t2.accesses:
-            if s1.parent != s2.parent or not s1.bounds.overlaps(s2.bounds):
+    for s1, r1, pr1 in t1.accesses:
+        for s2, r2, pr2 in t2.accesses:
+            if s1 != s2 or not r1.overlaps(r2):
                 continue
             if pr1.is_write and (pr2.is_read or pr2.is_write or pr2.is_reduce):
                 return True

@@ -448,7 +448,7 @@ class Session:
             facts = ArgFacts(
                 covers(store, part, launch),
                 extent_class(store, part, launch),
-                sub_store_bounds(store, part, p0).bounds.extents,
+                sub_store_bounds(store, part, p0).extents,
             )
             self._arg_facts[key] = facts
         return facts

@@ -22,7 +22,6 @@ from diffusekit.kernels import (
     BufParam,
     Kernel,
     LoopNest,
-    ScalarParam,
     ScalarRef,
     StoreStmt,
     compose,
@@ -501,7 +500,7 @@ class TestFirstTouch:
         stores = store_table((8,))
         kernel = Kernel(
             (BufParam("a0", W), BufParam("a1", W)),
-            (ScalarParam("s"),),
+            ("s",),
             (),
             (LoopNest("a0", (StoreStmt("a0", ScalarRef("s")),)),
              LoopNest("a1", (StoreStmt("a1", ScalarRef("s")),))),

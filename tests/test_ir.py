@@ -116,23 +116,23 @@ class TestSubStoreBounds:
     def test_identity_tiling_quadrant(self):
         store = Store(0, Domain((4, 4)))
         sub = sub_store_bounds(store, tiling((2, 2)), (1, 0))
-        assert sub.bounds == Rect((2, 0), (4, 2))
+        assert sub == Rect((2, 0), (4, 2))
 
     def test_replication_maps_to_full_store(self):
         store = Store(0, Domain((4, 4)))
         sub = sub_store_bounds(store, NonePart(), (3, 3))
-        assert sub.bounds == Rect((0, 0), (4, 4))
+        assert sub == Rect((0, 0), (4, 4))
 
     def test_dimension_dropping_projection(self):
         store = Store(0, Domain((4,)))
         part = Tiling((1,), (0,), ProjectionFn(((1, 0),), (0,)))
         sub = sub_store_bounds(store, part, (2, 1))
-        assert sub.bounds == Rect((2,), (3,))
+        assert sub == Rect((2,), (3,))
 
     def test_offset_tile_clamps_to_empty(self):
         store = Store(0, Domain((4, 4)))
         sub = sub_store_bounds(store, tiling((1, 1), (1, 1)), (3, 3))
-        assert sub.bounds.is_empty
+        assert sub.is_empty
 
     def test_rank_mismatch_raises(self):
         store = Store(0, Domain((4, 4)))
@@ -145,7 +145,7 @@ class TestSubStoreBounds:
         launch = Domain((3, 2))
         seen = np.zeros((6, 6), dtype=int)
         for p in launch.points():
-            rect = sub_store_bounds(store, part, p).bounds
+            rect = sub_store_bounds(store, part, p)
             seen[rect.slices()] += 1
         assert (seen == 1).all()
 
@@ -153,7 +153,7 @@ class TestSubStoreBounds:
 def _union_mask(store: Store, part, launch: Domain) -> np.ndarray:
     mask = np.zeros(store.shape.extents, dtype=bool)
     for p in launch.points():
-        rect = sub_store_bounds(store, part, p).bounds
+        rect = sub_store_bounds(store, part, p)
         if not rect.is_empty:
             mask[rect.slices()] = True
     return mask

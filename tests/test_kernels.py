@@ -3,6 +3,7 @@ folding, interpret."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import tracemalloc
@@ -24,21 +25,19 @@ from diffusekit.kernels import (
     KernelRegistry,
     Load,
     LoopNest,
+    Neg,
     NoGeneratorError,
     PrivilegeViolationError,
     ReduceStmt,
-    ScalarParam,
     ScalarRef,
     SetTemp,
     StoreStmt,
     TempRef,
-    Un,
     _compile_nest,
     compose,
     count_memory_traffic,
     default_registry,
     fold_negations,
-    fuse_loops,
     interpret,
     kernel_text,
     optimize,
@@ -200,7 +199,7 @@ class TestComposeAndOptimize:
         composed = compose(kernels, amap, args, frozenset({2}), {j: 0 for j in range(5)})
         assert [p.name for p in composed.buf_params] == ["a0", "a1", "a3", "a4"]
         assert [l for l in composed.locals] == ["l2"]
-        assert len(composed.nests) == 2
+        assert len(composed.nests) == 1
         optimized = optimize(composed)
         assert len(optimized.nests) == 1 and optimized.locals == ()
 
@@ -218,7 +217,27 @@ class TestComposeAndOptimize:
         kernels, amap, args = _chain_kernels(2)
         classes = {0: 0, 1: 0, 2: 0, 3: 1, 4: 1}
         composed = compose(kernels, amap, args, frozenset(), classes)
-        assert len(fuse_loops(composed).nests) == 2
+        assert len(composed.nests) == 2
+
+    def test_compiling_leaves_no_cyclic_garbage(self, monkeypatch):
+        """Every kernel that two analysis-only runs compose, compiled again
+        and planned with the cycle collector off, leaves nothing for it."""
+        calls = []
+        composing = pipeline.compose
+        monkeypatch.setattr(pipeline, "compose", lambda *a: calls.append(a) or composing(*a))
+        run_events(Session(SessionConfig(window=10, execute=False)), gen_benchmark("cg_like", iters=3))
+        run_events(
+            Session(SessionConfig(window=67, execute=False)), gen_benchmark("blackscholes_chain", iters=1)
+        )
+        assert len(calls) == 8
+        gc.collect()
+        gc.disable()
+        try:
+            for a in calls:
+                optimize(compose(*a)).plans
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("k", [2, 10, 67])
     def test_elementwise_chain_collapses_to_one_nest(self, k):
@@ -305,9 +324,7 @@ class TestComposeAndOptimize:
             args = _args(R, *[RW] * (n - 1), W)
             composed = compose(kernels, amap, args, frozenset(), {j: 0 for j in range(n + 1)})
             optimized = optimize(composed)
-            scalars = {
-                sp.name: 2.0 for sp in composed.scalar_params
-            }
+            scalars = dict.fromkeys(composed.scalar_params, 2.0)
             data1 = {f"a{j}": nprng.integers(1, 9, 4).astype(np.float64) for j in range(n + 1)}
             data2 = {k: v.copy() for k, v in data1.items()}
             interpret(composed, data1, scalars)
@@ -527,12 +544,28 @@ class TestInterpretSafety:
         with pytest.raises(KernelError, match="l2"):
             interpret(composed, bufs)
 
+    def test_missing_scalar_raises_before_any_nest_runs(self):
+        # s0 is read only by the second nest; the first must not run either
+        k = Kernel(
+            (BufParam("a0", R), BufParam("a1", W), BufParam("a2", W)),
+            ("s0",),
+            (),
+            (
+                LoopNest("a1", (StoreStmt("a1", Neg(Load("a0"))),)),
+                LoopNest("a2", (StoreStmt("a2", Bin("*", ScalarRef("s0"), Load("a1"))),)),
+            ),
+        )
+        a1 = np.zeros(4)
+        with pytest.raises(KernelError, match="s0"):
+            interpret(k, {"a0": np.ones(4), "a1": a1, "a2": np.zeros(4)}, {})
+        assert (a1 == 0).all()
+
 
 def _one_nest(params, body):
     """A kernel with one rank-1 nest over a0 and params (name, privilege)."""
     return Kernel(
         tuple(BufParam(n, pr) for n, pr in params),
-        (ScalarParam("s"),),
+        ("s",),
         (),
         (LoopNest("a0", tuple(body)),),
     )
@@ -565,7 +598,7 @@ class TestInPlaceEvaluation:
             [
                 SetTemp("t", Bin("*", ScalarRef("s"), Load("a0"))),
                 SetTemp("u", TempRef("t")),
-                SetTemp("v", Un("neg", TempRef("u"))),
+                SetTemp("v", Neg(TempRef("u"))),
                 StoreStmt("a1", Bin("+", TempRef("v"), TempRef("v"))),
                 StoreStmt("a2", Bin("+", TempRef("t"), Load("a0"))),
             ],
@@ -639,7 +672,7 @@ class TestInPlaceEvaluation:
             [("a0", RW), ("a1", R)],
             [
                 SetTemp("t1", Bin("+", Load("a0"), Load("a1"))),
-                SetTemp("t2", Un("neg", TempRef("t1"))),
+                SetTemp("t2", Neg(TempRef("t1"))),
                 SetTemp("t3", Bin("*", ScalarRef("s"), TempRef("t2"))),
                 StoreStmt("a0", Bin("+", TempRef("t3"), Load("a0"))),
             ],
@@ -656,7 +689,7 @@ class TestInPlaceEvaluation:
             [("a0", R), ("a1", R), ("a2", W)],
             [
                 SetTemp("t", Bin("+", Load("a0"), Load("a1"))),
-                SetTemp("u", Un("neg", TempRef("t"))),
+                SetTemp("u", Neg(TempRef("t"))),
                 SetTemp("v", TempRef("u")),
                 StoreStmt("a2", Bin("*", ScalarRef("s"), TempRef("v"))),
             ],
@@ -670,7 +703,7 @@ class TestInPlaceEvaluation:
         k = _one_nest(
             [("a0", R), ("a1", R)],
             [
-                SetTemp("t", Un("neg", Load("a1"))),
+                SetTemp("t", Neg(Load("a1"))),
                 StoreStmt("a0", Bin("*", ScalarRef("s"), TempRef("t"))),
             ],
         )
@@ -709,7 +742,7 @@ def _fused_chain(n):
     bound = {x: rng.integers(1, 9, n).astype(np.float64), y: rng.integers(1, 9, n).astype(np.float64)}
     bound[out] = np.zeros(n)
     bufs = {f"a{j}": bound[a.store] for j, a in enumerate(args) if j not in temps}
-    scalars = {sp.name: v for sp, (_, v) in zip(kernel.scalar_params, fused_scalars(tasks))}
+    scalars = {name: v for name, (_, v) in zip(kernel.scalar_params, fused_scalars(tasks))}
     return kernel, bufs, scalars, bound[out], bound[x] + bound[y]
 
 
@@ -751,7 +784,7 @@ class TestNestPlans:
             [
                 SetTemp("t", Bin("+", Load("a0"), Load("a0"))),
                 StoreStmt("a1", Bin("*", TempRef("t"), TempRef("t"))),
-                SetTemp("u", Un("neg", ScalarRef("s"))),
+                SetTemp("u", Neg(ScalarRef("s"))),
                 ReduceStmt("a2", TempRef("u")),
             ],
         )
@@ -946,7 +979,7 @@ def _fold_cases(draw):
     def expr(depth):
         kind = draw(st.sampled_from(("leaf", "neg", "neg", "bin") if depth else ("leaf",)))
         if kind == "neg":
-            return Un("neg", expr(depth - 1))
+            return Neg(expr(depth - 1))
         if kind == "bin":
             op = draw(st.sampled_from(sorted(kernels._BIN_OPS)))
             return Bin(op, expr(depth - 1), expr(depth - 1))
@@ -956,7 +989,7 @@ def _fold_cases(draw):
     for _ in range(draw(st.integers(1, 8))):
         # a temp set to a negated leaf is what a later negation looks through
         kind = draw(st.sampled_from(("set", "set -leaf", "store")))
-        e = Un("neg", leaf()) if kind == "set -leaf" else expr(3)
+        e = Neg(leaf()) if kind == "set -leaf" else expr(3)
         if kind == "store":
             body.append(StoreStmt(draw(st.sampled_from(("a2", "a3"))), e))
         else:
@@ -964,7 +997,7 @@ def _fold_cases(draw):
             body.append(SetTemp(name, e))
             defined += [name] if name not in defined else []
     params = tuple(BufParam(n, pr) for n, pr in [("a0", R), ("a1", R), ("a2", RW), ("a3", W)])
-    k = Kernel(params, (ScalarParam("s0"), ScalarParam("s1")), (), (LoopNest("a3", tuple(body)),))
+    k = Kernel(params, ("s0", "s1"), (), (LoopNest("a3", tuple(body)),))
     scalars = {s: draw(st.sampled_from(_SPECIAL_SCALARS)) for s in ("s0", "s1")}
     return k, scalars, draw(st.booleans())
 
@@ -975,8 +1008,8 @@ class TestFoldNegations:
             [("a0", R), ("a1", R), ("a2", W)],
             [
                 SetTemp("v", Bin("+", Load("a0"), Load("a1"))),
-                SetTemp("t", Un("neg", TempRef("v"))),
-                SetTemp("u", Un("neg", TempRef("t"))),
+                SetTemp("t", Neg(TempRef("v"))),
+                SetTemp("u", Neg(TempRef("t"))),
                 StoreStmt("a2", Bin("*", ScalarRef("s"), TempRef("u"))),
             ],
         )
@@ -992,9 +1025,9 @@ class TestFoldNegations:
             [("a0", R), ("a1", R), ("a2", W)],
             [
                 SetTemp("y", Bin("+", Load("a0"), Load("a1"))),
-                SetTemp("t", Un("neg", TempRef("y"))),
+                SetTemp("t", Neg(TempRef("y"))),
                 SetTemp("y", Bin("*", ScalarRef("s"), Load("a0"))),
-                StoreStmt("a2", Bin("+", Un("neg", TempRef("t")), TempRef("y"))),
+                StoreStmt("a2", Bin("+", Neg(TempRef("t")), TempRef("y"))),
             ],
         )
         folded = _folds_to_same_bits(k, lambda: {"a0": _vec(0), "a1": _vec(1), "a2": np.zeros(6)}, {"s": 3.0})
@@ -1007,9 +1040,9 @@ class TestFoldNegations:
         k = _one_nest(
             [("a0", R), ("a1", RW), ("a2", W), ("a3", W)],
             [
-                SetTemp("t", Un("neg", Load("a1"))),
+                SetTemp("t", Neg(Load("a1"))),
                 StoreStmt(stored, Bin("*", ScalarRef("s"), Load("a0"))),
-                StoreStmt("a2", Un("neg", TempRef("t"))),
+                StoreStmt("a2", Neg(TempRef("t"))),
             ],
         )
 
@@ -1021,7 +1054,7 @@ class TestFoldNegations:
         assert folded.nests == k.nests
 
     def test_inline_double_negation_into_a_buffer_sharing_memory(self):
-        k = _one_nest([("a0", R), ("a1", W)], [StoreStmt("a1", Un("neg", Un("neg", Load("a0"))))])
+        k = _one_nest([("a0", R), ("a1", W)], [StoreStmt("a1", Neg(Neg(Load("a0"))))])
 
         def bind():
             a1, a0 = _shifted()
@@ -1035,15 +1068,14 @@ class TestFoldNegations:
 
     @pytest.mark.parametrize("through_temps", [False, True])
     def test_triple_negation_keeps_one(self, through_temps):
-        neg = lambda e: Un("neg", e)
         if through_temps:
             body = [
-                SetTemp("t", neg(Load("a0"))),
-                SetTemp("u", neg(TempRef("t"))),
-                StoreStmt("a1", neg(TempRef("u"))),
+                SetTemp("t", Neg(Load("a0"))),
+                SetTemp("u", Neg(TempRef("t"))),
+                StoreStmt("a1", Neg(TempRef("u"))),
             ]
         else:
-            body = [StoreStmt("a1", neg(neg(neg(Load("a0")))))]
+            body = [StoreStmt("a1", Neg(Neg(Neg(Load("a0")))))]
         k = _one_nest([("a0", R), ("a1", W)], body)
         folded = _folds_to_same_bits(k, lambda: {"a0": _SPECIAL.copy(), "a1": np.zeros(12)}, {})
         assert (_negs(k), _negs(folded)) == (3, 1)
@@ -1053,8 +1085,8 @@ class TestFoldNegations:
         k = _one_nest(
             [("a0", R), ("a1", W)],
             [
-                SetTemp("t", Un("neg", Load("a0"))),
-                StoreStmt("a1", Un("neg", Bin("*", ScalarRef("s"), TempRef("t")))),
+                SetTemp("t", Neg(Load("a0"))),
+                StoreStmt("a1", Neg(Bin("*", ScalarRef("s"), TempRef("t")))),
             ],
         )
         folded = _folds_to_same_bits(k, lambda: {"a0": _SPECIAL.copy(), "a1": np.zeros(12)}, {"s": np.nan})
