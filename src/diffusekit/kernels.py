@@ -312,7 +312,7 @@ def compose(
     groups: list[tuple[str, list[Stmt]]] = []  # (domain, body) of each merged nest
     scalar_params: list[str] = []
 
-    def rename(e: Expr) -> Expr:
+    def rename(e: Expr) -> Expr:  # by the maps of the kernel being composed
         if isinstance(e, Load):
             return Load(bmap.get(e.buf, e.buf))
         if isinstance(e, ScalarRef):
