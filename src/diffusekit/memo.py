@@ -73,7 +73,7 @@ def canonicalize(
     stores: StoreTable,
     live_stores: frozenset[int] | set[int],
     facts: Facts = _key_facts,
-) -> tuple[CanonicalStream, dict[tuple[int, int, int], tuple]]:
+) -> tuple[CanonicalStream, tuple[tuple[tuple, ...], ...]]:
     """Canonical form and the facts of every argument.
 
     The liveness flags and the coverage/extent fingerprint are part of the
@@ -82,18 +82,18 @@ def canonicalize(
     the remainders that carving leaves and one entry can hold a whole flush.
     ``facts`` gives an argument's coverage and extent class; a session
     passes its cache of them. It is called once per distinct (store index,
-    partition index, domain index) of the window, and the second value
-    returned maps each such triple to what ``facts`` gave for it.
+    partition index, domain index) of the window. The second value holds
+    what it gave by window position: a tuple per task, one entry per argument.
     """
     store_idx: dict[int, int] = {}  # in first-occurrence order
     part_idx: dict[Partition, int] = {}
     domain_idx: dict[tuple[int, ...], int] = {}
     domain_ranks: list[int] = []
     class_idx: dict[object, int] = {}
-    found: dict[tuple[int, int, int], tuple] = {}
-    marks: dict[tuple[int, int, int], tuple[bool, int]] = {}
+    seen: dict[tuple[int, int, int], tuple[tuple, tuple[bool, int]]] = {}  # -> (facts, mark)
     fingerprint: list[tuple[bool, int]] = []
     canon_tasks: list[CanonTask] = []
+    found: list[tuple[tuple, ...]] = []
     codes = _CODES
 
     for t in tasks:
@@ -103,6 +103,7 @@ def canonicalize(
             d = domain_idx[domain.extents] = len(domain_ranks)
             domain_ranks.append(len(domain.extents))
         args = []
+        row = []
         for store, part, priv in t.args:
             s = store_idx.get(store)
             if s is None:
@@ -111,12 +112,15 @@ def canonicalize(
             if p is None:
                 p = part_idx[part] = len(part_idx)
             args.append((s, p, codes[priv]))
-            mark = marks.get((s, p, d))
-            if mark is None:
-                fact = found[s, p, d] = facts(stores[store], part, domain)
-                mark = marks[s, p, d] = (fact[0], class_idx.setdefault(fact[1], len(class_idx)))
-            fingerprint.append(mark)
+            entry = seen.get((s, p, d))
+            if entry is None:
+                fact = facts(stores[store], part, domain)
+                mark = (fact[0], class_idx.setdefault(fact[1], len(class_idx)))
+                entry = seen[s, p, d] = (fact, mark)
+            row.append(entry[0])
+            fingerprint.append(entry[1])
         canon_tasks.append((t.kind, d, tuple(args), len(t.scalars)))
+        found.append(tuple(row))
 
     stream = CanonicalStream(
         tuple(canon_tasks),
@@ -124,7 +128,7 @@ def canonicalize(
         tuple([s in live_stores for s in store_idx]),
         tuple(fingerprint),
     )
-    return stream, found
+    return stream, tuple(found)
 
 
 def canon_text(stream: CanonicalStream) -> str:

@@ -1,13 +1,14 @@
 """Windowed task-stream pipeline: buffer, fuse, demote temporaries, execute.
 
 A Session ingests stream events, buffers index tasks into a window, and on
-flush repeatedly carves the longest fusible prefix off the buffer, compiles a
-fused kernel for it, demotes temporaries to task-local buffers, and executes.
-An isomorphic window replays the memoized analysis of its whole flush from
-one lookup. The window grows adaptively, up to MAX_WINDOW: a full buffer that
-fuses whole is not launched, the window doubles and buffering goes on, so a
-long chain is not cut while the window warms up. An explicit flush that
-fuses whole into one task doubles the window too.
+flush first plans: it repeatedly carves the longest fusible prefix off the
+buffer, compiles a fused kernel for it and demotes temporaries to task-local
+buffers. Then it executes the plan. An isomorphic window replays the
+memoized plan of its whole flush from one lookup. The window grows
+adaptively, up to MAX_WINDOW: a full buffer that fuses whole is not
+launched, the window doubles and buffering goes on, so a long chain is not
+cut while the window warms up. An explicit flush that fuses whole into one
+task doubles the window too.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .ir import (
     covers,
     sub_store_bounds,
 )
-from .kernels import KernelRegistry, arg_name, compose, count_memory_traffic
+from .kernels import arg_name, compose, count_memory_traffic
 from .kernels import default_registry, optimize
 from .memo import Carve, CanonicalStream, MemoCache, canonicalize, extent_class
 from .oracle import DEFAULT_ORACLE_CAP, oracle_fusible
@@ -171,7 +172,6 @@ class Session:
     def __init__(
         self,
         config: SessionConfig | None = None,
-        registry: KernelRegistry | None = None,
         builtins: Mapping[str, Builtin] | None = None,
     ) -> None:
         self.config = config or SessionConfig()
@@ -179,7 +179,7 @@ class Session:
             raise ValueError(f"window must be in 1..{MAX_WINDOW}, got {self.config.window}")
         if self.config.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.config.seed}")
-        self.registry = registry or default_registry()
+        self.registry = default_registry()
         self.builtins = dict(builtins) if builtins is not None else default_builtins()
         self.stores: dict[int, Store] = {}
         self.partitions: dict[int, Partition] = {}
@@ -253,86 +253,81 @@ class Session:
     # --- window processing ---------------------------------------------------
 
     def _flush(self, explicit: bool) -> None:
-        """Carve the buffer into launches and run them.
+        """Plan the buffer's launches, then run them.
 
-        Every launch is a ``Carve``, which names stores and partitions by
-        their positions in the window. With the memo on, each remainder is
-        looked up until one hits. A key fixes every later carve of its
-        window, so the hit's carves run as stored from there to the end of
-        the flush with no further lookup, and count one memo hit each. Their
-        argument shapes are the facts ``canonicalize`` found for the
-        canonical indices at their positions, so a hit looks up each
-        distinct argument once. At the end, every key that missed gets the
-        carves from its position on; no ``drop_ref`` can happen in between,
-        so liveness stays as keyed.
-        The buffer keeps every task not yet launched, so after a launch
-        raises, the next flush resumes with it; nothing is memoized then.
+        Planning canonicalizes the buffer once, memo on or off; every carve
+        reads its arguments' shapes and extent classes from the facts
+        ``canonicalize`` gives by window position, where a ``Carve`` names
+        its stores and partitions. With the memo on, each remainder is
+        looked up until one hits, and one after a miss is canonicalized
+        again only to be looked up. A key fixes every later carve of its
+        window, so the hit's carves end the plan; each remainder before it
+        is analysed.
 
         Below ``MAX_WINDOW``, a capacity flush whose buffer of two or more
         tasks fuses whole launches nothing: the window doubles and the
         buffer, its references and the memo stay as they are. Only the
-        first remainder, the whole buffer, is tested: by the first carve of
-        a hit, or else by the one constraint pass a launch would use. A
-        deferral counts no memo miss and reports no flush; the next flush
-        reported counts its constraint steps.
+        whole buffer is tested, by the first carve of a hit or else by the
+        one constraint pass a launch would use, before anything compiles.
+
+        Launching runs the plan in order, and ``memo_hits`` counts the replayed
+        carves that launched. A deferral, or a flush whose planning raises,
+        launches nothing, counts no memo miss and reports nothing; the next
+        flush reported counts its constraint steps. After a launch raises,
+        the buffer keeps every task not yet launched, and the next flush
+        resumes with it. Otherwise every key that missed gets the carves
+        from its position on; no ``drop_ref`` can happen in between, so
+        liveness stays as keyed.
         """
-        if not self._buffer:
+        buffer = self._buffer
+        if not buffer:
             return
-        fr = FlushReport(explicit=explicit)
         memoize = self.config.fusion and self.config.memoize
         defer = (
             not explicit
             and self.config.fusion
-            and len(self._buffer) > 1
+            and len(buffer) > 1
             and self.window < MAX_WINDOW
         )
-        deferred = False
+        key, facts = canonicalize(buffer, self.stores, self.refs.app_live, self._facts)
         carves: list[Carve] = []
-        missed: list[tuple[int, CanonicalStream]] = []
-        try:
-            while rem := self._buffer:
-                if memoize:
-                    key, facts = canonicalize(rem, self.stores, self.refs.app_live, self._facts)
-                    hit = self.memo.lookup(key)
-                    if hit is not None:
-                        if defer and hit[0].prefix_len == len(rem):
-                            deferred = True
-                            break
-                        carves += hit
-                        at = 0
-                        for carve in hit:
-                            shapes = None
-                            if carve.kernel is not None:  # a builtin counts no traffic
-                                d = key.tasks[at][1]
-                                shapes = []
-                                for i, k, _ in carve.args:
-                                    s, p, _ = key.tasks[at + i][2][k]
-                                    shapes.append(facts[s, p, d].extents)
-                            self._launch(carve, fr, shapes)
-                            fr.memo_hits += 1
-                            at += carve.prefix_len
-                        break
-                    missed.append((len(carves), key))
-                carve = self._analyze(rem, defer)
-                if carve is None:
-                    deferred = True
+        missed: list[CanonicalStream] = []  # the key of each analysed remainder
+        replayed = at = 0  # at: the buffer position of the next carve
+        while at < len(buffer):
+            if memoize:
+                if at:
+                    key = canonicalize(buffer[at:], self.stores, self.refs.app_live, self._facts)[0]
+                hit = self.memo.lookup(key)
+                if hit is not None:
+                    carves += hit
+                    replayed = len(hit)
                     break
-                defer = False
-                carves.append(carve)
-                self._launch(carve, fr)
-        finally:
-            if not deferred:
-                fr.tasks_in = sum(fr.fused_prefixes)
-                fr.memo_misses = len(missed)
-                # with the steps of every deferral since the last report
-                fr.constraint_steps = self.stats.constraint_steps - self.report.constraint_steps
-                self.report.add(fr)
-        if deferred:
+                missed.append(key)
+            carve = self._analyze(buffer[at:], facts[at:], defer and not at)
+            if carve is None:
+                break
+            carves.append(carve)
+            at += carve.prefix_len
+        if defer and (not carves or carves[0].prefix_len == len(buffer)):  # fuses whole
             self.window = min(self.window * 2, MAX_WINDOW)
-            log.debug("flush(full): %d tasks fuse whole, window now %d", len(rem), self.window)
+            log.debug("flush(full): %d tasks fuse whole, window now %d", len(buffer), self.window)
             return
-        for at, key in missed:
-            self.memo.insert(key, tuple(carves[at:]))
+
+        fr = FlushReport(explicit=explicit)
+        at = 0
+        try:
+            for carve in carves:
+                self._launch(carve, fr, facts[at:])
+                at += carve.prefix_len
+        finally:
+            fr.tasks_in = at
+            fr.memo_hits = max(0, fr.tasks_out - (len(carves) - replayed))
+            fr.memo_misses = len(missed)
+            # with the steps of every deferral since the last report
+            fr.constraint_steps = self.stats.constraint_steps - self.report.constraint_steps
+            self.report.add(fr)
+        for i, key in enumerate(missed):
+            self.memo.insert(key, tuple(carves[i:]))
         if fr.tasks_in > 1 and fr.tasks_out == 1:
             self.window = min(self.window * 2, MAX_WINDOW)
         log.debug(
@@ -344,12 +339,15 @@ class Session:
             self.window,
         )
 
-    def _analyze(self, rem: list[IndexTask], defer: bool = False) -> Carve | None:
+    def _analyze(
+        self, rem: list[IndexTask], facts: Sequence[tuple[ArgFacts, ...]], defer: bool = False
+    ) -> Carve | None:
         """Analyse and compile the longest fusible prefix of ``rem``. A task
         launched alone runs its generated kernel, or a builtin when its kind
         has no generator. A fused kernel's buffers are in the extent classes
-        of their arguments' facts. With ``defer``, a ``rem`` that fuses whole
-        gives None, before anything but the constraint pass is worked out."""
+        ``facts`` holds at their first positions in ``rem``. With ``defer``, a
+        ``rem`` that fuses whole gives None, before anything but the
+        constraint pass is worked out."""
         f, verdicts = 1, ()
         if self.config.fusion:
             f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
@@ -366,33 +364,31 @@ class Session:
             temps = find_temporaries(rem, f, self.refs.app_live, self.stores)
         kind, args, arg_map = build_fused_task(rem, f, self.registry)
         positions = frozenset(j for j, a in enumerate(args) if a.store in temps)
-        kernels = [self.registry.generate(t) for t in rem[:f]]
-        domain = rem[0].domain
-        classes = {
-            j: self._facts(self.stores[s], p, domain).extent_class
-            for j, (s, p, _) in enumerate(args)
-        }
-        kernel = optimize(compose(kernels, arg_map, args, positions, classes))
-        if self.config.oracle_check:
-            self._cross_check(rem[:f])
         first: dict[int, tuple[int, int]] = {}  # fused argument -> its first position
         for i, row in enumerate(arg_map):
             for k, j in enumerate(row):
                 first.setdefault(j, (i, k))
+        kernels = [self.registry.generate(t) for t in rem[:f]]
+        classes = {j: facts[i][k].extent_class for j, (i, k) in first.items()}
+        kernel = optimize(compose(kernels, arg_map, args, positions, classes))
+        if self.config.oracle_check:
+            self._cross_check(rem[:f])
         where = tuple([(*first[j], a.privilege) for j, a in enumerate(args)])
         return Carve(f, positions, kernel, verdicts, kind, where)
 
     def _launch(
-        self, carve: Carve, fr: FlushReport, shapes: list[tuple[int, ...]] | None = None
+        self, carve: Carve, fr: FlushReport, facts: Sequence[tuple[ArgFacts, ...]]
     ) -> None:
         """Run and record ``carve``, then drop its tasks from the buffer's head.
 
         The launch domain is that of the prefix's first task, and every
-        position the carve names is read from the buffer. Only an executing
-        session builds a task: a single task runs as buffered, a fused one
-        is built from the carve's kind and ``_store_args`` with the scalars
-        of the whole prefix, and runs with its cached launch plan unless
-        isolated. ``shapes`` go to ``_traffic``. A store is freed when the
+        position the carve names is read from the buffer, and from
+        ``facts``, by window position from the prefix's first task, for
+        ``_traffic``.
+        Only an executing session builds a task: a single task runs as
+        buffered, a fused one is built from the carve's kind and
+        ``_store_args`` with the scalars of the whole prefix, and runs with
+        its cached launch plan unless isolated. A store is freed when the
         last runtime reference goes and the application holds none.
         """
         f, kernel, positions = carve.prefix_len, carve.kernel, carve.temp_arg_positions
@@ -422,7 +418,7 @@ class Session:
             where = map(carve.args.__getitem__, positions)
             fr.temporaries.extend(sorted({buffer[t].args[k].store for t, k, _ in where}))
         if kernel is not None:
-            loads, stores = self._traffic(carve, domain, shapes)
+            loads, stores = self._traffic(carve, domain, facts)
             fr.loads += loads
             fr.stores += stores
             fr.kernel_stats.append((f, len(kernel.nests), len(kernel.locals)))
@@ -472,21 +468,18 @@ class Session:
             )
 
     def _traffic(
-        self, carve: Carve, domain: Domain, shapes: list[tuple[int, ...]] | None
+        self, carve: Carve, domain: Domain, facts: Sequence[tuple[ArgFacts, ...]]
     ) -> tuple[int, int]:
         """Static whole-launch element traffic of ``carve`` over ``domain``,
-        using the first point's extents.
+        using the first point's extents, which ``facts`` holds by window
+        position from the prefix's first task.
 
-        ``shapes`` holds those extents per argument, or None to look them
-        up. Edge tiles of clamped partitions may differ; the count is exact
-        for uniform tilings and an approximation otherwise. The per-point
-        count is worked out once per kernel and tuple of argument shapes, and
-        kept in ``Kernel.traffic``.
+        Edge tiles of clamped partitions may differ; the count is exact for
+        uniform tilings and an approximation otherwise. The per-point count
+        is worked out once per kernel and tuple of argument shapes, and kept
+        in ``Kernel.traffic``.
         """
-        if shapes is None:
-            args = self._store_args(carve)
-            shapes = [self._facts(self.stores[s], p, domain).extents for s, p, _ in args]
-        key = tuple(shapes)
+        key = tuple([facts[t][k].extents for t, k, _ in carve.args])
         by_shapes = carve.kernel.traffic
         counts = by_shapes.get(key)
         if counts is None:

@@ -112,7 +112,7 @@ class TestCanonicalize:
 
     def test_empty_window(self):
         stream, facts = canonicalize([], {}, set())
-        assert stream.tasks == () and stream.live == () and facts == {}
+        assert stream.tasks == () and stream.live == () and facts == ()
 
 
 class TestExtentClass:

@@ -13,7 +13,7 @@ from diffusekit import memo, pipeline, trace as tracefmt
 from diffusekit.executor import UnknownTaskKindError, default_builtins, heap_diff
 from diffusekit.fusion import fused_scalars, longest_fusible_prefix
 from diffusekit.ir import IndexTask, StoreArg
-from diffusekit.kernels import KernelRegistry
+from diffusekit.kernels import KernelError, KernelRegistry
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
 from diffusekit.temporaries import RefUnderflowError
 from diffusekit.trace import BENCHMARKS, gen_benchmark
@@ -296,6 +296,49 @@ class TestAnalysisCost:
         assert len(hits) == len(report.per_flush) - 3
         for i in hits:
             assert 0 < calls[i] <= len(windows[i])
+
+    @pytest.mark.parametrize("memoize", [True, False], ids=["memo on", "memo off"])
+    @pytest.mark.parametrize("execute", [False, True], ids=["analysis-only", "executed"])
+    @pytest.mark.parametrize("name", ["cg_like", "stencil"])
+    def test_argument_facts_are_resolved_only_by_canonicalize(
+        self, monkeypatch, name, execute, memoize
+    ):
+        depth, calls = [0], [0]  # open and all canonicalize calls
+        stray, per_flush = [], []  # Session._facts calls outside it; its calls per flush
+        canonicalize, facts, flush = pipeline.canonicalize, Session._facts, Session._flush
+
+        def nested(*args):
+            calls[0] += 1
+            depth[0] += 1
+            try:
+                return canonicalize(*args)
+            finally:
+                depth[0] -= 1
+
+        def counted(session, *args):
+            if not depth[0]:
+                stray.append(args)
+            return facts(session, *args)
+
+        def flushed(session, explicit):
+            before, buffered = calls[0], bool(session._buffer)
+            flush(session, explicit)
+            if buffered:
+                per_flush.append(calls[0] - before)
+
+        monkeypatch.setattr(pipeline, "canonicalize", nested)
+        monkeypatch.setattr(Session, "_facts", counted)
+        monkeypatch.setattr(Session, "_flush", flushed)
+        # executed cg_like overflows to NaN long before 40 iterations
+        session = Session(SessionConfig(execute=execute, memoize=memoize))
+        report = run_events(session, gen_benchmark(name, iters=6))
+        assert stray == [] and session._arg_facts
+        assert len(per_flush) >= len(report.per_flush) > 0
+        if memoize:
+            assert report.memo_hits > 0
+        else:
+            assert per_flush == [1] * len(per_flush)
+            assert len(session.memo) == 0
 
     def test_analysis_only_builds_no_task_to_launch(self, monkeypatch):
         built = []
@@ -643,6 +686,25 @@ class TestFailedFlush:
         self._window(whole)
         whole.flush()
         assert heap_diff(session.heap, whole.heap, range(4)) == []
+
+
+    @pytest.mark.parametrize("memoize", [True, False], ids=["memo on", "memo off"])
+    def test_a_flush_whose_planning_raises_launches_nothing(self, memoize):
+        session = Session(SessionConfig(memoize=memoize))
+        for sid in range(3):
+            session.create_store(sid, (8,))
+        session.submit(task("COPY", (2,), [(0, tiling((4,)), R), (1, tiling((4,)), W)]))
+        # a new launch domain ends the COPY's carve; the ADD lacks an argument
+        session.submit(task("ADD", (4,), [(1, tiling((2,)), R), (2, tiling((2,)), W)]))
+        buffer, refs = list(session._buffer), dict(session.refs.runtime_refs)
+        assert not session.heap.arrays
+        with pytest.raises(KernelError, match="expected 3 store args"):
+            session.flush()
+        assert session._buffer == buffer
+        assert session.refs.runtime_refs == refs
+        assert not session.heap.arrays
+        assert len(session.memo) == 0
+        assert session.report.per_flush == []
 
 
 class TestCapacityFlush:
