@@ -166,16 +166,6 @@ def _point_regions(task: IndexTask, p: Point, stores: StoreTable) -> list[Region
     return regions
 
 
-def _select_kernel(
-    task: IndexTask, registry: KernelRegistry, kernel: Kernel | None
-) -> Kernel | None:
-    """The kernel a task runs: the one given, else a generated one. None means
-    the kind has no generator and only a builtin can run it."""
-    if kernel is None and registry.has(task.kind):
-        return registry.generate(task)
-    return kernel
-
-
 def _launch_images(task: IndexTask, stores: StoreTable) -> list[Rect] | None:
     """Each argument's union of point images, if one kernel call over them
     computes exactly what the point-by-point loop computes; otherwise None.
@@ -273,7 +263,6 @@ def execute_task(
     task: IndexTask,
     heap: Heap,
     stores: StoreTable,
-    registry: KernelRegistry,
     builtins: Mapping[str, Builtin],
     kernel: Kernel | None = None,
     temp_positions: frozenset[int] = frozenset(),
@@ -283,17 +272,17 @@ def execute_task(
     ``_launch_images`` allows it, else point by point in lexicographic order.
 
     ``kernel`` is the one the task runs, fused or generated by the caller;
-    without one it is generated here. Argument j binds to buffer param a{j},
-    or, for a position in ``temp_positions``, to a task-local buffer l{j}
-    instead of a heap region. A store this launch overwrites whole before
-    reading it is allocated unfilled: one of the plan's fill candidates that
-    is not demoted, not yet materialized and not loaded by the kernel.
+    without one the task runs its kind's builtin. Argument j binds to buffer
+    param a{j}, or, for a position in ``temp_positions``, to a task-local
+    buffer l{j} instead of a heap region. A store this launch overwrites
+    whole before reading it is allocated unfilled: one of the plan's fill
+    candidates that is not demoted, not yet materialized and not loaded by
+    the kernel.
     ``plan`` is ``launch_plan(task, stores)``, or any plan made for an equal
     ``plan_key``; without one it is worked out here. If the launch raises,
     the stores it allocated unfilled are freed, so their next touch fills
     them.
     """
-    kernel = _select_kernel(task, registry, kernel)
     if kernel is None:
         fn = builtins.get(task.kind)
         if fn is None:
@@ -336,21 +325,21 @@ def execute_sequential(
     builtins: Mapping[str, Builtin],
 ) -> None:
     """The semantic reference: tasks in program order, each point by point,
-    every store filled with its documented contents when first touched."""
+    every store filled with its documented contents when first touched. Each
+    task runs the kernel ``registry`` generates for it, or else its builtin."""
     for t in tasks:
-        execute_task(t, heap, stores, registry, builtins, plan=POINT_BY_POINT)
+        kernel = registry.generate(t) if registry.has(t.kind) else None
+        execute_task(t, heap, stores, builtins, kernel, plan=POINT_BY_POINT)
 
 
 def execute_isolated(
     task: IndexTask,
     heap: Heap,
     stores: StoreTable,
-    registry: KernelRegistry,
-    builtins: Mapping[str, Builtin],
-    kernel: Kernel | None = None,
+    kernel: Kernel,
     temp_positions: frozenset[int] = frozenset(),
 ) -> None:
-    """Execute with per-point private arenas, aborting on any shared touch.
+    """Run ``kernel`` in per-point private arenas, aborting on any shared touch.
 
     Writes claim store cells per point; overlapping write claims, or a read or
     reduction touching another point's claim, mean the points could not run
@@ -358,10 +347,6 @@ def execute_isolated(
     from a snapshot, so cross-point write visibility is impossible, and writes
     back W/RW regions and sum-combines Rd contributions in point order.
     """
-    kernel = _select_kernel(task, registry, kernel)
-    if kernel is None:
-        raise ExecutionError(f"isolated execution needs a kernel for kind {task.kind!r}")
-
     points = list(task.domain.points())
     subs = {
         p: [sub_store_bounds(stores[a.store], a.partition, p) for a in task.args]

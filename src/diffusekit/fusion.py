@@ -3,10 +3,11 @@
 Four constraints rule out any non-point-wise dependence between index tasks:
 equal launch domains, no write followed by a differently-partitioned read or
 write of the same store, no read followed by a differently-partitioned write,
-and no store that is both reduced and read/written by distinct tasks. The
-true/anti checks are a forward dataflow pass over the window; no check ever
-touches individual launch-domain points. A fused prefix's arguments are the
-union of its (store, partition) pairs, each with its privileges joined once.
+and no store that is both reduced and read/written, by one task or by
+distinct tasks. The true/anti checks are a forward dataflow pass over the
+window; no check ever touches individual launch-domain points. A fused
+prefix's arguments are the union of its (store, partition) pairs, each with
+its privileges joined once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .ir import Domain, IndexTask, Partition, Privilege, StoreArg, join_privileges
+from .ir import Domain, IndexTask, Partition, Privilege, join_privileges
 from .kernels import KernelRegistry
 
 
@@ -100,7 +101,11 @@ class PrefixTracker:
                         return ConstraintVerdict(
                             FusionConstraint.ANTI_DEP, index, argument=k, earlier=at
                         )
-            if arg.privilege.is_reduce and (s in self.written or s in self.read):
+            if arg.privilege.is_reduce and (
+                s in self.written
+                or s in self.read
+                or any(b.store == s and not b.privilege.is_reduce for b in task.args)
+            ):
                 return ConstraintVerdict(FusionConstraint.REDUCTION, index, argument=k)
 
         for k, arg in enumerate(task.args):
@@ -121,30 +126,23 @@ def longest_fusible_prefix(
     """Largest f with all constraints holding on tasks[:f]; always f >= 1.
 
     Growth stops at the first violation or at the first task without a kernel
-    generator (an opaque task caps the prefix before itself; if it is the
-    first task it passes through alone).
+    generator (an opaque task caps the prefix before itself). A first task
+    that stops growth, being opaque or reducing a store it also reads or
+    writes, passes through alone; its verdict is kept unless it is the only
+    task.
     """
     if not tasks:
         raise ValueError("empty task window")
     stats = stats if stats is not None else AnalysisStats()
-    verdicts: list[ConstraintVerdict] = []
-    if not registry.has(tasks[0].kind):
-        if len(tasks) > 1:
-            verdicts.append(ConstraintVerdict(FusionConstraint.NO_GENERATOR, 0))
-        return 1, verdicts
     tracker = PrefixTracker()
-    tracker.admit(tasks[0], 0, stats)
-    f = 1
-    for i in range(1, len(tasks)):
-        if not registry.has(tasks[i].kind):
-            verdicts.append(ConstraintVerdict(FusionConstraint.NO_GENERATOR, i))
-            break
-        v = tracker.admit(tasks[i], i, stats)
+    for i, task in enumerate(tasks):
+        if registry.has(task.kind):
+            v = tracker.admit(task, i, stats)
+        else:
+            v = ConstraintVerdict(FusionConstraint.NO_GENERATOR, i)
         if v is not None:
-            verdicts.append(v)
-            break
-        f = i + 1
-    return f, verdicts
+            return max(i, 1), [v] if len(tasks) > 1 else []
+    return len(tasks), []
 
 
 def fused_kind_name(kinds: Sequence[str]) -> str:
@@ -155,34 +153,28 @@ def fused_kind_name(kinds: Sequence[str]) -> str:
     return "FUSED_" + "_".join(seen)
 
 
-def fused_scalars(prefix: Sequence[IndexTask]) -> tuple[tuple[str, float], ...]:
-    """The fused task's scalars: task i's k-th scalar is named ``s{i}_{k}``."""
-    return tuple(
-        (f"s{i}_{k}", v) for i, t in enumerate(prefix) for k, (_, v) in enumerate(t.scalars)
-    )
-
-
 def build_fused_task(
-    tasks: Sequence[IndexTask], f: int, registry: KernelRegistry
-) -> tuple[str, tuple[StoreArg, ...], tuple[tuple[int, ...], ...]]:
-    """The fusion of tasks[:f], f >= 2: its kind, its arguments (the prefix's
-    (store, partition) pairs with joined privileges) and, per task, the fused
-    position of each of its arguments."""
-    prefix = tasks[:f]
-    for t in prefix:
-        if not registry.has(t.kind):
-            raise ValueError(f"internal error: task kind {t.kind!r} has no generator")
+    tasks: Sequence[IndexTask], f: int
+) -> tuple[str, tuple[tuple[int, int, Privilege], ...], tuple[tuple[int, ...], ...]]:
+    """The fusion of tasks[:f], f >= 2: its kind, its arguments and, per task,
+    the fused position of each of its arguments.
 
-    # (store, partition) -> (fused argument position, joined privilege)
-    args: dict[tuple[int, Partition], tuple[int, Privilege]] = {}
+    A fused argument is one (store, partition) pair of the prefix, given as
+    the (task, argument) position of the first argument naming the pair and
+    the pair's joined privilege: a ``Carve``'s ``args`` as they are.
+    """
+    prefix = tasks[:f]
+    fused: dict[tuple[int, Partition], int] = {}  # (store, partition) -> fused position
+    args: list[tuple[int, int, Privilege]] = []
     arg_map: list[tuple[int, ...]] = []
-    for t in prefix:
+    for i, t in enumerate(prefix):
         positions = []
-        for a in t.args:
-            key = (a.store, a.partition)
-            j, priv = args.get(key, (len(args), None))
-            args[key] = (j, a.privilege if priv is None else join_privileges(priv, a.privilege))
+        for k, a in enumerate(t.args):
+            j = fused.setdefault((a.store, a.partition), len(args))
+            if j == len(args):
+                args.append((i, k, a.privilege))
+            else:
+                args[j] = (*args[j][:2], join_privileges(args[j][2], a.privilege))
             positions.append(j)
         arg_map.append(tuple(positions))
-    fused_args = tuple(StoreArg(s, p, priv) for (s, p), (_, priv) in args.items())
-    return fused_kind_name([t.kind for t in prefix]), fused_args, tuple(arg_map)
+    return fused_kind_name([t.kind for t in prefix]), tuple(args), tuple(arg_map)

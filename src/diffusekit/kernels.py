@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .ir import IndexTask, Privilege, StoreArg
+from .ir import IndexTask, Privilege
 
 
 class KernelError(Exception):
@@ -202,13 +202,7 @@ class KernelRegistry:
         gen = self._gens.get(task.kind)
         if gen is None:
             raise NoGeneratorError(f"no kernel generator for task kind {task.kind!r}")
-        kernel = gen(task)
-        if len(kernel.buf_params) != len(task.args):
-            raise KernelError(
-                f"generator for {task.kind!r} produced {len(kernel.buf_params)} buffer params "
-                f"for a task with {len(task.args)} arguments"
-            )
-        return kernel
+        return gen(task)
 
 
 def _arity(task: IndexTask, nargs: int, nscalars: int | None = None) -> None:
@@ -289,7 +283,7 @@ def default_registry() -> KernelRegistry:
 def compose(
     kernels: Sequence[Kernel],
     arg_maps: Sequence[Sequence[int]],
-    args: Sequence[StoreArg],
+    privileges: Sequence[Privilege],
     temp_arg_indices: frozenset[int],
     shape_classes: Mapping[int, object],
 ) -> Kernel:
@@ -297,8 +291,9 @@ def compose(
     reductions, with parameters unified per fused argument.
 
     Fused argument j becomes buffer ``arg_name(j)``, ``a{j}`` as in a
-    generated kernel, with the privilege of ``args[j]``, or local ``l{j}``
-    when j is a demoted temporary. Scalars of kernel i become ``s{i}_{k}``.
+    generated kernel, with the joined privilege ``privileges[j]``, or local
+    ``l{j}`` when j is a demoted temporary. Scalars of kernel i become
+    ``s{i}_{k}``, in kernel order.
 
     Each nest is merged into the one before it when their domains share a
     shape class. Every access is at the loop index, so any dependence between
@@ -307,8 +302,8 @@ def compose(
     nest's rank: a replication's nest runs at the launch rank, a tiling's at
     the rank of its tile.
     """
-    buf_name = [arg_name(j, j in temp_arg_indices) for j in range(len(args))]
-    shape_class = {buf_name[j]: shape_classes[j] for j in range(len(args)) if j in shape_classes}
+    buf_name = [arg_name(j, j in temp_arg_indices) for j in range(len(privileges))]
+    shape_class = {buf_name[j]: shape_classes[j] for j in range(len(buf_name)) if j in shape_classes}
     groups: list[tuple[str, list[Stmt]]] = []  # (domain, body) of each merged nest
     scalar_params: list[str] = []
 
@@ -333,8 +328,8 @@ def compose(
             groups[-1][1].extend(type(s)(bmap.get(s.buf, s.buf), _rewrite(s.expr, rename)) for s in nest.body)
     return Kernel(
         tuple(
-            BufParam(buf_name[j], a.privilege)
-            for j, a in enumerate(args)
+            BufParam(buf_name[j], priv)
+            for j, priv in enumerate(privileges)
             if j not in temp_arg_indices
         ),
         tuple(scalar_params),

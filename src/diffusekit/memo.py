@@ -163,10 +163,12 @@ class Carve:
     index) at every position, so a carve is that of every window sharing its
     key. ``kind`` and ``args`` are the launched task's, a single task's too:
     per argument the position of the first argument of the prefix that names
-    its (store, partition) pair, and their joined privilege.
+    its (store, partition) pair, and their joined privilege, as
+    ``build_fused_task`` gives them for a fused prefix.
     ``temp_arg_positions`` index ``args``; the demoted stores are those
-    arguments' stores. ``kernel`` is the shape-symbolic kernel, None for a
-    builtin. ``verdicts`` say why the prefix stopped, by position.
+    arguments' stores. ``kernel`` is the shape-symbolic kernel the launch
+    runs, None for a builtin. ``verdicts`` say why the prefix stopped, by
+    position.
     """
 
     prefix_len: int

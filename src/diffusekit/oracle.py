@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ir import (
-    Domain,
     IndexTask,
     Point,
     Privilege,
@@ -31,16 +30,15 @@ class OracleTooLargeError(ValueError):
 class PointTaskView:
     """One point task's accesses, fully materialized as sub-store rectangles."""
 
-    parent_index: int
     point: Point
     accesses: tuple[tuple[int, Rect, Privilege], ...]  # (store id, bounds, privilege)
 
 
-def point_task(task: IndexTask, p: Point, stores: StoreTable, parent_index: int = 0) -> PointTaskView:
+def point_task(task: IndexTask, p: Point, stores: StoreTable) -> PointTaskView:
     accesses = tuple(
         (a.store, sub_store_bounds(stores[a.store], a.partition, p), a.privilege) for a in task.args
     )
-    return PointTaskView(parent_index, p, accesses)
+    return PointTaskView(p, accesses)
 
 
 def dep(t1: PointTaskView, t2: PointTaskView) -> bool:
@@ -66,8 +64,6 @@ def dep(t1: PointTaskView, t2: PointTaskView) -> bool:
 class DependenceMap:
     """Total map: each point of the first task to the set of dependent points."""
 
-    domain1: Domain
-    domain2: Domain
     entries: dict[Point, frozenset[Point]]
 
     def __getitem__(self, p: Point) -> frozenset[Point]:
@@ -90,12 +86,12 @@ def dependence_map(
 ) -> DependenceMap:
     _check_cap(t1, cap)
     _check_cap(t2, cap)
-    views2 = [point_task(t2, q, stores, 1) for q in t2.domain.points()]
+    views2 = [point_task(t2, q, stores) for q in t2.domain.points()]
     entries: dict[Point, frozenset[Point]] = {}
     for p in t1.domain.points():
-        v1 = point_task(t1, p, stores, 0)
+        v1 = point_task(t1, p, stores)
         entries[p] = frozenset(v2.point for v2 in views2 if dep(v1, v2))
-    return DependenceMap(t1.domain, t2.domain, entries)
+    return DependenceMap(entries)
 
 
 def oracle_fusible(

@@ -33,7 +33,6 @@ from .fusion import (
     AnalysisStats,
     ConstraintVerdict,
     build_fused_task,
-    fused_scalars,
     longest_fusible_prefix,
 )
 from .ir import (
@@ -342,12 +341,14 @@ class Session:
     def _analyze(
         self, rem: list[IndexTask], facts: Sequence[tuple[ArgFacts, ...]], defer: bool = False
     ) -> Carve | None:
-        """Analyse and compile the longest fusible prefix of ``rem``. A task
-        launched alone runs its generated kernel, or a builtin when its kind
-        has no generator. A fused kernel's buffers are in the extent classes
-        ``facts`` holds at their first positions in ``rem``. With ``defer``, a
-        ``rem`` that fuses whole gives None, before anything but the
-        constraint pass is worked out."""
+        """Analyse and compile the longest fusible prefix of ``rem``: the one
+        place that decides what its launch runs. A task launched alone runs
+        its generated kernel, or a builtin when its kind has no generator. A
+        fused carve's arguments are ``build_fused_task``'s, and each of its
+        kernel's buffers is in the extent class ``facts`` holds at the
+        argument's position in ``rem``. With ``defer``, a ``rem`` that fuses
+        whole gives None, before anything but the constraint pass is worked
+        out."""
         f, verdicts = 1, ()
         if self.config.fusion:
             f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
@@ -362,19 +363,15 @@ class Session:
         temps = ()
         if self.config.temp_elim:
             temps = find_temporaries(rem, f, self.refs.app_live, self.stores)
-        kind, args, arg_map = build_fused_task(rem, f, self.registry)
-        positions = frozenset(j for j, a in enumerate(args) if a.store in temps)
-        first: dict[int, tuple[int, int]] = {}  # fused argument -> its first position
-        for i, row in enumerate(arg_map):
-            for k, j in enumerate(row):
-                first.setdefault(j, (i, k))
+        kind, args, arg_map = build_fused_task(rem, f)
+        positions = frozenset(j for j, (i, k, _) in enumerate(args) if rem[i].args[k].store in temps)
         kernels = [self.registry.generate(t) for t in rem[:f]]
-        classes = {j: facts[i][k].extent_class for j, (i, k) in first.items()}
-        kernel = optimize(compose(kernels, arg_map, args, positions, classes))
+        classes = {j: facts[i][k].extent_class for j, (i, k, _) in enumerate(args)}
+        privileges = [priv for _, _, priv in args]
+        kernel = optimize(compose(kernels, arg_map, privileges, positions, classes))
         if self.config.oracle_check:
             self._cross_check(rem[:f])
-        where = tuple([(*first[j], a.privilege) for j, a in enumerate(args)])
-        return Carve(f, positions, kernel, verdicts, kind, where)
+        return Carve(f, positions, kernel, verdicts, kind, args)
 
     def _launch(
         self, carve: Carve, fr: FlushReport, facts: Sequence[tuple[ArgFacts, ...]]
@@ -387,9 +384,10 @@ class Session:
         ``_traffic``.
         Only an executing session builds a task: a single task runs as
         buffered, a fused one is built from the carve's kind and
-        ``_store_args`` with the scalars of the whole prefix, and runs with
-        its cached launch plan unless isolated. A store is freed when the
-        last runtime reference goes and the application holds none.
+        ``_store_args``, with the values of the whole prefix's scalars under
+        the names the kernel gives them. It runs the carve's kernel, with its
+        cached launch plan unless isolated. A store is freed when the last
+        runtime reference goes and the application holds none.
         """
         f, kernel, positions = carve.prefix_len, carve.kernel, carve.temp_arg_positions
         buffer = self._buffer
@@ -397,13 +395,14 @@ class Session:
         if self.config.execute:
             task = buffer[0]
             if f > 1:
-                args = self._store_args(carve)
-                task = IndexTask(carve.kind, domain, args, fused_scalars(buffer[:f]))
-            call = (task, self.heap, self.stores, self.registry, self.builtins, kernel, positions)
+                values = [v for t in buffer[:f] for _, v in t.scalars]
+                scalars = tuple(zip(kernel.scalar_params, values))
+                task = IndexTask(carve.kind, domain, self._store_args(carve), scalars)
             if f > 1 and self.config.isolated:
-                execute_isolated(*call)
+                execute_isolated(task, self.heap, self.stores, kernel, positions)
             else:
-                execute_task(*call, self._plan(task))
+                plan = self._plan(task)
+                execute_task(task, self.heap, self.stores, self.builtins, kernel, positions, plan)
         for v in carve.verdicts:
             if v.argument is not None:  # names a store, and partitions if ``earlier``
                 t = v.blocking_task_index

@@ -161,8 +161,8 @@ def _scalar(name: str, value: object, line: int) -> tuple[str, float]:
         raise TraceError(line, f"scalar {name!r} is out of range") from None
 
 
-def _unusable_store(sid: object, refcounts: dict[int, int]) -> str:
-    if type(sid) is int and sid in refcounts:
+def _unusable_store(sid: object, created: set[int]) -> str:
+    if type(sid) is int and sid in created:
         return f"store {sid} used after its last drop_ref"
     return f"unknown store {sid}"
 
@@ -180,7 +180,7 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
     # partition id -> (store id, rank of the launch points a tiling projects
     # from; None for a "none" partition, which takes any launch)
     parts: dict[int, tuple[int, int | None]] = {}
-    refcounts: dict[int, int] = {}
+    created: set[int] = set()  # every store id defined so far, live or dropped
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
@@ -217,7 +217,7 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
                     raise TraceError(lineno, "each arg must be an object")
                 s, p, pr = a.get("store"), a.get("part"), a.get("priv")
                 if type(s) is not int or s not in store_ranks:
-                    raise TraceError(lineno, _unusable_store(s, refcounts))
+                    raise TraceError(lineno, _unusable_store(s, created))
                 part = parts.get(p) if type(p) is int else None
                 if part is None:
                     raise TraceError(lineno, f"unknown partition {p}")
@@ -244,13 +244,13 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
             sid = obj.get("id")
             if type(sid) is not int or sid < 0:
                 raise TraceError(lineno, "store id must be a non-negative integer")
-            if sid in refcounts:
+            if sid in created:
                 raise TraceError(lineno, f"store id {sid} already defined")
             shape = _int_tuple(obj.get("shape"), lineno, "shape")
             if shape and min(shape) <= 0:
                 raise TraceError(lineno, "shape extents must be positive")
             store_ranks[sid] = len(shape)
-            refcounts[sid] = 1
+            created.add(sid)
             append(CreateStore(sid, shape))
         elif tag == "create_partition":
             pid, sid, kind = obj.get("id"), obj.get("store"), obj.get("kind")
@@ -260,7 +260,7 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
                 raise TraceError(lineno, f"partition id {pid} already defined")
             rank = store_ranks.get(sid) if type(sid) is int else None
             if rank is None:
-                raise TraceError(lineno, _unusable_store(sid, refcounts))
+                raise TraceError(lineno, _unusable_store(sid, created))
             if kind == "none":
                 append(CreatePartition(pid, sid, "none"))
                 parts[pid] = (sid, None)
@@ -290,14 +290,10 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
                 raise TraceError(lineno, f"unknown partition kind {kind!r}")
         elif tag == "drop_ref":
             sid = obj.get("store")
-            if type(sid) is not int or sid not in refcounts:
+            if type(sid) is not int or sid not in created:
                 raise TraceError(lineno, f"unknown store {sid}")
-            count = refcounts[sid] - 1
-            if count < 0:
+            if store_ranks.pop(sid, None) is None:  # dropped before: a store has one reference
                 raise TraceError(lineno, f"reference underflow on store {sid}")
-            refcounts[sid] = count
-            if count == 0:
-                del store_ranks[sid]
             append(DropRef(sid))
         elif tag == "flush":
             append(Flush())

@@ -41,7 +41,7 @@ def test_1_stencil_golden():
     ok &= heap_diff(fused.heap, plain.heap, fused.live_store_ids()) == []
     tasks, _, _ = stencil_window(size=34, nodes=2)
     f, _ = longest_fusible_prefix(tasks, default_registry())
-    kind, _, _ = build_fused_task(tasks, f, default_registry())
+    kind, _, _ = build_fused_task(tasks, f)
     ok &= kind == "FUSED_ADD_MULT"
     elapsed = time.monotonic() - start
     ok &= elapsed < 5.0

@@ -17,7 +17,7 @@ from diffusekit.executor import (
     execute_task,
     heap_diff,
 )
-from diffusekit.fusion import build_fused_task, fused_scalars
+from diffusekit.fusion import build_fused_task
 from diffusekit.kernels import (
     BufParam,
     Kernel,
@@ -29,13 +29,18 @@ from diffusekit.kernels import (
     interpret,
     optimize,
 )
-from diffusekit.ir import Domain, IndexTask, NonePart, ProjectionFn, Store
+from diffusekit.ir import Domain, IndexTask, NonePart, ProjectionFn, Store, StoreArg
 from diffusekit.pipeline import Session, SessionConfig, run_events
 import stream_fuzz
 from helpers import R, RD, RW, W, stencil_window, store_table, task, tasks_of, tiling
 
 REG = default_registry()
 BUILTINS = default_builtins()
+
+
+def _execute(t, heap, stores):
+    """``execute_task`` running the kernel generated for ``t``, or its builtin."""
+    execute_task(t, heap, stores, BUILTINS, REG.generate(t) if REG.has(t.kind) else None)
 
 
 class TestHeap:
@@ -104,9 +109,9 @@ class TestSequentialExecution:
         heap.arrays[1] = np.ones(8)
         heap.arrays[2] = np.zeros(())
         t = task("DOT", (4,), [(0, p, R), (1, p, R), (2, NonePart(), RD)])
-        execute_task(t, heap, stores, REG, BUILTINS)
+        _execute(t, heap, stores)
         assert heap.get(2)[()] == 8.0
-        execute_task(t, heap, stores, REG, BUILTINS)
+        _execute(t, heap, stores)
         assert heap.get(2)[()] == 16.0
 
     def test_matvec_builtin(self):
@@ -115,14 +120,21 @@ class TestSequentialExecution:
         heap = Heap(stores, 0)
         t = task("MATVEC", (1,), [(0, n, R), (1, n, R), (2, n, W)])
         mat, vec = heap.get(0).copy(), heap.get(1).copy()
-        execute_task(t, heap, stores, REG, BUILTINS)
+        _execute(t, heap, stores)
         assert (heap.get(2) == mat @ vec).all()
 
     def test_unknown_kind_rejected(self):
         stores = store_table((4,))
         t = task("MYSTERY", (2,), [(0, tiling((2,)), W)])
         with pytest.raises(UnknownTaskKindError):
-            execute_task(t, Heap(stores, 0), stores, REG, BUILTINS)
+            execute_task(t, Heap(stores, 0), stores, BUILTINS)
+
+    def test_no_kernel_runs_the_builtin_even_where_a_generator_exists(self):
+        stores = store_table((4,), (4,))
+        t = task("NEG", (2,), [(0, tiling((2,)), R), (1, tiling((2,)), W)])
+        assert REG.has("NEG") and "NEG" not in BUILTINS
+        with pytest.raises(UnknownTaskKindError):
+            execute_task(t, Heap(stores, 0), stores, BUILTINS, kernel=None)
 
     def test_repeated_runs_are_bit_identical(self):
         tasks, stores, _ = stencil_window()
@@ -135,14 +147,16 @@ class TestSequentialExecution:
 
 
 def _compile_fused(tasks, f, stores, distinct_classes=False):
-    kind, args, arg_map = build_fused_task(tasks, f, REG)
+    kind, args, arg_map = build_fused_task(tasks, f)
     kernels = [REG.generate(t) for t in tasks[:f]]
     if distinct_classes:
         classes = {j: j for j in range(len(args))}
     else:
         classes = {j: 0 for j in range(len(args))}
-    kernel = optimize(compose(kernels, arg_map, args, frozenset(), classes))
-    return IndexTask(kind, tasks[0].domain, args, fused_scalars(tasks[:f])), kernel
+    kernel = optimize(compose(kernels, arg_map, [priv for _, _, priv in args], frozenset(), classes))
+    fused_args = tuple(StoreArg(*tasks[i].args[k][:2], priv) for i, k, priv in args)
+    scalars = zip(kernel.scalar_params, [v for t in tasks[:f] for _, v in t.scalars])
+    return IndexTask(kind, tasks[0].domain, fused_args, tuple(scalars)), kernel
 
 
 class TestIsolatedExecution:
@@ -155,7 +169,7 @@ class TestIsolatedExecution:
         ]
         fused, kernel = _compile_fused(tasks, 2, stores)
         h_iso, h_seq = Heap(stores, 0), Heap(stores, 0)
-        execute_isolated(fused, h_iso, stores, REG, BUILTINS, kernel)
+        execute_isolated(fused, h_iso, stores, kernel)
         execute_sequential(tasks, h_seq, stores, REG, BUILTINS)
         assert heap_diff(h_iso, h_seq, [0, 1, 2]) == []
 
@@ -171,7 +185,7 @@ class TestIsolatedExecution:
         ]
         fused, kernel = _compile_fused(tasks, 2, stores, distinct_classes=True)
         with pytest.raises(ArenaViolationError):
-            execute_isolated(fused, Heap(stores, 0), stores, REG, BUILTINS, kernel)
+            execute_isolated(fused, Heap(stores, 0), stores, kernel)
 
     def test_overlapping_writes_trip_the_arena(self):
         stores = store_table((5,), (4,))
@@ -182,7 +196,7 @@ class TestIsolatedExecution:
         ]
         fused, kernel = _compile_fused(tasks, 2, stores, distinct_classes=True)
         with pytest.raises(ArenaViolationError):
-            execute_isolated(fused, Heap(stores, 0), stores, REG, BUILTINS, kernel)
+            execute_isolated(fused, Heap(stores, 0), stores, kernel)
 
     def test_single_point_launch_is_trivially_isolated(self):
         stores = store_table((4,), (4,))
@@ -193,7 +207,7 @@ class TestIsolatedExecution:
         ]
         fused, kernel = _compile_fused(tasks, 2, stores)
         h_iso, h_seq = Heap(stores, 0), Heap(stores, 0)
-        execute_isolated(fused, h_iso, stores, REG, BUILTINS, kernel)
+        execute_isolated(fused, h_iso, stores, kernel)
         execute_sequential(tasks, h_seq, stores, REG, BUILTINS)
         assert heap_diff(h_iso, h_seq, [0, 1]) == []
 
@@ -202,8 +216,8 @@ class TestIsolatedExecution:
         p = tiling((2,))
         t = task("DOT", (4,), [(0, p, R), (0, p, R), (1, NonePart(), RD)])
         h_iso, h_seq = Heap(stores, 0), Heap(stores, 0)
-        execute_isolated(t, h_iso, stores, REG, BUILTINS)
-        execute_task(t, h_seq, stores, REG, BUILTINS)
+        execute_isolated(t, h_iso, stores, REG.generate(t))
+        _execute(t, h_seq, stores)
         assert heap_diff(h_iso, h_seq, [1]) == []
 
 
@@ -226,7 +240,7 @@ def interpret_calls(monkeypatch):
 def _whole_vs_sequential(tasks, stores):
     whole, ref = Heap(stores, 0), Heap(stores, 0)
     for t in tasks:
-        execute_task(t, whole, stores, REG, BUILTINS)
+        _execute(t, whole, stores)
     execute_sequential(tasks, ref, stores, REG, BUILTINS)
     return heap_diff(whole, ref, sorted(stores))
 
@@ -261,13 +275,13 @@ class TestWholeLaunch:
         tasks, stores, _ = stencil_window(size=10, nodes=2)
         copy = tasks[-1]
         assert copy.kind == "COPY" and copy.domain.volume == 4
-        execute_task(copy, Heap(stores, 0), stores, REG, BUILTINS)
+        _execute(copy, Heap(stores, 0), stores)
         assert len(interpret_calls) == 1
 
     def test_fused_stencil_runs_as_one_call(self, interpret_calls):
         tasks, stores, _ = stencil_window(size=10, nodes=2)
         fused, kernel = _compile_fused(tasks, 5, stores)
-        execute_task(fused, Heap(stores, 0), stores, REG, BUILTINS, kernel)
+        execute_task(fused, Heap(stores, 0), stores, BUILTINS, kernel)
         assert len(interpret_calls) == 1
 
     def test_sequential_reference_stays_point_by_point(self, interpret_calls):
@@ -279,7 +293,7 @@ class TestWholeLaunch:
 def _per_point_case(t, stores, interpret_calls):
     """Runs ``t`` through execute_task; it must go point by point and match the reference."""
     got, ref = Heap(stores, 0), Heap(stores, 0)
-    execute_task(t, got, stores, REG, BUILTINS)
+    _execute(t, got, stores)
     assert len(interpret_calls) == t.domain.volume
     execute_sequential([t], ref, stores, REG, BUILTINS)
     assert heap_diff(got, ref, sorted(stores)) == []
@@ -421,7 +435,7 @@ class TestStrips:
         monkeypatch.setattr(kernels, "STRIP", 3)
         tasks, stores, _ = stencil_window(size=10, nodes=2)
         fused, kernel = _compile_fused(tasks, 5, stores)
-        execute_task(fused, Heap(stores, 0), stores, REG, BUILTINS, kernel)
+        execute_task(fused, Heap(stores, 0), stores, BUILTINS, kernel)
         assert len(interpret_calls) == 1
         assert len(evals) == 8  # one row of the 8x8 interior per strip
 
@@ -453,7 +467,7 @@ class TestFirstTouch:
     def test_covering_write_skips_the_fill(self, filled):
         stores = store_table((8,), (8,))
         heap = Heap(stores, 0)
-        execute_task(task("NEG", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores, REG, BUILTINS)
+        _execute(task("NEG", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores)
         assert filled == [0] and 1 in heap.arrays
         assert (heap.get(1) == -heap.get(0)).all()
 
@@ -461,14 +475,14 @@ class TestFirstTouch:
         stores = store_table((7,), (7,))
         heap = Heap(stores, 0)
         p = tiling((2,))  # a clamped edge tile: the launch runs point by point
-        execute_task(task("NEG", (4,), [(0, p, R), (1, p, W)]), heap, stores, REG, BUILTINS)
+        _execute(task("NEG", (4,), [(0, p, R), (1, p, W)]), heap, stores)
         assert filled == [0] and (heap.get(1) == -heap.get(0)).all()
 
     def test_partial_first_write_keeps_the_documented_contents(self, filled):
         stores = store_table((9,), (9,))
         heap = Heap(stores, 0)
         shifted = tiling((2,), (1,))  # writes cells 1..8 of store 1, never cell 0
-        execute_task(task("COPY", (4,), [(0, tiling((2,)), R), (1, shifted, W)]), heap, stores, REG, BUILTINS)
+        _execute(task("COPY", (4,), [(0, tiling((2,)), R), (1, shifted, W)]), heap, stores)
         assert sorted(filled) == [0, 1]
         want = _documented(stores, 1)
         want[1:] = heap.get(0)[:8]
@@ -491,7 +505,7 @@ class TestFirstTouch:
     def test_written_stores_that_are_read_are_filled(self, case, shape, filled):
         stores = store_table((8,), shape)
         heap, ref = Heap(stores, 0), Heap(stores, 0)
-        execute_task(case, heap, stores, REG, BUILTINS)
+        _execute(case, heap, stores)
         assert 1 in filled
         execute_sequential([case], ref, stores, REG, BUILTINS)
         assert heap_diff(heap, ref, [0, 1]) == []
@@ -507,7 +521,7 @@ class TestFirstTouch:
         )
         t = task("FILL2", (2,), [(0, tiling((4,)), W), (0, tiling((2,)), W)], [("s", 5.0)])
         heap = Heap(stores, 0)
-        execute_task(t, heap, stores, REG, BUILTINS, kernel)
+        execute_task(t, heap, stores, BUILTINS, kernel)
         assert filled == [0] and (heap.get(0) == 5.0).all()
 
     def test_raising_launch_leaves_no_unfilled_store(self, monkeypatch):
@@ -520,7 +534,7 @@ class TestFirstTouch:
 
         monkeypatch.setattr(executor, "interpret", failing)
         with pytest.raises(RuntimeError):
-            execute_task(task("COPY", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores, REG, BUILTINS)
+            _execute(task("COPY", (4,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]), heap, stores)
         assert 0 in heap.arrays and 1 not in heap.arrays
         assert (heap.get(1) == _documented(stores, 1)).all()
 

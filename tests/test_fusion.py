@@ -10,12 +10,13 @@ from diffusekit.fusion import (
     PrefixTracker,
     build_fused_task,
     fused_kind_name,
-    fused_scalars,
     longest_fusible_prefix,
 )
 from diffusekit.ir import NonePart, Privilege
 from diffusekit.kernels import default_registry
 from diffusekit.oracle import oracle_fusible
+from diffusekit import pipeline
+from diffusekit.pipeline import Session, SessionConfig
 from helpers import R, RD, RW, W, stencil_window, store_table, task, tiling
 
 
@@ -109,6 +110,18 @@ class TestReduction:
         t2 = task("COPY", (2,), [(0, p, R), (2, p, W)])
         assert first_violation([t1, t2]) is None
 
+    @pytest.mark.parametrize("priv", [R, W], ids=["read", "write"])
+    def test_reduce_of_a_store_the_same_task_touches_rejected(self, priv):
+        # In either order within the task, through the reduction's partition
+        # or another one.
+        p, q = tiling((2,)), tiling((1,))
+        for args in ([(0, q, priv), (0, p, RD)], [(0, p, RD), (1, p, R), (0, q, priv)]):
+            assert first_violation([task("K", (2,), args)]) is FusionConstraint.REDUCTION
+
+    def test_reduce_beside_a_read_of_another_store_permitted(self):
+        p = tiling((2,))
+        assert first_violation([task("K", (2,), [(1, p, R), (0, p, RD)])]) is None
+
 
 class TestLongestFusiblePrefix:
     def test_stencil_window_stops_before_copy(self):
@@ -143,13 +156,27 @@ class TestLongestFusiblePrefix:
         with pytest.raises(ValueError):
             longest_fusible_prefix([], default_registry())
 
+    def test_first_task_that_reads_and_reduces_one_store_runs_alone(self):
+        p = tiling((4,))
+        t1 = task("SUM", (2,), [(0, p, R), (0, p, RD)])
+        t2 = task("NEG", (2,), [(1, p, R), (2, p, W)])
+        f, verdicts = longest_fusible_prefix([t1, t2], default_registry())
+        assert f == 1
+        (v,) = verdicts
+        assert (v.constraint, v.blocking_task_index, v.argument) == (FusionConstraint.REDUCTION, 0, 1)
+        assert longest_fusible_prefix([t1], default_registry()) == (1, [])
+        f, verdicts = longest_fusible_prefix([t2, t1], default_registry())
+        assert f == 1 and verdicts[0].blocking_task_index == 1
+
 
 class TestBuildFusedTask:
-    def test_stencil_prefix_unions_args(self):
-        tasks, _, _ = stencil_window()
-        kind, args, arg_map = build_fused_task(tasks, 5, default_registry())
+    def test_stencil_prefix_unions_args(self, monkeypatch):
+        tasks, stores, _ = stencil_window()
+        kind, args, arg_map = build_fused_task(tasks, 5)
         assert kind == "FUSED_ADD_MULT"
-        by_pair = {(a.store, a.partition): a.privilege for a in args}
+        pairs = [tasks[i].args[k][:2] for i, k, _ in args]
+        by_pair = {pair: priv for pair, (_, _, priv) in zip(pairs, args)}
+        assert len(by_pair) == len(args)
         # Five aliased grid views read, chain temporaries joined to RW,
         # work written once.
         grid_views = [p for (s, p) in by_pair if s == 0]
@@ -158,12 +185,26 @@ class TestBuildFusedTask:
         for temp in (2, 3, 4, 5):
             assert by_pair[(temp, tiling((2, 2)))] is RW
         assert by_pair[(1, tiling((2, 2)))] is W
-        assert fused_scalars(tasks[:5]) == (("s4_0", 0.2),)
-        # arg_map sends each original arg to the fused arg with the same pair
-        for t, positions in zip(tasks[:5], arg_map):
-            for a, j in zip(t.args, positions):
-                assert args[j].store == a.store
-                assert args[j].partition == a.partition
+        # arg_map sends each original arg to the fused arg with the same
+        # pair, whose position is the first naming that pair
+        first: dict[int, tuple[int, int]] = {}
+        for i, (t, positions) in enumerate(zip(tasks[:5], arg_map)):
+            for k, (a, j) in enumerate(zip(t.args, positions)):
+                assert pairs[j] == (a.store, a.partition)
+                first.setdefault(j, (i, k))
+        assert [(i, k) for i, k, _ in args] == [first[j] for j in range(len(args))]
+        # the launched fused task names task i's k-th scalar s{i}_{k}
+        launched = []
+        execute = pipeline.execute_task
+        monkeypatch.setattr(pipeline, "execute_task", lambda t, *a: launched.append(t) or execute(t, *a))
+        session = Session(SessionConfig())
+        for sid, store in stores.items():
+            session.create_store(sid, store.shape.extents)
+        for t in tasks:
+            session.submit(t)
+        assert session.finish().fused_prefixes == [5, 1]
+        assert launched[0].kind == "FUSED_ADD_MULT"
+        assert launched[0].scalars == (("s4_0", 0.2),)
 
     def test_fused_kind_name_deduplicates(self):
         assert fused_kind_name(["ADD", "ADD", "MULT"]) == "FUSED_ADD_MULT"

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from diffusekit import executor, kernels, pipeline
 from diffusekit.executor import Heap, execute_sequential
-from diffusekit.fusion import build_fused_task, fused_scalars
-from diffusekit.ir import Domain, NonePart, Privilege, StoreArg
+from diffusekit.fusion import build_fused_task
+from diffusekit.ir import Domain, NonePart, Privilege
 from diffusekit.kernels import (
     Bin,
     BufParam,
@@ -56,8 +56,8 @@ def _p(rank=1):
 
 
 def _args(*privileges):
-    """Fused arguments with these privileges: ``compose`` reads only those."""
-    return tuple(StoreArg(j, _p(), priv) for j, priv in enumerate(privileges))
+    """The joined privileges of fused arguments, as ``compose`` takes them."""
+    return privileges
 
 
 # case -> (kind, argument privileges, scalar count, kernel_text at any rank).
@@ -440,9 +440,9 @@ class TestFusedKernelText:
         texts = []
         execute = pipeline.execute_task
 
-        def recording(t, heap, stores, registry, builtins, kernel, positions, *rest):
+        def recording(t, heap, stores, builtins, kernel, positions, *rest):
             texts.append(kernel_text(kernel) if kernel is not None else None)
-            execute(t, heap, stores, registry, builtins, kernel, positions, *rest)
+            execute(t, heap, stores, builtins, kernel, positions, *rest)
 
         monkeypatch.setattr(pipeline, "execute_task", recording)
         return texts
@@ -725,14 +725,15 @@ def _fused_chain(n):
     (kernel, bound buffers, scalars, the output slab, its expected contents)."""
     tasks, stores = tasks_of(gen_blackscholes_chain(size=n, nodes=1, iters=1))
     assert len(tasks) == 67
-    _, args, arg_map = build_fused_task(tasks, 67, REG)
+    _, args, arg_map = build_fused_task(tasks, 67)
     x, y, out = 0, 1, 2  # the chain's first three stores
-    temps = frozenset(j for j, a in enumerate(args) if a.store not in (x, y, out))
+    arg_stores = [tasks[i].args[k].store for i, k, _ in args]
+    temps = frozenset(j for j, s in enumerate(arg_stores) if s not in (x, y, out))
     kernel = optimize(
         compose(
             [REG.generate(t) for t in tasks],
             arg_map,
-            args,
+            [priv for _, _, priv in args],
             temps,
             {j: 0 for j in range(len(args))},
         )
@@ -741,8 +742,8 @@ def _fused_chain(n):
     rng = np.random.default_rng(0)
     bound = {x: rng.integers(1, 9, n).astype(np.float64), y: rng.integers(1, 9, n).astype(np.float64)}
     bound[out] = np.zeros(n)
-    bufs = {f"a{j}": bound[a.store] for j, a in enumerate(args) if j not in temps}
-    scalars = {name: v for name, (_, v) in zip(kernel.scalar_params, fused_scalars(tasks))}
+    bufs = {f"a{j}": bound[s] for j, s in enumerate(arg_stores) if j not in temps}
+    scalars = dict(zip(kernel.scalar_params, [v for t in tasks for _, v in t.scalars]))
     return kernel, bufs, scalars, bound[out], bound[x] + bound[y]
 
 

@@ -8,7 +8,6 @@ from collections import OrderedDict
 import pytest
 
 from diffusekit import memo, pipeline
-from diffusekit.fusion import fused_scalars
 from diffusekit.ir import Domain, NonePart, ProjectionFn, Store, StoreArg
 from diffusekit.kernels import Kernel, kernel_text
 from diffusekit.memo import (
@@ -178,7 +177,8 @@ class TestReplayEqualsFreshAnalysis:
             if carve.kernel is not None:
                 window = self._buffer
                 args = tuple([StoreArg(*window[t].args[k][:2], pr) for t, k, pr in carve.args])
-                scalars = fused_scalars(window[: carve.prefix_len])
+                values = [v for t in window[: carve.prefix_len] for _, v in t.scalars]
+                scalars = tuple(zip(carve.kernel.scalar_params, values))
                 text = kernel_text(carve.kernel)
                 verdicts = [
                     (v.constraint, v.blocking_task_index, v.argument, v.earlier)
@@ -241,9 +241,9 @@ class TestReplayEqualsFreshAnalysis:
         texts = []
         execute = pipeline.execute_task
 
-        def recording(t, heap, stores, registry, builtins, kernel, positions, *rest):
+        def recording(t, heap, stores, builtins, kernel, positions, *rest):
             texts.append(kernel_text(kernel))
-            execute(t, heap, stores, registry, builtins, kernel, positions, *rest)
+            execute(t, heap, stores, builtins, kernel, positions, *rest)
 
         monkeypatch.setattr(pipeline, "execute_task", recording)
         square = tiling((2, 2), (1, 1))

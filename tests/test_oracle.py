@@ -23,8 +23,8 @@ class TestDep:
         north = tiling((2, 2), (0, 1))
         writer = task("K", (2, 2), [(0, center, W)])
         reader = task("K", (2, 2), [(0, north, R)])
-        v1 = point_task(writer, (0, 0), stores, 0)
-        v2 = point_task(reader, (1, 0), stores, 1)
+        v1 = point_task(writer, (0, 0), stores)
+        v2 = point_task(reader, (1, 0), stores)
         assert dep(v1, v2)
 
     def test_disjoint_tiles_do_not_conflict(self):
@@ -32,19 +32,19 @@ class TestDep:
         p = tiling((2,))
         t1 = task("K", (2,), [(0, p, R), (1, p, W)])
         t2 = task("K", (2,), [(0, p, R), (1, p, W)])
-        assert not dep(point_task(t1, (0,), stores, 0), point_task(t2, (1,), stores, 1))
+        assert not dep(point_task(t1, (0,), stores), point_task(t2, (1,), stores))
 
     def test_overlapping_reductions_do_not_conflict(self):
         stores = store_table(())
         t1 = task("K", (2,), [(0, NonePart(), RD)])
         t2 = task("K", (2,), [(0, NonePart(), RD)])
-        assert not dep(point_task(t1, (0,), stores, 0), point_task(t2, (1,), stores, 1))
+        assert not dep(point_task(t1, (0,), stores), point_task(t2, (1,), stores))
 
     def test_reduce_then_read_conflicts(self):
         stores = store_table(())
         t1 = task("K", (2,), [(0, NonePart(), RD)])
         t2 = task("K", (2,), [(0, NonePart(), R)])
-        assert dep(point_task(t1, (0,), stores, 0), point_task(t2, (1,), stores, 1))
+        assert dep(point_task(t1, (0,), stores), point_task(t2, (1,), stores))
 
 
 class TestDependenceMap:

@@ -11,13 +11,13 @@ import pytest
 
 from diffusekit import memo, pipeline, trace as tracefmt
 from diffusekit.executor import UnknownTaskKindError, default_builtins, heap_diff
-from diffusekit.fusion import fused_scalars, longest_fusible_prefix
-from diffusekit.ir import IndexTask, StoreArg
+from diffusekit.fusion import longest_fusible_prefix
+from diffusekit.ir import Domain, IndexTask, ProjectionFn, StoreArg, Tiling
 from diffusekit.kernels import KernelError, KernelRegistry
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
 from diffusekit.temporaries import RefUnderflowError
 from diffusekit.trace import BENCHMARKS, gen_benchmark
-from helpers import R, W, task, tiling
+from helpers import R, RD, W, task, tiling
 import stream_fuzz
 
 
@@ -404,7 +404,11 @@ class TestAnalysisCost:
         def recording_launch(session, carve, fr, *rest):
             prefix = session._buffer[: carve.prefix_len]
             args = tuple([StoreArg(*prefix[t].args[k][:2], pr) for t, k, pr in carve.args])
-            scalars = fused_scalars(prefix) if len(prefix) > 1 else prefix[0].scalars
+            scalars = prefix[0].scalars
+            if len(prefix) > 1:  # task i's k-th scalar is named s{i}_{k}
+                scalars = tuple(
+                    (f"s{i}_{k}", v) for i, t in enumerate(prefix) for k, (_, v) in enumerate(t.scalars)
+                )
             expected.append((carve.kind, prefix[0].domain, args, scalars))
             launch(session, carve, fr, *rest)
 
@@ -705,6 +709,36 @@ class TestFailedFlush:
         assert not session.heap.arrays
         assert len(session.memo) == 0
         assert session.report.per_flush == []
+
+
+class TestReadAndReduceOneStore:
+    """A task that reads and reduces one store is valid, and launches alone:
+    fused with the next task, its R and Rd arguments would be joined."""
+
+    @staticmethod
+    def _run(config):
+        session = Session(config)
+        for sid in range(3):
+            session.create_store(sid, (8,))
+        p = Tiling((4,), (0,), ProjectionFn.identity(1))
+        for _ in range(2):  # the second window replays the first's carves
+            session.submit(IndexTask("SUM", Domain((2,)), (StoreArg(0, p, R), StoreArg(0, p, RD))))
+            session.submit(IndexTask("NEG", Domain((2,)), (StoreArg(1, p, R), StoreArg(2, p, W))))
+            session.flush()
+        return session, session.finish()
+
+    @pytest.mark.parametrize("execute", [True, False], ids=["executed", "analysis-only"])
+    @pytest.mark.parametrize("memoize", [True, False], ids=["memo on", "memo off"])
+    def test_flush_launches_it_alone(self, memoize, execute):
+        session, report = self._run(SessionConfig(memoize=memoize, execute=execute))
+        assert session._buffer == []
+        assert report.fused_prefixes == [1, 1, 1, 1]
+        assert report.memo_hits == (2 if memoize else 0)
+        described = [v.describe() for fr in report.per_flush for v in fr.verdicts]
+        assert described == ["Reduction at task 0 on store 0"] * 2
+        if execute:
+            plain, _ = self._run(SessionConfig(fusion=False))
+            assert heap_diff(session.heap, plain.heap, range(3)) == []
 
 
 class TestCapacityFlush:

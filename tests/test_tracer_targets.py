@@ -5,8 +5,10 @@ declares must be recorded on a few small traces."""
 from __future__ import annotations
 
 import importlib.util
+import inspect
 from pathlib import Path
 
+from diffusekit import pipeline
 from diffusekit.pipeline import Session, SessionConfig, run_events
 from diffusekit.trace import gen_benchmark
 
@@ -30,3 +32,8 @@ def test_every_traced_name_is_called():
     declared = {span for _, _, span in tracing.TARGETS}
     assert len(declared) == 18
     assert sorted(declared - set(calls)) == []
+
+
+def test_execute_task_takes_the_task_and_heap_first():
+    """The tracer's point counter unpacks ``(task, heap, *rest)``."""
+    assert list(inspect.signature(pipeline.execute_task).parameters)[:2] == ["task", "heap"]
