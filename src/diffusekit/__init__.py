@@ -23,7 +23,6 @@ from .ir import (
     sub_store_bounds,
 )
 from .fusion import (
-    AnalysisStats,
     ConstraintVerdict,
     FusionConstraint,
     build_fused_task,
@@ -39,7 +38,6 @@ from .trace import gen_benchmark, parse_trace, print_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisStats",
     "CanonicalStream",
     "ConstraintVerdict",
     "Domain",

@@ -56,38 +56,34 @@ class ConstraintVerdict:
         return msg
 
 
-@dataclass
-class AnalysisStats:
-    """Operation counter; must stay independent of launch-domain volume."""
-
-    constraint_steps: int = 0
-
-
 class PrefixTracker:
     """Forward dataflow state over a candidate prefix. ``written`` and
     ``read`` map each store to its partitions, each with the (task,
-    argument) position of the first argument that named it."""
+    argument) position of the first argument that named it. ``steps``
+    counts the constraint checks made: one per task, argument and
+    partition compared. It must not depend on launch-domain volume."""
 
     def __init__(self) -> None:
         self.domain: Domain | None = None
         self.written: dict[int, dict[Partition, tuple[int, int]]] = {}
         self.read: dict[int, dict[Partition, tuple[int, int]]] = {}
         self.reduced: set[int] = set()
+        self.steps = 0
 
-    def admit(self, task: IndexTask, index: int, stats: AnalysisStats) -> ConstraintVerdict | None:
+    def admit(self, task: IndexTask, index: int) -> ConstraintVerdict | None:
         """Check all constraints for appending ``task``; apply effects on success."""
-        stats.constraint_steps += 1
+        self.steps += 1
         if self.domain is None:
             self.domain = task.domain
         elif task.domain != self.domain:
             return ConstraintVerdict(FusionConstraint.LAUNCH_DOMAIN, index)
 
         for k, arg in enumerate(task.args):
-            stats.constraint_steps += 1
+            self.steps += 1
             s = arg.store
             if arg.privilege.is_read or arg.privilege.is_write:
                 for p, at in self.written.get(s, {}).items():
-                    stats.constraint_steps += 1
+                    self.steps += 1
                     if p != arg.partition:
                         return ConstraintVerdict(
                             FusionConstraint.TRUE_DEP, index, argument=k, earlier=at
@@ -96,7 +92,7 @@ class PrefixTracker:
                     return ConstraintVerdict(FusionConstraint.REDUCTION, index, argument=k)
             if arg.privilege.is_write:
                 for p, at in self.read.get(s, {}).items():
-                    stats.constraint_steps += 1
+                    self.steps += 1
                     if p != arg.partition:
                         return ConstraintVerdict(
                             FusionConstraint.ANTI_DEP, index, argument=k, earlier=at
@@ -119,11 +115,11 @@ class PrefixTracker:
 
 
 def longest_fusible_prefix(
-    tasks: Sequence[IndexTask],
-    registry: KernelRegistry,
-    stats: AnalysisStats | None = None,
-) -> tuple[int, list[ConstraintVerdict]]:
-    """Largest f with all constraints holding on tasks[:f]; always f >= 1.
+    tasks: Sequence[IndexTask], registry: KernelRegistry
+) -> tuple[int, list[ConstraintVerdict], int]:
+    """Largest f with all constraints holding on tasks[:f], always f >= 1,
+    the verdicts that stopped growth, and the constraint steps taken, which
+    the caller reports.
 
     Growth stops at the first violation or at the first task without a kernel
     generator (an opaque task caps the prefix before itself). A first task
@@ -133,16 +129,15 @@ def longest_fusible_prefix(
     """
     if not tasks:
         raise ValueError("empty task window")
-    stats = stats if stats is not None else AnalysisStats()
     tracker = PrefixTracker()
     for i, task in enumerate(tasks):
         if registry.has(task.kind):
-            v = tracker.admit(task, i, stats)
+            v = tracker.admit(task, i)
         else:
             v = ConstraintVerdict(FusionConstraint.NO_GENERATOR, i)
         if v is not None:
-            return max(i, 1), [v] if len(tasks) > 1 else []
-    return len(tasks), []
+            return max(i, 1), [v] if len(tasks) > 1 else [], tracker.steps
+    return len(tasks), [], tracker.steps
 
 
 def fused_kind_name(kinds: Sequence[str]) -> str:

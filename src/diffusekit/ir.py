@@ -142,7 +142,7 @@ Partition = NonePart | Tiling
 
 
 class Privilege(Enum):
-    """An access mode; its value is its code in traces and memo keys.
+    """An access mode; its value is its code in traces and ``canon`` text.
 
     Members hash by identity, which is C-level where ``Enum.__hash__`` is
     Python-level: every member is a singleton, so equality is identity."""
@@ -165,6 +165,9 @@ class Privilege(Enum):
     @property
     def is_reduce(self) -> bool:
         return self is Privilege.REDUCE
+
+
+PRIVILEGES = {p.value: p for p in Privilege}  # by trace code
 
 
 def join_privileges(a: Privilege, b: Privilege) -> Privilege:

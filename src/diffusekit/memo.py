@@ -18,8 +18,7 @@ from .fusion import ConstraintVerdict
 from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreTable, covers
 from .kernels import Kernel
 
-CanonTask = tuple[str, int, tuple[tuple[int, int, str], ...], int]
-_CODES = {p: p.value for p in Privilege}  # read per argument: no enum descriptor
+CanonTask = tuple[str, int, tuple[tuple[int, int, Privilege], ...], int]
 MEMO_CAPACITY = 1024  # entries a MemoCache keeps; steady-state cg_like needs 9
 
 
@@ -94,7 +93,6 @@ def canonicalize(
     fingerprint: list[tuple[bool, int]] = []
     canon_tasks: list[CanonTask] = []
     found: list[tuple[tuple, ...]] = []
-    codes = _CODES
 
     for t in tasks:
         domain = t.domain
@@ -111,7 +109,7 @@ def canonicalize(
             p = part_idx.get(part)
             if p is None:
                 p = part_idx[part] = len(part_idx)
-            args.append((s, p, codes[priv]))
+            args.append((s, p, priv))
             entry = seen.get((s, p, d))
             if entry is None:
                 fact = facts(stores[store], part, domain)
@@ -143,7 +141,7 @@ def canon_text(stream: CanonicalStream) -> str:
     fingerprint = iter(stream.fingerprint)
     for i, (kind, dom, args, nscalars) in enumerate(stream.tasks):
         body = ", ".join(
-            f"({s},{p},{pr}) {'covers' if cov else 'part'} k{cls}"
+            f"({s},{p},{pr.value}) {'covers' if cov else 'part'} k{cls}"
             for (s, p, pr), (cov, cls) in zip(args, fingerprint)
         )
         suffix = f" scalars={nscalars}" if nscalars else ""

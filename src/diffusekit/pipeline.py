@@ -7,8 +7,8 @@ buffers. Then it executes the plan. An isomorphic window replays the
 memoized plan of its whole flush from one lookup. The window grows
 adaptively, up to MAX_WINDOW: a full buffer that fuses whole is not
 launched, the window doubles and buffering goes on, so a long chain is not
-cut while the window warms up. An explicit flush that fuses whole into one
-task doubles the window too.
+cut while the window warms up. Any other launch of a buffer of two or more
+tasks that fuses whole doubles the window too.
 """
 
 from __future__ import annotations
@@ -29,17 +29,12 @@ from .executor import (
     launch_plan,
     plan_key,
 )
-from .fusion import (
-    AnalysisStats,
-    ConstraintVerdict,
-    build_fused_task,
-    longest_fusible_prefix,
-)
+from .fusion import ConstraintVerdict, build_fused_task, longest_fusible_prefix
 from .ir import (
+    PRIVILEGES,
     Domain,
     IndexTask,
     Partition,
-    Privilege,
     Store,
     StoreArg,
     covers,
@@ -77,7 +72,6 @@ class SessionConfig:
 @dataclass(slots=True)
 class FlushReport:
     explicit: bool
-    tasks_in: int = 0
     fused_prefixes: list[int] = field(default_factory=list)
     temporaries: list[int] = field(default_factory=list)
     memo_hits: int = 0
@@ -87,6 +81,10 @@ class FlushReport:
     stores: int = 0
     verdicts: list[ConstraintVerdict] = field(default_factory=list)
     kernel_stats: list[tuple[int, int, int]] = field(default_factory=list)
+
+    @property
+    def tasks_in(self) -> int:
+        return sum(self.fused_prefixes)
 
     @property
     def tasks_out(self) -> int:
@@ -190,7 +188,7 @@ class Session:
         self.refs = RefState()
         self.heap = Heap(self.stores, self.config.seed)
         self.memo = MemoCache()
-        self.stats = AnalysisStats()
+        self._steps = 0  # constraint steps that no reported flush has counted
         self.window = self.config.window
         self.report = Report()
         self._arg_facts: dict[tuple[tuple, Partition, tuple], ArgFacts] = {}
@@ -263,16 +261,19 @@ class Session:
         window, so the hit's carves end the plan; each remainder before it
         is analysed.
 
-        Below ``MAX_WINDOW``, a capacity flush whose buffer of two or more
-        tasks fuses whole launches nothing: the window doubles and the
-        buffer, its references and the memo stay as they are. Only the
-        whole buffer is tested, by the first carve of a hit or else by the
-        one constraint pass a launch would use, before anything compiles.
+        One test decides window growth: whether a buffer of two or more
+        tasks fuses whole, read from the first carve of a hit or else from
+        the one constraint pass a launch would use. Below ``MAX_WINDOW``, a
+        capacity flush whose buffer fuses whole launches nothing: the window
+        doubles, before anything compiles, and the buffer, its references
+        and the memo stay as they are. Any other flush launches, and doubles
+        the window after launching a buffer that fused whole.
 
         Launching runs the plan in order, and ``memo_hits`` counts the replayed
-        carves that launched. A deferral, or a flush whose planning raises,
-        launches nothing, counts no memo miss and reports nothing; the next
-        flush reported counts its constraint steps. After a launch raises,
+        carves that launched. Each analysis adds its constraint steps to the
+        session's unreported count, which the next reported flush takes. A
+        deferral, or a flush whose planning raises, launches nothing, counts
+        no memo miss and reports nothing. After a launch raises,
         the buffer keeps every task not yet launched, and the next flush
         resumes with it. Otherwise every key that missed gets the carves
         from its position on; no ``drop_ref`` can happen in between, so
@@ -282,12 +283,7 @@ class Session:
         if not buffer:
             return
         memoize = self.config.fusion and self.config.memoize
-        defer = (
-            not explicit
-            and self.config.fusion
-            and len(buffer) > 1
-            and self.window < MAX_WINDOW
-        )
+        defer = not explicit and len(buffer) > 1 and self.window < MAX_WINDOW
         key, facts = canonicalize(buffer, self.stores, self.refs.app_live, self._facts)
         carves: list[Carve] = []
         missed: list[CanonicalStream] = []  # the key of each analysed remainder
@@ -307,7 +303,8 @@ class Session:
                 break
             carves.append(carve)
             at += carve.prefix_len
-        if defer and (not carves or carves[0].prefix_len == len(buffer)):  # fuses whole
+        whole = len(buffer) > 1 and (not carves or carves[0].prefix_len == len(buffer))
+        if defer and whole:
             self.window = min(self.window * 2, MAX_WINDOW)
             log.debug("flush(full): %d tasks fuse whole, window now %d", len(buffer), self.window)
             return
@@ -319,15 +316,13 @@ class Session:
                 self._launch(carve, fr, facts[at:])
                 at += carve.prefix_len
         finally:
-            fr.tasks_in = at
             fr.memo_hits = max(0, fr.tasks_out - (len(carves) - replayed))
             fr.memo_misses = len(missed)
-            # with the steps of every deferral since the last report
-            fr.constraint_steps = self.stats.constraint_steps - self.report.constraint_steps
+            fr.constraint_steps, self._steps = self._steps, 0
             self.report.add(fr)
         for i, key in enumerate(missed):
             self.memo.insert(key, tuple(carves[i:]))
-        if fr.tasks_in > 1 and fr.tasks_out == 1:
+        if whole:
             self.window = min(self.window * 2, MAX_WINDOW)
         log.debug(
             "flush(%s): %d -> %d tasks, prefixes %s, window now %d",
@@ -351,7 +346,8 @@ class Session:
         out."""
         f, verdicts = 1, ()
         if self.config.fusion:
-            f, verdicts = longest_fusible_prefix(rem, self.registry, self.stats)
+            f, verdicts, steps = longest_fusible_prefix(rem, self.registry)
+            self._steps += steps
             if defer and f == len(rem):
                 return None
             verdicts = tuple(verdicts)
@@ -497,13 +493,12 @@ class Session:
         return domain
 
 
-_PRIVILEGES = {p.value: p for p in Privilege}
 _new = tuple.__new__  # builds a StoreArg without its Python-level __new__
 
 
 def task_from_event(session: Session, ev: tracefmt.TaskEvent) -> IndexTask:
     parts = session.partitions
-    args = tuple([_new(StoreArg, (s, parts[p], _PRIVILEGES[pr])) for s, p, pr in ev.args])
+    args = tuple([_new(StoreArg, (s, parts[p], PRIVILEGES[pr])) for s, p, pr in ev.args])
     domain = session._domains.get(ev.domain)
     if domain is None:
         domain = session._domain(ev.domain)

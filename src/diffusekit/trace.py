@@ -14,9 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .ir import NonePart, Partition, ProjectionFn, Tiling
+from .ir import PRIVILEGES, NonePart, Partition, ProjectionFn, Tiling
 
-_PRIVS = frozenset(("R", "W", "Rd", "RW"))
 _INF = float("inf")
 _ABSENT = object()  # a key missing from a JSON object, which null is not
 _encode_string = json.encoder.encode_basestring_ascii
@@ -224,7 +223,7 @@ def parse_trace(source: str | Iterable[str]) -> list[Event]:
                 owner, in_rank = part
                 if owner != s:
                     raise TraceError(lineno, f"partition {p} belongs to store {owner}, not {s}")
-                if type(pr) is not str or pr not in _PRIVS:
+                if type(pr) is not str or pr not in PRIVILEGES:
                     raise TraceError(lineno, f"malformed privilege {pr!r}")
                 if in_rank is not None and in_rank != launch_rank and misprojected is None:
                     misprojected = p

@@ -40,7 +40,7 @@ def test_1_stencil_golden():
     ok &= 1 not in report.temporaries_eliminated  # work stays distributed
     ok &= heap_diff(fused.heap, plain.heap, fused.live_store_ids()) == []
     tasks, _, _ = stencil_window(size=34, nodes=2)
-    f, _ = longest_fusible_prefix(tasks, default_registry())
+    f, _, _ = longest_fusible_prefix(tasks, default_registry())
     kind, _, _ = build_fused_task(tasks, f)
     ok &= kind == "FUSED_ADD_MULT"
     elapsed = time.monotonic() - start
@@ -116,7 +116,7 @@ def test_6_temporary_elimination():
         task("NORM", (4,), [(w, n, R), (norm, n, RD)]),
     ]
     live = set(stores) - {x, y, z, w}  # the application dropped these
-    f, _ = longest_fusible_prefix(tasks, default_registry())
+    f, _, _ = longest_fusible_prefix(tasks, default_registry())
     temps = find_temporaries(tasks, f, live, stores)
     _verdict("6 temporary elimination (exactly {z})", f == 3 and temps == {z})
 

@@ -59,8 +59,8 @@ class TestCanonicalize:
             _swap_stream_variant(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3}
         )
         assert left != right
-        assert left.tasks[2][2] == ((1, 0, "R"), (2, 0, "W"))
-        assert right.tasks[2][2] == ((2, 0, "R"), (2, 0, "W"))
+        assert left.tasks[2][2] == ((1, 0, R), (2, 0, W))
+        assert right.tasks[2][2] == ((2, 0, R), (2, 0, W))
 
     def test_invariant_under_random_renaming(self):
         rng = random.Random(7)

@@ -92,9 +92,9 @@ class TestStencilPipeline:
         trailing copy, which the AntiDep on the grid keeps apart."""
         analyse = pipeline.longest_fusible_prefix
 
-        def one_too_many(tasks, registry, stats=None):
-            f, verdicts = analyse(tasks, registry, stats)
-            return (f + 1 if verdicts else f), verdicts
+        def one_too_many(tasks, registry):
+            f, verdicts, steps = analyse(tasks, registry)
+            return (f + 1 if verdicts else f), verdicts, steps
 
         monkeypatch.setattr(pipeline, "longest_fusible_prefix", one_too_many)
         with pytest.raises(
@@ -130,6 +130,32 @@ class TestAdaptiveWindow:
         assert (first.explicit, first.fused_prefixes) == (False, [1, 2, 3, 4])
         assert (second.explicit, second.fused_prefixes) == (True, [2])
 
+    @staticmethod
+    def _neg_chain(config, n=600):
+        """``n`` NEGs in a chain, with no explicit flush; the application
+        drops each intermediate after the task that reads it."""
+        session = Session(config)
+        for sid in range(n + 1):
+            session.create_store(sid, (8,))
+        for i in range(n):
+            session.submit(task("NEG", (4,), [(i, tiling((2,)), R), (i + 1, tiling((2,)), W)]))
+            if i:
+                session.drop_ref(i)
+        return session, session.finish()
+
+    @pytest.mark.parametrize("execute", [True, False], ids=["executed", "analysis-only"])
+    @pytest.mark.parametrize("memoize", [True, False], ids=["memo on", "memo off"])
+    def test_full_buffer_at_the_cap_launches_whole(self, memoize, execute):
+        """At ``MAX_WINDOW`` a capacity flush whose buffer fuses whole is
+        not deferred: it launches, and the window stays at the cap."""
+        session, report = self._neg_chain(SessionConfig(memoize=memoize, execute=execute))
+        assert [fr.fused_prefixes for fr in report.per_flush] == [[256], [256], [88]]
+        assert [fr.explicit for fr in report.per_flush] == [False, False, True]
+        assert report.final_window == MAX_WINDOW == 256
+        if execute:
+            plain, _ = self._neg_chain(SessionConfig(fusion=False))
+            assert heap_diff(session.heap, plain.heap, session.live_store_ids()) == []
+
 
 class TestDeferral:
     """A capacity flush whose whole buffer fuses grows the window and
@@ -157,13 +183,25 @@ class TestDeferral:
     @pytest.mark.parametrize("memoize", [True, False])
     @pytest.mark.parametrize("window", [2, 10])
     def test_deferrals_are_bounded_and_their_steps_reported(self, window, memoize, monkeypatch):
+        """Every constraint step an analysis takes is reported exactly once,
+        deferred or not."""
         deferrals = self._counted(monkeypatch)
+        steps = Counter()  # per session's registry, the steps its analyses took
+        analyse = pipeline.longest_fusible_prefix
+
+        def counted(tasks, registry):
+            result = analyse(tasks, registry)
+            steps[registry] += result[2]
+            return result
+
+        monkeypatch.setattr(pipeline, "longest_fusible_prefix", counted)
         config = SessionConfig(window=window, execute=False, memoize=memoize)
         sessions = [_run(name, config, iters=6)[0] for name in BENCHMARKS]
         sessions += [stream_fuzz.run_stream(s, config) for s in stream_fuzz.corpus(200)]
         assert 0 < max(deferrals.values()) <= math.ceil(math.log2(MAX_WINDOW / window))
+        assert sum(steps.values()) > 0
         for session in sessions:
-            assert session.report.constraint_steps == session.stats.constraint_steps
+            assert session.report.constraint_steps == steps[session.registry]
 
     @staticmethod
     def _copy(src):
@@ -766,7 +804,7 @@ class TestCapacityFlush:
             if explicit:
                 buffer = session._buffer
                 if len(buffer) >= window:
-                    f, _ = longest_fusible_prefix(buffer, session.registry)
+                    f, _, _ = longest_fusible_prefix(buffer, session.registry)
                     if 1 < f == len(buffer) and window < MAX_WINDOW:
                         window, grown = min(window * 2, MAX_WINDOW), grown + 1
                     else:
