@@ -12,6 +12,7 @@ from typing import Sequence
 from .executor import ExecutionError, heap_diff
 from .kernels import KernelError
 from .memo import CanonicalStream, Carve, MemoCache, canon_text
+from .oracle import DEFAULT_ORACLE_CAP
 from .pipeline import Report, Session, SessionConfig, run_events
 from .trace import (
     BENCHMARKS,
@@ -42,7 +43,8 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check every fused prefix against the brute-force dependence oracle",
+        help="cross-check every fused prefix launched over at most "
+        f"{DEFAULT_ORACLE_CAP} points against the brute-force dependence oracle",
     )
 
 

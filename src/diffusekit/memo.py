@@ -19,7 +19,7 @@ from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreT
 from .kernels import Kernel
 
 CanonTask = tuple[str, int, tuple[tuple[int, int, Privilege], ...], int]
-MEMO_CAPACITY = 1024  # entries a MemoCache keeps; steady-state cg_like needs 9
+MEMO_CAPACITY = 1024  # entries a MemoCache keeps; steady-state cg_like needs 3
 
 
 class CanonicalStream(NamedTuple):
@@ -78,7 +78,7 @@ def canonicalize(
     The liveness flags and the coverage/extent fingerprint are part of the
     form because both temporariness and the compiled kernel depend on them.
     The form of any suffix of ``tasks`` follows from this one, so a key fixes
-    the remainders that carving leaves and one entry can hold a whole flush.
+    every carve of the window and one entry holds a whole flush.
     ``facts`` gives an argument's coverage and extent class; a session
     passes its cache of them. It is called once per distinct (store index,
     partition index, domain index) of the window. The second value holds
@@ -181,10 +181,9 @@ class MemoCache:
     """Map from a window's canonical stream to the carves of its flush, as
     they were made.
 
-    A window's key fixes the key of every remainder carved from it, so one
-    entry holds every carve from the window's first task to the end of its
-    flush, and a hit replays them all from one lookup. Past
-    ``MEMO_CAPACITY`` entries, the least recently inserted or hit goes.
+    A window's key fixes every carve made from it, so one entry holds the
+    carves of its whole flush, and a hit replays them all from one lookup.
+    Past ``MEMO_CAPACITY`` entries, the least recently inserted or hit goes.
     Each entry keeps the tick of its last insert or hit, so a hit hashes its
     key once; only an insert past capacity scans for the oldest tick.
     """

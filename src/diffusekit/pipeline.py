@@ -42,7 +42,7 @@ from .ir import (
 )
 from .kernels import arg_name, compose, count_memory_traffic
 from .kernels import default_registry, optimize
-from .memo import Carve, CanonicalStream, MemoCache, canonicalize, extent_class
+from .memo import Carve, MemoCache, canonicalize, extent_class
 from .oracle import DEFAULT_ORACLE_CAP, oracle_fusible
 from .temporaries import RefState, find_temporaries
 from . import trace as tracefmt
@@ -255,11 +255,9 @@ class Session:
         Planning canonicalizes the buffer once, memo on or off; every carve
         reads its arguments' shapes and extent classes from the facts
         ``canonicalize`` gives by window position, where a ``Carve`` names
-        its stores and partitions. With the memo on, each remainder is
-        looked up until one hits, and one after a miss is canonicalized
-        again only to be looked up. A key fixes every later carve of its
-        window, so the hit's carves end the plan; each remainder before it
-        is analysed.
+        its stores and partitions. With the memo on, the buffer's key is
+        looked up once: a hit replays every carve of the flush, and a miss
+        analyses every remainder.
 
         One test decides window growth: whether a buffer of two or more
         tasks fuses whole, read from the first carve of a hit or else from
@@ -269,15 +267,15 @@ class Session:
         and the memo stay as they are. Any other flush launches, and doubles
         the window after launching a buffer that fused whole.
 
-        Launching runs the plan in order, and ``memo_hits`` counts the replayed
-        carves that launched. Each analysis adds its constraint steps to the
-        session's unreported count, which the next reported flush takes. A
-        deferral, or a flush whose planning raises, launches nothing, counts
-        no memo miss and reports nothing. After a launch raises,
-        the buffer keeps every task not yet launched, and the next flush
-        resumes with it. Otherwise every key that missed gets the carves
-        from its position on; no ``drop_ref`` can happen in between, so
-        liveness stays as keyed.
+        Launching runs the plan in order. ``memo_hits`` counts the carves of
+        a hit that launched, and ``memo_misses`` is 1 for a lookup that
+        missed. Each analysis adds its constraint steps to the session's
+        unreported count, which the next reported flush takes. A deferral,
+        or a flush whose planning raises, launches nothing, counts no memo
+        miss and reports nothing. After a launch raises, the buffer keeps
+        every task not yet launched, and the next flush resumes with it.
+        Otherwise a key that missed gets the flush's carves; no ``drop_ref``
+        can happen in between, so liveness stays as keyed.
         """
         buffer = self._buffer
         if not buffer:
@@ -285,24 +283,16 @@ class Session:
         memoize = self.config.fusion and self.config.memoize
         defer = not explicit and len(buffer) > 1 and self.window < MAX_WINDOW
         key, facts = canonicalize(buffer, self.stores, self.refs.app_live, self._facts)
-        carves: list[Carve] = []
-        missed: list[CanonicalStream] = []  # the key of each analysed remainder
-        replayed = at = 0  # at: the buffer position of the next carve
-        while at < len(buffer):
-            if memoize:
-                if at:
-                    key = canonicalize(buffer[at:], self.stores, self.refs.app_live, self._facts)[0]
-                hit = self.memo.lookup(key)
-                if hit is not None:
-                    carves += hit
-                    replayed = len(hit)
+        carves = self.memo.lookup(key) if memoize else None
+        hit, missed = carves is not None, memoize and carves is None
+        if not hit:
+            carves, at = [], 0  # at: the buffer position of the next carve
+            while at < len(buffer):
+                carve = self._analyze(buffer[at:], facts[at:], defer and not at)
+                if carve is None:
                     break
-                missed.append(key)
-            carve = self._analyze(buffer[at:], facts[at:], defer and not at)
-            if carve is None:
-                break
-            carves.append(carve)
-            at += carve.prefix_len
+                carves.append(carve)
+                at += carve.prefix_len
         whole = len(buffer) > 1 and (not carves or carves[0].prefix_len == len(buffer))
         if defer and whole:
             self.window = min(self.window * 2, MAX_WINDOW)
@@ -316,12 +306,12 @@ class Session:
                 self._launch(carve, fr, facts[at:])
                 at += carve.prefix_len
         finally:
-            fr.memo_hits = max(0, fr.tasks_out - (len(carves) - replayed))
-            fr.memo_misses = len(missed)
+            fr.memo_hits = fr.tasks_out if hit else 0
+            fr.memo_misses = int(missed)
             fr.constraint_steps, self._steps = self._steps, 0
             self.report.add(fr)
-        for i, key in enumerate(missed):
-            self.memo.insert(key, tuple(carves[i:]))
+        if missed:
+            self.memo.insert(key, tuple(carves))
         if whole:
             self.window = min(self.window * 2, MAX_WINDOW)
         log.debug(
@@ -372,12 +362,15 @@ class Session:
     def _launch(
         self, carve: Carve, fr: FlushReport, facts: Sequence[tuple[ArgFacts, ...]]
     ) -> None:
-        """Run and record ``carve``, then drop its tasks from the buffer's head.
+        """Run ``carve``, drop its tasks from the buffer's head, then record it.
 
-        The launch domain is that of the prefix's first task, and every
-        position the carve names is read from the buffer, and from
-        ``facts``, by window position from the prefix's first task, for
-        ``_traffic``.
+        The launch domain is that of the prefix's first task. Every position
+        the carve names is read from the buffer, and from ``facts``, by
+        window position from the prefix's first task, and the verdicts,
+        demoted stores and traffic it reports are worked out before the
+        kernel runs, whose return commits the launch. The carve's tasks are
+        then dropped and their references released before anything is
+        recorded.
         Only an executing session builds a task: a single task runs as
         buffered, a fused one is built from the carve's kind and
         ``_store_args``, with the values of the whole prefix's scalars under
@@ -388,6 +381,19 @@ class Session:
         f, kernel, positions = carve.prefix_len, carve.kernel, carve.temp_arg_positions
         buffer = self._buffer
         domain = buffer[0].domain
+        verdicts = []
+        for v in carve.verdicts:
+            if v.argument is not None:  # names a store, and partitions if ``earlier``
+                t = v.blocking_task_index
+                arg, parts = buffer[t].args[v.argument], None
+                if v.earlier is not None:
+                    i, k = v.earlier
+                    parts = (buffer[i].args[k].partition, arg.partition)
+                v = ConstraintVerdict(v.constraint, t, arg.store, parts, v.argument, v.earlier)
+            verdicts.append(v)
+        where = map(carve.args.__getitem__, positions)
+        temps = sorted({buffer[t].args[k].store for t, k, _ in where}) if positions else ()
+        traffic = self._traffic(carve, domain, facts) if kernel is not None else None
         if self.config.execute:
             task = buffer[0]
             if f > 1:
@@ -399,27 +405,16 @@ class Session:
             else:
                 plan = self._plan(task)
                 execute_task(task, self.heap, self.stores, self.builtins, kernel, positions, plan)
-        for v in carve.verdicts:
-            if v.argument is not None:  # names a store, and partitions if ``earlier``
-                t = v.blocking_task_index
-                arg, parts = buffer[t].args[v.argument], None
-                if v.earlier is not None:
-                    i, k = v.earlier
-                    parts = (buffer[i].args[k].partition, arg.partition)
-                v = ConstraintVerdict(v.constraint, t, arg.store, parts, v.argument, v.earlier)
-            fr.verdicts.append(v)
-        fr.fused_prefixes.append(f)
-        if positions:
-            where = map(carve.args.__getitem__, positions)
-            fr.temporaries.extend(sorted({buffer[t].args[k].store for t, k, _ in where}))
-        if kernel is not None:
-            loads, stores = self._traffic(carve, domain, facts)
-            fr.loads += loads
-            fr.stores += stores
-            fr.kernel_stats.append((f, len(kernel.nests), len(kernel.locals)))
         self._buffer = buffer[f:]
         for s in self.refs.release_runtime(a.store for t in buffer[:f] for a in t.args):
             self.heap.free(s)
+        fr.verdicts.extend(verdicts)
+        fr.fused_prefixes.append(f)
+        fr.temporaries.extend(temps)
+        if traffic is not None:
+            fr.loads += traffic[0]
+            fr.stores += traffic[1]
+            fr.kernel_stats.append((f, len(kernel.nests), len(kernel.locals)))
 
     def _store_args(self, carve: Carve) -> tuple[StoreArg, ...]:
         """The arguments of ``carve``'s launched task, read from the buffer's

@@ -6,8 +6,8 @@ For each of the four ``trace.BENCHMARKS`` (6 iterations, default sizes) at
 windows 2, 10 and 67, analysis-only and executed, it prints per flush the
 fused prefixes, demoted temporaries, memo hits and misses, constraint steps,
 loads and stores, ``kernel_stats`` and verdict text; then ``final_window``,
-the sorted ``kernel_text`` of every memoized kernel, and a sha256 of every
-heap array. It then prints every run again with the memo off
+``memo_entries`` (how many keys the run memoized), the sorted
+``kernel_text`` of every memoized kernel, and a sha256 of every heap array. It then prints every run again with the memo off
 (``memoize=False``), where every flush analyses its window afresh. A change
 that only makes the engine faster leaves the output byte-identical;
 ``test_digest.py`` compares it with the committed golden.
@@ -41,6 +41,7 @@ def digest_run(name: str, window: int, execute: bool, memoize: bool = True) -> I
         for v in fr.verdicts:
             yield f"  stopped by {v.describe()}"
     yield f"final_window {report.final_window}"
+    yield f"memo_entries {len(session.memo)}"
     texts = sorted(
         kernel_text(c.kernel)
         for carves, _ in session.memo._entries.values()

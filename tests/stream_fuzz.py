@@ -26,6 +26,7 @@ from diffusekit.ir import (
     StoreArg,
     Tiling,
 )
+from diffusekit.memo import MemoCache
 from diffusekit.pipeline import Session, SessionConfig
 
 PAD = 2
@@ -182,8 +183,11 @@ def corpus(n: int, base_seed: int = 0) -> tuple[FuzzStream, ...]:
     return tuple(generate_stream(base_seed + i) for i in range(n))
 
 
-def run_stream(stream: FuzzStream, config: SessionConfig) -> Session:
+def run_stream(stream: FuzzStream, config: SessionConfig, memo: MemoCache | None = None) -> Session:
+    """Run ``stream`` to its end; with ``memo``, the session starts from it."""
     session = Session(config)
+    if memo is not None:
+        session.memo = memo
     for sid in sorted(stream.stores):
         session.create_store(sid, stream.stores[sid])
     for i, t in enumerate(stream.tasks):

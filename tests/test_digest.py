@@ -5,8 +5,11 @@ memo-off runs before fresh analysis was cut down, so this test shows that
 fused prefixes, temporaries, memo decisions, verdict text, ``kernel_text``
 and heap bytes stayed the same. It was regenerated when a capacity flush
 whose whole buffer fuses began to grow the window instead of launching;
-every heap line stayed the same. Regenerate it only for a change meant to
-alter results:
+every heap line stayed the same. It was regenerated again when a flush began
+to look up only its whole buffer, which moved only memo hits, misses and
+constraint steps, dropped duplicate memoized kernels and added the
+``memo_entries`` lines. Regenerate it only for a change meant to alter
+results:
 
     PYTHONPATH=src python tests/digest.py > tests/digest_golden.txt
 """

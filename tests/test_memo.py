@@ -222,16 +222,21 @@ class TestReplayEqualsFreshAnalysis:
 
     @pytest.mark.parametrize("window", [2, 10])
     def test_fuzz_corpus(self, window, launches):
-        hits = 0
+        """Each stream runs twice with the memo on, the second time from the
+        first run's memo, where every flush replays whole; both runs match
+        the memo-off run."""
         for stream in corpus(200):
-            outcomes = []
-            for memoize in (True, False):
-                session = run_stream(stream, SessionConfig(window=window, memoize=memoize))
-                hits += session.report.memo_hits
-                outcomes.append(self._outcome(session, stream.live_ids, launches))
-            assert outcomes[0] == outcomes[1], f"stream seed {stream.seed}"
-        # a stream of 3 to 7 tasks repeats a window only when windows are short
-        assert hits > 0 if window == 2 else hits == 0
+            config = SessionConfig(window=window)
+            cold = run_stream(stream, config)
+            outcomes = [self._outcome(cold, stream.live_ids, launches)]
+            warm = run_stream(stream, config, cold.memo)
+            flushes = warm.report.per_flush
+            assert flushes and all(fr.memo_misses == 0 for fr in flushes), stream.seed
+            assert all(fr.memo_hits == fr.tasks_out for fr in flushes), stream.seed
+            outcomes.append(self._outcome(warm, stream.live_ids, launches))
+            plain = run_stream(stream, SessionConfig(window=window, memoize=False))
+            outcomes.append(self._outcome(plain, stream.live_ids, launches))
+            assert outcomes[0] == outcomes[1] == outcomes[2], f"stream seed {stream.seed}"
 
     def test_kernel_text_of_a_window_whose_stores_differ_in_rank(self, monkeypatch):
         """Two windows over one 2x2 launch share a key: NEG then COPY over

@@ -14,6 +14,7 @@ from diffusekit.executor import UnknownTaskKindError, default_builtins, heap_dif
 from diffusekit.fusion import longest_fusible_prefix
 from diffusekit.ir import Domain, IndexTask, ProjectionFn, StoreArg, Tiling
 from diffusekit.kernels import KernelError, KernelRegistry
+from diffusekit.oracle import DEFAULT_ORACLE_CAP
 from diffusekit.pipeline import MAX_WINDOW, Session, SessionConfig, run_events
 from diffusekit.temporaries import RefUnderflowError
 from diffusekit.trace import BENCHMARKS, gen_benchmark
@@ -101,6 +102,25 @@ class TestStencilPipeline:
             pipeline.SoundnessError, match="oracle rejected engine-accepted prefix of 6 tasks starting with ADD"
         ):
             _run("stencil", SessionConfig(oracle_check=True), iters=1)
+
+    @pytest.mark.parametrize("points, checked", [(DEFAULT_ORACLE_CAP, 1), (DEFAULT_ORACLE_CAP + 1, 0)])
+    def test_oracle_cross_check_skips_a_launch_past_its_cap(self, points, checked, monkeypatch):
+        """A fused prefix launched over more points than the oracle's cap is
+        not checked: an oracle that rejects every prefix is never called."""
+        calls = []
+        monkeypatch.setattr(pipeline, "oracle_fusible", lambda *a: calls.append(a) or False)
+        session = Session(SessionConfig(oracle_check=True, execute=False))
+        for sid in range(3):
+            session.create_store(sid, (points,))
+        p = tiling((1,))
+        session.submit(task("COPY", (points,), [(0, p, R), (1, p, W)]))
+        session.submit(task("COPY", (points,), [(1, p, R), (2, p, W)]))
+        if checked:
+            with pytest.raises(pipeline.SoundnessError):
+                session.flush()
+        else:
+            assert session.finish().fused_prefixes == [2]
+        assert len(calls) == checked
 
     def test_isolated_mode_matches_sequential(self):
         fused, _ = _run("stencil", SessionConfig(isolated=True), iters=3)
@@ -207,41 +227,42 @@ class TestDeferral:
     def _copy(src):
         return task("COPY", (2,), [(src, tiling((2,)), R), (src + 1, tiling((2,)), W)])
 
-    def _hit_then_defer(self, memoize):
-        """At window 2, a failed capacity flush leaves three tasks buffered;
-        their explicit flush memoizes a two-task remainder that fuses whole.
-        An isomorphic two-task buffer then fills the window."""
-        session = Session(SessionConfig(window=2, memoize=memoize))
-        for sid in range(8):
-            session.create_store(sid, (4,))
-        session.submit(task("MYSTERY", (2,), [(0, tiling((2,)), R), (1, tiling((2,)), W)]))
-        session.submit(self._copy(1))
-        with pytest.raises(UnknownTaskKindError):
-            session.submit(self._copy(2))
-        session.builtins["MYSTERY"] = TestFailedFlush._mystery
-        session.flush()
-        assert session.report.per_flush[-1].fused_prefixes == [1, 2]
-        session.submit(self._copy(4))
-        session.submit(self._copy(5))
-        return session
+    def _submit_copies(self, session, srcs):
+        for src in srcs:
+            session.submit(self._copy(src))
 
     def test_a_memo_hit_defers_as_fresh_analysis_does(self):
+        """A two-task window that fuses whole is memoized by an explicit
+        flush. At window 2, a session starting from that memo fills its
+        window with an isomorphic pair, and the next task defers the
+        capacity flush from the hit."""
+        warm = Session(SessionConfig(window=2))
+        for sid in range(3):
+            warm.create_store(sid, (4,))
+        self._submit_copies(warm, [0, 1])
+        warm.flush()
+        assert warm.report.per_flush[-1].fused_prefixes == [2]
         outcomes = []
         for memoize in (True, False):
-            session = self._hit_then_defer(memoize)
+            session = Session(SessionConfig(window=2, memoize=memoize))
+            if memoize:
+                session.memo = warm.memo
+            for sid in range(4):
+                session.create_store(sid, (4,))
+            self._submit_copies(session, [0, 1])
             analysed = []
             with pytest.MonkeyPatch.context() as mp:
                 prefix = pipeline.longest_fusible_prefix
                 counted = lambda *a: analysed.append(1) or prefix(*a)
                 mp.setattr(pipeline, "longest_fusible_prefix", counted)
-                session.submit(self._copy(6))
+                session.submit(self._copy(2))
             assert session.window == 4 and len(session._buffer) == 3
             assert len(analysed) == (0 if memoize else 1)  # a hit analyses nothing
             report = session.finish()
-            heaps = session.heap.digest(range(8))
+            heaps = session.heap.digest(range(4))
             outcomes.append((report.fused_prefixes, report.temporaries_eliminated, heaps))
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == [1, 2, 3]
+        assert outcomes[0][0] == [3]
 
 
 class TestOtherBenchmarks:
@@ -291,17 +312,41 @@ class TestAnalysisCost:
 
     def test_one_lookup_per_flush_once_warm(self, monkeypatch):
         _, report, lookups, *_ = self._counted(monkeypatch, 40)
-        for i, fr in enumerate(report.per_flush):
-            # a flush looks up each missed remainder, and one that hits
-            assert lookups[i] == fr.memo_misses + (fr.memo_hits > 0)
         warm = [i for i, fr in enumerate(report.per_flush) if fr.memo_misses]
         assert warm == [0, 1, 2]  # window growth, then the first full iteration
-        assert all(lookups[i] == 1 for i in range(3, len(report.per_flush)))
-        assert sum(lookups.values()) <= len(report.per_flush) + report.memo_misses
+        assert lookups == Counter(range(len(report.per_flush)))  # one per flush
+
+    @pytest.mark.parametrize("memoize", [True, False], ids=["memo on", "memo off"])
+    @pytest.mark.parametrize("window", [2, 10])
+    def test_one_canonicalize_per_flush(self, window, memoize, monkeypatch):
+        """Every ``_flush`` of a nonempty buffer, deferrals included,
+        canonicalizes it once: a miss analyses its remainders from the
+        buffer's facts, and a hit replays its carves from the one lookup."""
+        calls = []  # per _flush call: its buffer's length, its canonicalize calls
+        canonicalize, flush = pipeline.canonicalize, Session._flush
+
+        def counted(*args):
+            calls[-1][1] += 1
+            return canonicalize(*args)
+
+        def recorded(session, explicit):
+            calls.append([len(session._buffer), 0])
+            flush(session, explicit)
+
+        monkeypatch.setattr(pipeline, "canonicalize", counted)
+        monkeypatch.setattr(Session, "_flush", recorded)
+        config = SessionConfig(window=window, execute=False, memoize=memoize)
+        for name in BENCHMARKS:
+            _run(name, config, iters=6)
+        for stream in stream_fuzz.corpus(200):
+            stream_fuzz.run_stream(stream, config)
+        assert sum(n > 0 for n, _ in calls) > 200
+        assert all(count == (n > 0) for n, count in calls)
 
     def test_fused_task_built_only_for_fused_misses(self, monkeypatch):
         _, report, _, prefixes, builds, _ = self._counted(monkeypatch, 40)
-        assert len(prefixes) == report.memo_misses
+        # a missed flush analyses each of its carves, and a hit none
+        assert len(prefixes) == sum(fr.tasks_out for fr in report.per_flush if fr.memo_misses)
         assert len(builds) == sum(f > 1 for f in prefixes) > 0
 
     def test_sub_store_bounds_once_per_argument_shape(self, monkeypatch):
@@ -749,6 +794,43 @@ class TestFailedFlush:
         assert session.report.per_flush == []
 
 
+    @staticmethod
+    def _jacobi(fail):
+        """Executed jacobi at window 10; with ``fail``, the first traffic
+        count raises, after the launch's kernel is planned, and the error is
+        caught at ``apply_event``. The kernels run, the report, the number of
+        tasks submitted and the live heaps."""
+        executed, counts = [], []
+        execute, traffic = pipeline.execute_task, pipeline.count_memory_traffic
+
+        def raising(*args):
+            counts.append(1)
+            if fail and len(counts) == 1:
+                raise MemoryError("injected")
+            return traffic(*args)
+
+        session = Session(SessionConfig(window=10))
+        events = gen_benchmark("jacobi", iters=3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline, "execute_task", lambda t, *a: executed.append(t) or execute(t, *a))
+            mp.setattr(pipeline, "count_memory_traffic", raising)
+            for ev in events:
+                try:
+                    pipeline.apply_event(session, ev)
+                except MemoryError:
+                    assert session.refs.runtime_refs == _argument_counts(session)
+            report = session.finish()
+        submitted = sum(type(ev) is tracefmt.TaskEvent for ev in events)
+        return executed, report, submitted, session.heap.digest(session.live_store_ids())
+
+    def test_a_launch_whose_bookkeeping_raises_runs_its_kernel_once(self):
+        executed, report, submitted, heaps = self._jacobi(fail=True)
+        clean, clean_report, _, clean_heaps = self._jacobi(fail=False)
+        assert len(executed) == len(clean) == 6
+        assert report.tasks_in == clean_report.tasks_in == submitted == 9
+        assert heaps == clean_heaps
+
+
 class TestReadAndReduceOneStore:
     """A task that reads and reduces one store is valid, and launches alone:
     fused with the next task, its R and Rd arguments would be joined."""
@@ -864,5 +946,5 @@ class TestMemoBound:
         assert heap_diff(session.heap, plain.heap, range(3)) == []
 
     def test_steady_state_cg_like_hits_as_unbounded(self):
-        _, report = _run("cg_like", SessionConfig(execute=False), iters=300)
-        assert (report.memo_hits, report.memo_misses) == (1192, 9)
+        session, report = _run("cg_like", SessionConfig(execute=False), iters=300)
+        assert (report.memo_hits, report.memo_misses, len(session.memo)) == (1192, 3, 3)

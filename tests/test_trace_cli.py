@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from diffusekit import pipeline
 from diffusekit.cli import bench_report, main
 from diffusekit.pipeline import Report, Session, SessionConfig, run_events
 from diffusekit.trace import (
@@ -286,6 +288,11 @@ class TestTraceFormat:
             ' "args": [{"store": false, "part": 0, "priv": "R"}]}',
             "unknown store",
         ),
+        "not an object": ("[0]", "expected an object with an 'event' field"),
+        "repeated partition id": (
+            '{"event": "create_partition", "id": 0, "store": 0, "kind": "none"}',
+            "partition id 0 already defined",
+        ),
     }
 
     _TWO_BY_TWO = (
@@ -293,8 +300,16 @@ class TestTraceFormat:
         '{"event": "create_store", "id": 1, "shape": [4, 4]}\n'
     )
     _TILE_2D = '"kind": "tiling", "tile": [2, 2], "offset": [0, 0], "proj": {"A": %s, "b": [0, 0]}}\n'
-    # projections that analysis could not apply; parsing rejects them at their line
+    # partitions that analysis could not apply to their arguments; parsing
+    # rejects them at their line
     _MISFIT_PROJECTIONS = {
+        "partition of another store": (
+            _STORE_AND_PART
+            + '{"event": "create_store", "id": 1, "shape": [4]}\n'
+            '{"event": "index_task", "kind": "COPY", "domain": [1],'
+            ' "args": [{"store": 0, "part": 0, "priv": "R"}, {"store": 1, "part": 0, "priv": "W"}]}\n',
+            "line 4: partition 0 belongs to store 0, not 1",
+        ),
         "ragged matrix": (
             _TWO_BY_TWO
             + '{"event": "create_partition", "id": 0, "store": 0, ' + _TILE_2D % "[[1], [0, 1]]",
@@ -486,6 +501,17 @@ class TestCli:
         assert "tasks: 60 -> 20" in out
         assert "heaps identical" in out
 
+    def test_run_diff_reports_a_heap_mismatch(self, stencil_trace, monkeypatch, capsys):
+        """Only the fused run is wrong: its fused kernels write nothing, and
+        the unfused reference launches single tasks, which never call
+        ``optimize``."""
+        optimize = pipeline.optimize
+        monkeypatch.setattr(pipeline, "optimize", lambda k: dataclasses.replace(optimize(k), nests=()))
+        assert main(["run", stencil_trace, "--diff"]) == 1
+        captured = capsys.readouterr()
+        assert "heaps identical" not in captured.out
+        assert captured.err == "heap mismatch on stores [0, 1]\n"
+
     def test_window_out_of_range_is_an_error(self, stencil_trace, capsys):
         assert main(["analyze", stencil_trace, "--window", "-3"]) == 2
         captured = capsys.readouterr()
@@ -534,9 +560,10 @@ class TestCli:
         assert payload["tasks_in"] == 12 and payload["tasks_out"] == 4
         for key in ("fused_prefixes", "temporaries_eliminated", "memo_hits", "loads", "stores"):
             assert key in payload
-        # the first iteration's two windows miss the memo and the second's hit,
-        # so only the first iteration spends constraint steps
-        assert payload["memo_hits"] == 2 and payload["memo_misses"] == 2
+        # the first iteration's window misses the memo and the second's hits,
+        # replaying both carves, so only the first iteration spends constraint
+        # steps
+        assert payload["memo_hits"] == 2 and payload["memo_misses"] == 1
         assert payload["final_window"] == 10
         assert main(["analyze", stencil_trace, "--no-memo", "--json-report", str(out)]) == 0
         unmemoized = json.loads(out.read_text())
@@ -612,16 +639,15 @@ class TestCli:
         assert "memo: 0 hits, 2 misses" in capsys.readouterr().out
 
     def test_canon_prints_every_lookup(self, tmp_path, capsys):
-        # the first window misses, and so does the COPY remainder carved off
-        # it; the later windows hit and replay both carves without a lookup
+        # one lookup per window: the first misses and is carved in two, and
+        # the later windows hit and replay both carves
         path = tmp_path / "stencil3.trace"
         path.write_text(print_trace(gen_benchmark("stencil", iters=3)))
         lookups = self._canon_lookups(str(path), capsys)
-        assert [mark for mark, _ in lookups] == ["miss", "miss", "hit", "hit"]
-        window, remainder = lookups[0][1], lookups[1][1]
+        assert [mark for mark, _ in lookups] == ["miss", "hit", "hit"]
+        window = lookups[0][1]
         assert len(window.splitlines()) == 7  # six tasks and the live line
-        assert len(remainder.splitlines()) == 2 and " COPY " in remainder
-        assert lookups[2][1] == lookups[3][1] == window
+        assert lookups[1][1] == lookups[2][1] == window
 
     def test_analyze_gives_a_stop_reason_for_memo_hits(self, tmp_path, capsys):
         path = tmp_path / "stencil3.trace"
