@@ -28,6 +28,7 @@ from .ir import (
     StoreTable,
     covers,
     sub_store_bounds,
+    tiling_span,
 )
 from .kernels import Kernel, KernelRegistry, arg_name, interpret
 
@@ -172,9 +173,8 @@ def _launch_images(task: IndexTask, stores: StoreTable) -> list[Rect] | None:
 
     Every kernel access is at the loop index, so this holds when no argument
     is a reduction (per-point partials must be summed in point order), every
-    argument is a read-only rank-0 replication or an identity tiling of
-    launch rank with one common tile whose images tile
-    ``[offset, offset + tile * extent)`` inside the store, and no written
+    argument is a read-only rank-0 replication or a tiling with one common
+    positive tile whose ``tiling_span`` lies inside the store, and no written
     store is also reached through another partition. Decided from the
     partition descriptors alone, whatever the launch volume.
     """
@@ -190,19 +190,16 @@ def _launch_images(task: IndexTask, stores: StoreTable) -> list[Rect] | None:
                 return None
             rects.append(Rect.full(store.shape))
             continue
+        span = tiling_span(store, part, launch)
         if (
-            not part.proj.is_identity
-            or part.proj.in_rank != launch.rank
-            or store.rank != launch.rank
+            span is None
             or (tile is not None and part.tile != tile)
             or any(t <= 0 for t in part.tile)
+            or not all(0 <= l and h <= s for l, h, s in zip(span.lo, span.hi, store.shape.extents))
         ):
             return None
         tile = part.tile
-        hi = tuple(o + t * n for o, t, n in zip(part.offset, tile, launch.extents))
-        if any(o < 0 for o in part.offset) or any(h > s for h, s in zip(hi, store.shape.extents)):
-            return None
-        rects.append(Rect(part.offset, hi))
+        rects.append(span)
     parts: dict[int, set[Partition]] = {}
     for a in task.args:
         parts.setdefault(a.store, set()).add(a.partition)

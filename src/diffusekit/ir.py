@@ -283,19 +283,26 @@ def sub_store_bounds(store: Store, part: Partition, p: Point) -> Rect:
     return Rect(lo, hi)
 
 
+def tiling_span(store: Store, part: Partition, launch: Domain) -> Rect | None:
+    """The unclamped box ``[offset, offset + tile * launch extents)`` of an
+    identity tiling whose projection, store and launch share one rank, else None."""
+    if isinstance(part, NonePart) or not part.proj.is_identity:
+        return None
+    if not part.proj.out_rank == store.rank == launch.rank:
+        return None
+    hi = tuple([o + t * n for o, t, n in zip(part.offset, part.tile, launch.extents)])
+    return Rect(part.offset, hi)
+
+
 def covers(store: Store, part: Partition, launch: Domain) -> bool:
     """Whether the union of sub-stores over ``launch`` is the whole store.
 
-    Exact for NonePart and identity-projection tilings; conservatively false
-    otherwise so temporary elimination never over-approximates coverage.
+    True for NonePart and where ``tiling_span`` holds the store, else false:
+    conservative, so temporary elimination never over-approximates coverage.
     """
     if isinstance(part, NonePart):
         return True
-    if not part.proj.is_identity:
-        return False
-    if part.proj.out_rank != store.rank or launch.rank != store.rank:
-        return False
-    return all(
-        o <= 0 and t * n + o >= s
-        for t, o, n, s in zip(part.tile, part.offset, launch.extents, store.shape.extents)
+    span = tiling_span(store, part, launch)
+    return span is not None and all(
+        l <= 0 and h >= s for l, h, s in zip(span.lo, span.hi, store.shape.extents)
     )

@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .fusion import ConstraintVerdict
 from .ir import Domain, IndexTask, NonePart, Partition, Privilege, Store, StoreTable, covers
+from .ir import tiling_span
 from .kernels import Kernel
 
 CanonTask = tuple[str, int, tuple[tuple[int, int, Privilege], ...], int]
@@ -43,18 +44,14 @@ class CanonicalStream(NamedTuple):
 def extent_class(store: Store, part: Partition, launch: Domain) -> object:
     """Hashable description of the per-point sub-store extents.
 
-    Replication yields the full store extents; an exact zero-offset identity
-    tiling yields constant tile extents; anything else is classed by its full
-    structural form since edge clamping can make extents point-dependent.
+    Replication yields the full store extents; a tiling whose ``tiling_span``
+    is the store yields constant tile extents; anything else is classed by its
+    full structural form since edge clamping can make extents point-dependent.
     """
     if isinstance(part, NonePart):
         return ("full", store.shape.extents)
-    if (
-        part.proj.is_identity
-        and all(o == 0 for o in part.offset)
-        and launch.rank == store.rank
-        and tuple(t * n for t, n in zip(part.tile, launch.extents)) == store.shape.extents
-    ):
+    span = tiling_span(store, part, launch)
+    if span is not None and not any(span.lo) and span.hi == store.shape.extents:
         return ("tile", part.tile)
     return ("clamped", store.shape.extents, part)
 

@@ -180,9 +180,7 @@ class Session:
         self.builtins = dict(builtins) if builtins is not None else default_builtins()
         self.stores: dict[int, Store] = {}
         self.partitions: dict[int, Partition] = {}
-        # one object per distinct partition value, per distinct partition
-        # event (kind, tile, offset, proj), and per distinct extents
-        self._interned: dict[Partition, Partition] = {}
+        # one object per distinct partition event (kind, tile, offset, proj) and per extents
         self._event_parts: dict[tuple, Partition] = {}
         self._domains: dict[tuple[int, ...], Domain] = {}
         self.refs = RefState()
@@ -208,7 +206,7 @@ class Session:
     def create_partition(self, part_id: int, part: Partition) -> None:
         if part_id in self.partitions:
             raise ValueError(f"partition id {part_id} already exists")
-        self.partitions[part_id] = self._interned.setdefault(part, part)
+        self.partitions[part_id] = part
 
     def submit(self, task: IndexTask) -> None:
         """Buffer ``task``, which holds one runtime reference per argument;
@@ -267,9 +265,9 @@ class Session:
         and the memo stay as they are. Any other flush launches, and doubles
         the window after launching a buffer that fused whole.
 
-        Launching runs the plan in order. ``memo_hits`` counts the carves of
-        a hit that launched, and ``memo_misses`` is 1 for a lookup that
-        missed. Each analysis adds its constraint steps to the session's
+        Launching runs the plan in order. ``memo_hits`` is 1 for a lookup
+        that hit and ``memo_misses`` 1 for one that missed, so both count
+        flushes. Each analysis adds its constraint steps to the session's
         unreported count, which the next reported flush takes. A deferral,
         or a flush whose planning raises, launches nothing, counts no memo
         miss and reports nothing. After a launch raises, the buffer keeps
@@ -299,15 +297,13 @@ class Session:
             log.debug("flush(full): %d tasks fuse whole, window now %d", len(buffer), self.window)
             return
 
-        fr = FlushReport(explicit=explicit)
+        fr = FlushReport(explicit, memo_hits=int(hit), memo_misses=int(missed))
         at = 0
         try:
             for carve in carves:
                 self._launch(carve, fr, facts[at:])
                 at += carve.prefix_len
         finally:
-            fr.memo_hits = fr.tasks_out if hit else 0
-            fr.memo_misses = int(missed)
             fr.constraint_steps, self._steps = self._steps, 0
             self.report.add(fr)
         if missed:

@@ -94,7 +94,7 @@ def test_5_memoization():
     _, report = _run("stencil", SessionConfig(execute=False), iters=3)
     ok = len(report.per_flush) == 3
     for fr in report.per_flush[1:]:
-        ok &= fr.memo_hits == 2 and fr.memo_misses == 0 and fr.constraint_steps == 0
+        ok &= fr.memo_hits == 1 and fr.memo_misses == 0 and fr.constraint_steps == 0
     left, *_ = canonicalize(_swap_stream(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})
     middle, *_ = canonicalize(_swap_stream(5, 6, 7), _stores([5, 6, 7]), {5, 6, 7})
     right, *_ = canonicalize(_swap_stream_variant(1, 2, 3), _stores([1, 2, 3]), {1, 2, 3})

@@ -8,8 +8,9 @@ whose whole buffer fuses began to grow the window instead of launching;
 every heap line stayed the same. It was regenerated again when a flush began
 to look up only its whole buffer, which moved only memo hits, misses and
 constraint steps, dropped duplicate memoized kernels and added the
-``memo_entries`` lines. Regenerate it only for a change meant to alter
-results:
+``memo_entries`` lines. It was regenerated when ``memo_hits`` began to
+count hit flushes rather than their launched carves, which moved only the
+``hits=`` fields. Regenerate it only for a change meant to alter results:
 
     PYTHONPATH=src python tests/digest.py > tests/digest_golden.txt
 """

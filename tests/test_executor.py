@@ -9,6 +9,7 @@ from diffusekit import executor, kernels
 from diffusekit import trace as tracefmt
 from diffusekit.executor import (
     ArenaViolationError,
+    ExecutionError,
     Heap,
     UnknownTaskKindError,
     default_builtins,
@@ -122,6 +123,24 @@ class TestSequentialExecution:
         mat, vec = heap.get(0).copy(), heap.get(1).copy()
         _execute(t, heap, stores)
         assert (heap.get(2) == mat @ vec).all()
+
+    def test_norm_builtin_accumulates_the_sum_of_squares(self):
+        stores = store_table((6,), ())
+        n = NonePart()
+        t = task("NORM", (1,), [(0, n, R), (1, n, RD)])
+        assert not REG.has("NORM")
+        heap = Heap(stores, 0)
+        x, initial = heap.get(0).copy(), float(heap.get(1)[()])
+        _execute(t, heap, stores)
+        assert heap.get(1)[()] == initial + float(np.sum(x * x))
+        assert (heap.get(0) == x).all()
+
+    def test_kernel_and_task_scalar_counts_must_agree(self):
+        stores = store_table((4,), (4,))
+        args = [(0, tiling((2,)), R), (1, tiling((2,)), W)]
+        kernel = REG.generate(task("MULT", (2,), args, [("s", 2.0)]))
+        with pytest.raises(ExecutionError, match="^task MULT carries 0 scalars, kernel expects 1$"):
+            execute_task(task("MULT", (2,), args), Heap(stores, 0), stores, BUILTINS, kernel)
 
     def test_unknown_kind_rejected(self):
         stores = store_table((4,))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffusekit.executor import launch_plan
 from diffusekit.ir import (
     Domain,
     IndexTask,
@@ -26,6 +27,7 @@ from diffusekit.ir import (
     join_privileges,
     sub_store_bounds,
 )
+from diffusekit.memo import extent_class
 from helpers import R, RD, RW, W, task, tiling
 
 
@@ -107,6 +109,15 @@ class TestProjection:
             ProjectionFn(((1, 0),), (0, 0))
         with pytest.raises(MalformedPartitionError):
             ProjectionFn.identity(2).apply((1,))
+
+    def test_ragged_matrix_and_disagreeing_tiling_ranks_rejected(self):
+        with pytest.raises(MalformedPartitionError, match="^ragged projection matrix$"):
+            ProjectionFn(((1, 0), (1,)), (0, 0))
+        message = "^tile, offset and projection output rank must agree$"
+        with pytest.raises(MalformedPartitionError, match=message):
+            Tiling((2, 2), (0,), ProjectionFn.identity(2))
+        with pytest.raises(MalformedPartitionError, match=message):
+            Tiling((2,), (0,), ProjectionFn.identity(2))
 
     def test_structural_equality(self):
         assert ProjectionFn.identity(2) == ProjectionFn(((1, 0), (0, 1)), (0, 0))
@@ -193,6 +204,70 @@ class TestCovers:
         part = tiling(tile[:rank], offset[:rank])
         dom = Domain(tuple(launch[:rank]))
         assert covers(store, part, dom) == bool(_union_mask(store, part, dom).all())
+
+
+# (launch rank, store rank, projection matrix): identity, permuted, dropping a dimension
+_PROJECTIONS = [
+    (1, 1, ((1,),)),
+    (2, 2, ((1, 0), (0, 1))),
+    (2, 2, ((0, 1), (1, 0))),
+    (2, 1, ((1, 0),)),
+    (2, 1, ((0, 1),)),
+]
+
+
+@st.composite
+def _tiled_launch(draw):
+    """A store, a tiling of it and a launch domain the tiling maps from. Half
+    the store's extents are drawn near ``tile * launch extent`` and half the
+    offsets are zero, so exact tilings are frequent."""
+    launch_rank, rank, matrix = draw(st.sampled_from(_PROJECTIONS))
+    launch = Domain(tuple(draw(st.integers(1, 3)) for _ in range(launch_rank)))
+    tile = tuple(draw(st.integers(0, 3)) for _ in range(rank))
+    offset = tuple(draw(st.one_of(st.just(0), st.integers(-2, 2))) for _ in range(rank))
+    extents = []
+    for t, row in zip(tile, matrix):
+        near = t * launch.extents[row.index(1)] + draw(st.one_of(st.just(0), st.integers(-1, 1)))
+        extents.append(draw(st.one_of(st.just(min(max(near, 1), 8)), st.integers(1, 8))))
+    part = Tiling(tile, offset, ProjectionFn(matrix, (0,) * rank))
+    return Store(0, Domain(tuple(extents))), part, launch
+
+
+class TestTilingSpan:
+    """``covers``, the ``"tile"`` extent class and a launch's one-call
+    regions each compare ``tiling_span`` with the store; each agrees with
+    the cells ``sub_store_bounds`` gives over every launch point."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_tiled_launch())
+    def test_span_predicates_agree_with_the_point_boxes(self, drawn):
+        store, part, launch = drawn
+        boxes = [sub_store_bounds(store, part, p) for p in launch.points()]
+        count = np.zeros(store.shape.extents, dtype=int)
+        for box in boxes:
+            count[box.slices()] += 1
+        whole = bool((count > 0).all())
+
+        if covers(store, part, launch):
+            assert whole
+        if part.proj.is_identity:
+            assert covers(store, part, launch) == whole
+
+        if extent_class(store, part, launch)[0] == "tile":
+            assert all(box.extents == part.tile for box in boxes)
+            assert (count == 1).all()
+
+        fill = IndexTask("FILL", launch, (StoreArg(0, part, W),))
+        regions = launch_plan(fill, {0: store}).regions
+        if regions is not None:
+            (slices, extents), = regions
+            region = np.zeros(store.shape.extents, dtype=bool)
+            region[slices] = True
+            assert ((count > 0) == region).all() and count.max() == 1
+            assert extents == tuple(s.stop - s.start for s in slices)
+            for p, box in zip(launch.points(), boxes):
+                lo = tuple(q * t + o for q, t, o in zip(part.proj.apply(p), part.tile, part.offset))
+                assert (box.lo, box.extents) == (lo, part.tile)  # not clipped
 
 
 class TestPartitionEq:

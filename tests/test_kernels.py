@@ -926,6 +926,21 @@ class TestStrips:
         interpret(k, {"a0": a0, "a1": a1}, {})
         assert a1.tobytes() == (-a0).tobytes()
 
+    def test_a_broadcast_input_runs_the_nest_whole(self, monkeypatch):
+        """An input of rank >= 1 shaped other than the domain cannot be cut
+        into the domain's strips, so the nest runs in one pass."""
+        n = 1 << 15
+        monkeypatch.setattr(kernels, "STRIP", n)
+        evals = []
+        run = kernels._NestPlan._eval
+        monkeypatch.setattr(kernels._NestPlan, "_eval", lambda plan, regs: evals.append(1) or run(plan, regs))
+        rng = np.random.default_rng(5)
+        a0, a1, a2 = rng.normal(size=(4, n)), rng.normal(size=n), np.zeros((4, n))
+        k = _generated("ADD", (R, R, W))
+        interpret(k, {"a0": a0, "a1": a1, "a2": a2}, {})
+        assert len(evals) == 1
+        assert a2.tobytes() == (a0 + a1).tobytes()
+
     def test_chain_allocates_under_half_a_slab(self):
         kernel, bufs, scalars, out, want = _fused_chain(1 << 20)
         assert kernels.STRIP < len(out) // 2

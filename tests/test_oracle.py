@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from diffusekit.ir import Domain, NonePart
+from diffusekit.ir import Domain, NonePart, Rect
 from diffusekit.oracle import (
     OracleTooLargeError,
     dep,
@@ -26,6 +26,18 @@ class TestDep:
         v1 = point_task(writer, (0, 0), stores)
         v2 = point_task(reader, (1, 0), stores)
         assert dep(v1, v2)
+
+    def test_a_tile_clamped_to_nothing_conflicts_with_nothing(self):
+        stores = store_table((4,))
+        past_the_end = tiling((2,), (4,))  # point 0 maps to [4, 6), clamped to [4, 4)
+        writer = task("K", (1,), [(0, past_the_end, W)])
+        reader = task("K", (1,), [(0, NonePart(), R)])
+        v1, v2 = point_task(writer, (0,), stores), point_task(reader, (0,), stores)
+        empty, whole = v1.accesses[0][1], v2.accesses[0][1]
+        assert empty == Rect((4,), (4,)) and empty.is_empty
+        assert not empty.overlaps(whole) and not whole.overlaps(empty)
+        assert not empty.overlaps(empty)
+        assert not dep(v1, v2) and not dep(v2, v1)
 
     def test_disjoint_tiles_do_not_conflict(self):
         stores = store_table((4,), (4,))

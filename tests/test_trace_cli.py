@@ -16,6 +16,7 @@ import pytest
 
 from diffusekit import pipeline
 from diffusekit.cli import bench_report, main
+from diffusekit.kernels import KernelError, default_registry
 from diffusekit.pipeline import Report, Session, SessionConfig, run_events
 from diffusekit.trace import (
     BENCHMARKS,
@@ -29,6 +30,7 @@ from diffusekit.trace import (
     parse_trace,
     print_trace,
 )
+from helpers import tasks_of
 
 # a string that JSON must escape: a quote, a backslash, control characters,
 # and non-ASCII characters inside and beyond the Basic Multilingual Plane
@@ -526,6 +528,33 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_generator_counts_must_divide_by_nodes(self, capsys):
+        for name in sorted(BENCHMARKS):
+            message = "interior size 7" if name == "stencil" else "size 9"
+            with pytest.raises(ValueError, match=f"^{message} must be divisible by nodes 2$"):
+                gen_benchmark(name, size=9, nodes=2)
+        assert main(["gen", "stencil", "--size", "9", "--nodes", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: interior size 7 must be divisible by nodes 2\n"
+
+    def test_mult_without_its_scalar_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "mult.trace"
+        path.write_text(
+            TestTraceFormat._STORE_AND_PART
+            + '{"event": "create_store", "id": 1, "shape": [4]}\n'
+            '{"event": "create_partition", "id": 1, "store": 1, "kind": "none"}\n'
+            '{"event": "index_task", "kind": "MULT", "domain": [1],'
+            ' "args": [{"store": 0, "part": 0, "priv": "R"}, {"store": 1, "part": 1, "priv": "W"}]}\n'
+        )
+        (t,), _ = tasks_of(parse_trace(path.read_text()))
+        with pytest.raises(KernelError, match="^MULT: expected 1 scalar params, got 0$"):
+            default_registry().generate(t)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MULT: expected 1 scalar params, got 0\n"
+
     @pytest.mark.parametrize("size", ["1", "2"])
     def test_gen_stencil_without_an_interior_is_an_error(self, size, capsys):
         assert main(["gen", "stencil", "--size", size]) == 2
@@ -560,10 +589,10 @@ class TestCli:
         assert payload["tasks_in"] == 12 and payload["tasks_out"] == 4
         for key in ("fused_prefixes", "temporaries_eliminated", "memo_hits", "loads", "stores"):
             assert key in payload
-        # the first iteration's window misses the memo and the second's hits,
+        # the first iteration's flush misses the memo and the second's hits,
         # replaying both carves, so only the first iteration spends constraint
         # steps
-        assert payload["memo_hits"] == 2 and payload["memo_misses"] == 1
+        assert payload["memo_hits"] == 1 and payload["memo_misses"] == 1
         assert payload["final_window"] == 10
         assert main(["analyze", stencil_trace, "--no-memo", "--json-report", str(out)]) == 0
         unmemoized = json.loads(out.read_text())
